@@ -1,6 +1,6 @@
 ### Reduce a connection to its Coulomb normal form: divergence-free,
 ### harmonic part in the fundamental domain, integer windings stripped.
-### The spectrally derived Hodge constants then bound the Sobolev norm
+### Hodge constants from the closed-form spectral gap then bound the Sobolev norm
 ### of every fixed flux-free connection by its curvature alone.
 
 import numpy as np
@@ -44,7 +44,8 @@ pure = apply_gauge(GaugeTransform(rng.standard_normal(lat.shape), (1, -2, 0, 3))
 reduced, _ = full_gauge_fix(pure)
 print(f"pure gauge reduces to     = {float(np.max(np.abs(reduced.gauge.a))):.3e}")
 
-### Sobolev bound with constants from the 1-form Hodge Laplacian spectrum.
+### Sobolev bound with constants from the 1-form Hodge Laplacian's gap, read
+### off its Fourier symbol: the lowest mode along the longest direction.
 ### The determinant-line curvature is twice d1(a), hence the factor 1/2.
 hc = hodge_constants(lat)
 print(f"\nspectral gap {hc.spectral_gap:.4f}, curl factor {hc.curl_factor:.4f}, "

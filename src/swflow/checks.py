@@ -4,8 +4,8 @@ Each check exercises one contract of the library (algebraic identity,
 adjointness, gauge invariance, bound, or refinement study) on small seeded
 problems and reports a measured value against its tolerance. The fast level
 stays on lattices of at most 3^4 sites per side and skips refinement
-studies; the full level adds a 4^4 Hodge-bound sweep and the two-resolution
-comparison of the two energy forms.
+studies; the full level adds 4^4 and 8^4 Hodge-bound sweeps and the
+two-resolution comparison of the two energy forms.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ def _check_flux_quantization() -> CheckResult:
     cfg = random_configuration(lat, 115, (0.4, 0.0), flux=flux)
     F = curvature(cfg)
     h2 = lat.spacing**2
-    worst = 0.0
     # sum F over each (0,1)-plane slice: fix the transverse coordinates
     plane_sums = h2 * F[..., 0].sum(axis=(0, 1))
     worst = float(np.max(np.abs(plane_sums - 2.0 * np.pi)))
@@ -279,5 +278,6 @@ def run_checks(level: str = "fast", table: CliffordTable | None = None) -> list[
     ]
     if level == "full":
         results.append(_check_hodge_bound((4, 4, 4, 4)))
+        results.append(_check_hodge_bound((8, 8, 8, 8)))
         results.append(_check_weitzenbock_refinement())
     return results

@@ -100,19 +100,35 @@ def _step(cfg: Configuration, direction: Gradient, t: float) -> Configuration:
     return cfg.replace(a=cfg.gauge.a + t * direction.da, phi=cfg.phi + t * direction.dphi)
 
 
+class LineStep(tuple):
+    """An accepted Armijo step: unpacks as (t, trial); energy is energy(trial)."""
+
+    def __new__(cls, t: float, trial: Configuration, energy: float):
+        step = super().__new__(cls, (t, trial))
+        step.energy = energy
+        return step
+
+
 def line_search(
-    cfg: Configuration, direction: Gradient, params: MinimizeParams
-) -> tuple[float, Configuration]:
+    cfg: Configuration,
+    direction: Gradient,
+    params: MinimizeParams,
+    g: Gradient | None = None,
+    e0: float | None = None,
+) -> LineStep:
     """Backtrack from initial_step until the Armijo inequality holds.
 
     Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>.
+    g and e0, when the caller already holds them, must be gradient(cfg) and
+    energy_weitzenbock(cfg); they are computed here otherwise.
     Raises NonDescentDirectionError if <g, d> >= 0 (zero direction included)
     and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
     """
-    pair = descent_pairing(gradient(cfg), direction)
+    pair = descent_pairing(gradient(cfg) if g is None else g, direction)
     if not pair < 0.0:
         raise NonDescentDirectionError(f"direction pairing {pair:.3e} is not negative")
-    e0 = energy_weitzenbock(cfg)
+    if e0 is None:
+        e0 = energy_weitzenbock(cfg)
     t = params.initial_step
     for _ in range(MAX_BACKTRACKS + 1):
         trial = _step(cfg, direction, t)
@@ -121,17 +137,19 @@ def line_search(
         with np.errstate(over="ignore", invalid="ignore"):
             e_trial = energy_weitzenbock(trial)
         if e_trial <= e0 + params.armijo_c * t * pair:
-            return t, trial
+            return LineStep(t, trial, e_trial)
         t *= params.backtrack
     raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
 
 
-def _record(it: int, cfg: Configuration, grad_norm: float, prev: Configuration | None):
+def _record(
+    it: int, cfg: Configuration, energy: float, grad_norm: float, prev: Configuration | None
+):
     rep = excess_report(cfg)
     dist = 0.0 if prev is None else gauge_distance(prev, cfg)
     return TrajectoryRecord(
         iter=it,
-        energy=energy_weitzenbock(cfg),
+        energy=energy,
         grad_norm=grad_norm,
         phi_linf=linf_norm(cfg.lattice, cfg.phi),
         threshold=rep.threshold,
@@ -142,15 +160,12 @@ def _record(it: int, cfg: Configuration, grad_norm: float, prev: Configuration |
     )
 
 
-def _refix_gauge(cfg: Configuration) -> Configuration:
-    before = energy_weitzenbock(cfg)
+def _refix_gauge(cfg: Configuration, before: float) -> tuple[Configuration, float]:
     fixed, _ = full_gauge_fix(cfg)
     after = energy_weitzenbock(fixed)
     if abs(after - before) > 1e-10 * max(abs(before), 1.0):
-        raise RuntimeError(
-            f"gauge fixing drifted the energy from {before!r} to {after!r}"
-        )
-    return fixed
+        raise RuntimeError(f"gauge fixing drifted the energy from {before!r} to {after!r}")
+    return fixed, after
 
 
 def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
@@ -164,9 +179,10 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     Iterate 0 and the final iterate are always recorded.
     """
     cfg = cfg0
+    energy = energy_weitzenbock(cfg)
     g = gradient(cfg)
     grad_norm = g.norm()
-    records = [_record(0, cfg, grad_norm, None)]
+    records = [_record(0, cfg, energy, grad_norm, None)]
     prev_recorded = cfg
     last_recorded_iter = 0
     reason = "converged" if grad_norm <= params.grad_tol else "max_iters"
@@ -175,8 +191,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     prev_g: Gradient | None = None
 
     while grad_norm > params.grad_tol and it < params.max_iters:
-        restarted = direction is None
-        if params.method == "conjugate" and not restarted:
+        if params.method == "conjugate" and direction is not None:
             denom = prev_g.norm() ** 2
             beta = max(0.0, descent_pairing(g, Gradient(
                 g.lattice, g.da - prev_g.da, g.dphi - prev_g.dphi)) / denom)
@@ -191,21 +206,24 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             direction = g.scaled(-1.0)
 
         try:
-            _, cfg = line_search(cfg, direction, params)
+            step = line_search(cfg, direction, params, g, energy)
         except LineSearchFailure:
             reason = "line_search_failure"
             break
+        _, cfg = step
+        energy = step.energy
+        del step  # else the pre-refix iterate outlives the refix and the record below
         it += 1
 
         if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
-            cfg = _refix_gauge(cfg)
+            cfg, energy = _refix_gauge(cfg, energy)
             direction = None  # conjugate memory is stale off the old slice
 
         prev_g = g
         g = gradient(cfg)
         grad_norm = g.norm()
         if it % params.record_every == 0:
-            records.append(_record(it, cfg, grad_norm, prev_recorded))
+            records.append(_record(it, cfg, energy, grad_norm, prev_recorded))
             prev_recorded = cfg
             last_recorded_iter = it
         if grad_norm <= params.grad_tol:
@@ -213,7 +231,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             break
 
     if last_recorded_iter != it:
-        records.append(_record(it, cfg, grad_norm, prev_recorded))
+        records.append(_record(it, cfg, energy, grad_norm, prev_recorded))
     return Trajectory(tuple(records), cfg, reason)
 
 

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,8 +234,21 @@ def test_gaugefix_missing_or_garbled_input(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        ["swflow", "check", "--level", "fast"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert "checks passed" in proc.stdout
+    # pyproject.toml must map the `swflow` script to cli.main
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert 'swflow = "swflow.cli:main"' in scripts.splitlines()
+
+    # `python -m swflow` runs the same main whether or not the package is installed
+    src = str(Path(swflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    commands = [[sys.executable, "-m", "swflow"]]
+    if shutil.which("swflow"):
+        commands.append(["swflow"])
+    for command in commands:
+        proc = subprocess.run(
+            command + ["check", "--level", "fast"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert "checks passed" in proc.stdout

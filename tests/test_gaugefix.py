@@ -12,7 +12,6 @@ from swflow.fields import (
 )
 from swflow.functional import energy_first_order, energy_weitzenbock
 from swflow.gaugefix import (
-    _hodge1_matrix,
     _round_ties_toward_zero,
     component_fix,
     coulomb_fix,
@@ -189,6 +188,19 @@ def test_full_gauge_fix_normal_form_and_idempotence():
         assert report2.winding == (0, 0, 0, 0)
 
 
+def _hodge1_matrix(lat):
+    """Dense matrix of d0 codiff1 + codiff2 d1 on 1-forms, one column per basis form."""
+    n = 4 * lat.nsites
+    mat = np.empty((n, n))
+    basis = np.zeros(lat.shape + (4,))
+    for j in range(n):
+        basis.flat[j] = 1.0
+        image = d0(lat, codiff1(lat, basis)) + codiff2(lat, d1(lat, basis))
+        mat[:, j] = image.ravel()
+        basis.flat[j] = 0.0
+    return mat
+
+
 def test_hodge_spectrum_matches_fourier_symbol():
     lat = Lattice((3, 3, 2, 2), 0.9)
     computed = np.sort(np.linalg.eigvalsh(_hodge1_matrix(lat)))
@@ -196,6 +208,16 @@ def test_hodge_spectrum_matches_fourier_symbol():
     symbol = sum(np.ix_(*modes)).ravel() / lat.spacing**2
     expected = np.sort(np.repeat(symbol, 4))
     assert np.allclose(computed, expected, atol=1e-10 * expected[-1])
+
+
+@pytest.mark.parametrize(
+    "dims,h", [((2, 2, 2, 2), 0.6), ((3, 4, 2, 5), 0.45), ((4, 4, 3, 2), 1.3)]
+)
+def test_hodge_constants_gap_matches_dense_oracle(dims, h):
+    lat = Lattice(dims, h)
+    evals = np.linalg.eigvalsh(_hodge1_matrix(lat))
+    nonzero = evals[evals > 1e-8 * evals[-1]]
+    assert hodge_constants(lat).spectral_gap == pytest.approx(nonzero[0], rel=1e-10)
 
 
 def test_hodge_constants_gap_and_caching():

@@ -114,6 +114,19 @@ def test_line_search_satisfies_armijo_inequality_as_stated():
     assert step <= params.initial_step
 
 
+def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
+    lat = Lattice((3, 3, 3, 3), 0.8)
+    cfg = with_constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
+    g = gradient(cfg)
+    direction = g.scaled(-1.0)
+    fresh = line_search(cfg, direction, MinimizeParams())
+    held = line_search(cfg, direction, MinimizeParams(), g, energy_weitzenbock(cfg))
+    assert held[0] == fresh[0]
+    assert np.array_equal(held[1].gauge.a, fresh[1].gauge.a)
+    assert np.array_equal(held[1].phi, fresh[1].phi)
+    assert held.energy == fresh.energy == energy_weitzenbock(held[1])
+
+
 def test_line_search_failure_after_exhausted_backtracks():
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = random_configuration(lat, 23, (0.5, 0.5))
