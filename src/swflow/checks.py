@@ -1,16 +1,21 @@
-"""Self-contained invariant checks behind the `swflow check` command.
+"""The registry of invariants behind `swflow check` and the acceptance suite.
 
-Each check exercises one contract of the library (algebraic identity,
-adjointness, gauge invariance, bound, or refinement study) on small seeded
-problems and reports a measured value against its tolerance. The fast level
-stays on lattices of at most 3^4 sites per side and skips refinement
-studies; the full level adds 4^4 and 8^4 Hodge-bound sweeps and the
-two-resolution comparison of the two energy forms.
+Each public measure checks one contract of the library (algebraic
+identity, adjointness, gauge invariance, bound, or refinement study) on a
+problem it is handed: a lattice or configuration, a seed and a number of
+random draws. It returns a CheckResult carrying its name, the measured
+value and its tolerance; each tolerance is one of the constants below.
+run_checks calls the measures at the command's own small sizes, and
+tests/test_acceptance.py calls the same measures at its own sizes and
+seeds. The fast level stays on lattices of at most 3^4 sites and skips
+refinement studies; the full level adds 4^4 and 8^4 Hodge-bound sweeps and
+the two-resolution comparison of the two energy forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,17 +28,21 @@ from .functional import (
     fd_gradient_check,
 )
 from .gaugefix import full_gauge_fix, hodge_constants
-from .lattice import (
-    Lattice,
-    codiff1,
-    codiff2,
-    d0,
-    d1,
-    l2_inner,
-    l2_norm,
-    sobolev12_norm,
-)
+from .lattice import PLANES, Lattice, codiff1, codiff2, d0, d1, l2_inner, l2_norm, sobolev12_norm
 from .operators import covariant_diff, covariant_diff_adjoint, curvature, dirac, dirac_adjoint
+
+IDENTITY_TOL = 1e-12  # exact algebraic identities and adjoints, relative
+GAUGE_TOL = 1e-10  # gauge invariance and flux plane sums, accumulated over the lattice
+GRADIENT_TOL = 1e-5  # analytic gradient against central differences, relative
+COULOMB_TOL = 1e-8  # Coulomb gauge residual
+
+# operator/adjoint pairs measured by adjoint_defect, in a fixed order
+ADJOINT_PAIRS = (
+    "adjoint_d0_codiff1",
+    "adjoint_d1_codiff2",
+    "adjoint_covariant_diff",
+    "adjoint_dirac",
+)
 
 
 @dataclass(frozen=True)
@@ -56,174 +65,164 @@ class CheckResult:
         return f"{status} {self.name}: measured {self.measured:.3e} (required {self.op} {self.tolerance:.3e})"
 
 
-def _random_flux_cfg(lat: Lattice, seed: int) -> Configuration:
+def mixed_flux_configuration(lat: Lattice, seed: int, scalar_curvature=None) -> Configuration:
+    """Random fields in the flux sector n_01 = 1, n_23 = -1."""
     flux = np.zeros((4, 4), dtype=int)
     flux[0, 1], flux[1, 0] = 1, -1
     flux[2, 3], flux[3, 2] = -1, 1
-    return random_configuration(lat, seed, (0.6, 0.9), flux=flux)
+    return random_configuration(lat, seed, (0.6, 0.9), flux=flux, scalar_curvature=scalar_curvature)
 
 
-def _check_clifford(table: CliffordTable) -> CheckResult:
-    return CheckResult("clifford_relation_defect", relation_defect(table), 1e-12)
+def clifford_relation_defect(table: CliffordTable) -> CheckResult:
+    return CheckResult("clifford_relation_defect", relation_defect(table), IDENTITY_TOL)
 
 
-def _check_quadratic_form(table: CliffordTable) -> CheckResult:
-    rng = np.random.default_rng(101)
+def quadratic_form_norm_identity(
+    table: CliffordTable, sites: tuple, seed: int, draws: int
+) -> CheckResult:
+    """Worst relative defect of |sigma(phi)|^2 = |phi|^4 / 8 over spinors on site shape `sites`."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(25):
-        phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        sigma = quadratic_form(table, phi)
-        lhs = float(np.sum(sigma**2))
-        rhs = float(np.sum(np.abs(phi) ** 2) ** 2 / 8.0)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    return CheckResult("quadratic_form_norm_identity", worst, 1e-12)
+    for _ in range(draws):
+        phi = rng.standard_normal(sites + (2,)) + 1j * rng.standard_normal(sites + (2,))
+        lhs = np.sum(quadratic_form(table, phi) ** 2, axis=-1)
+        rhs = np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 8.0
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
+    return CheckResult("quadratic_form_norm_identity", worst, IDENTITY_TOL)
 
 
-def _check_dd_zero() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.7)
-    rng = np.random.default_rng(102)
+def exterior_derivative_squares_to_zero(lat: Lattice, seed: int, draws: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(10):
+    for _ in range(draws):
         f = rng.standard_normal(lat.shape)
         worst = max(worst, l2_norm(lat, d1(lat, d0(lat, f))) / l2_norm(lat, f))
-    return CheckResult("exterior_derivative_squares_to_zero", worst, 1e-12)
+    return CheckResult("exterior_derivative_squares_to_zero", worst, IDENTITY_TOL)
 
 
-def _adjoint_defect(lat, op, adj, shape_u, shape_v, seed, complex_fields=False):
+def _adjoint_pairs(lat: Lattice, problem, table) -> dict:
+    """Name -> (operator, adjoint, fiber of u, fiber of v, complex fields) for ADJOINT_PAIRS."""
+    return {
+        "adjoint_d0_codiff1": (partial(d0, lat), partial(codiff1, lat), (), (4,), False),
+        "adjoint_d1_codiff2": (partial(d1, lat), partial(codiff2, lat), (4,), (6,), False),
+        "adjoint_covariant_diff": (
+            partial(covariant_diff, problem),
+            partial(covariant_diff_adjoint, problem),
+            (2,),
+            (4, 2),
+            True,
+        ),
+        "adjoint_dirac": (
+            partial(dirac, problem, table=table),
+            partial(dirac_adjoint, problem, table=table),
+            (2,),
+            (2,),
+            True,
+        ),
+    }
+
+
+def adjoint_defect(
+    name: str, problem, seed: int, draws: int, table: CliffordTable | None = None
+) -> CheckResult:
+    """Worst |<op u, v> - <u, adj v>| / (|u| |v|) for the pair `name` on random fields.
+
+    `problem` is a Lattice for the two exterior derivatives and a
+    Configuration (whose links the operator uses) for all four pairs.
+    """
+    lat = getattr(problem, "lattice", problem)
+    op, adj, fiber_u, fiber_v, complex_fields = _adjoint_pairs(lat, problem, table)[name]
     rng = np.random.default_rng(seed)
 
-    def draw(shape):
-        u = rng.standard_normal(shape)
+    def draw(fiber):
+        u = rng.standard_normal(lat.shape + fiber)
         if complex_fields:
-            u = u + 1j * rng.standard_normal(shape)
+            u = u + 1j * rng.standard_normal(lat.shape + fiber)
         return u
 
     worst = 0.0
-    for _ in range(25):
-        u, v = draw(lat.shape + shape_u), draw(lat.shape + shape_v)
-        lhs = l2_inner(lat, op(u), v)
-        rhs = l2_inner(lat, u, adj(v))
-        scale = l2_norm(lat, u) * l2_norm(lat, v)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    for _ in range(draws):
+        u, v = draw(fiber_u), draw(fiber_v)
+        defect = abs(l2_inner(lat, op(u), v) - l2_inner(lat, u, adj(v)))
+        worst = max(worst, defect / (l2_norm(lat, u) * l2_norm(lat, v)))
+    return CheckResult(name, worst, IDENTITY_TOL)
 
 
-def _check_adjoint_d0() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.6)
-    worst = _adjoint_defect(
-        lat, lambda u: d0(lat, u), lambda v: codiff1(lat, v), (), (4,), 103
-    )
-    return CheckResult("adjoint_d0_codiff1", worst, 1e-12)
+def energy_gauge_invariance(
+    cfg: Configuration, seed: int, draws: int, table: CliffordTable | None = None, windings=None
+) -> CheckResult:
+    """Worst relative change of both energy forms under random gauge transforms.
 
-
-def _check_adjoint_d1() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.6)
-    worst = _adjoint_defect(
-        lat, lambda u: d1(lat, u), lambda v: codiff2(lat, v), (4,), (6,), 104
-    )
-    return CheckResult("adjoint_d1_codiff2", worst, 1e-12)
-
-
-def _check_adjoint_covariant_diff() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = _random_flux_cfg(lat, 105)
-    worst = _adjoint_defect(
-        lat,
-        lambda u: covariant_diff(cfg, u),
-        lambda v: covariant_diff_adjoint(cfg, v),
-        (2,),
-        (4, 2),
-        106,
-        complex_fields=True,
-    )
-    return CheckResult("adjoint_covariant_diff", worst, 1e-12)
-
-
-def _check_adjoint_dirac(table: CliffordTable) -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = _random_flux_cfg(lat, 107)
-    worst = _adjoint_defect(
-        lat,
-        lambda u: dirac(cfg, u, table=table),
-        lambda v: dirac_adjoint(cfg, v, table=table),
-        (2,),
-        (2,),
-        108,
-        complex_fields=True,
-    )
-    return CheckResult("adjoint_dirac", worst, 1e-12)
-
-
-def _check_gauge_invariance(table: CliffordTable) -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.9)
-    cfg = _random_flux_cfg(lat, 109)
-    cfg = Configuration(lat, cfg.gauge, cfg.phi, -np.ones(lat.shape), cfg.seed)
-    rng = np.random.default_rng(110)
+    Each draw takes its phase field from the seeded stream and its winding
+    from `windings` (one tuple per draw) or, by default, from the same
+    stream in -2..2.
+    """
+    rng = np.random.default_rng(seed)
+    energies = (energy_weitzenbock, lambda c: energy_first_order(c, table=table))
+    before = [energy(cfg) for energy in energies]
     worst = 0.0
-    for k in range(10):
-        g = GaugeTransform(rng.standard_normal(lat.shape), (k % 3 - 1, 0, 1, -2))
-        moved = apply_gauge(g, cfg)
-        for energy in (energy_weitzenbock, lambda c: energy_first_order(c, table=table)):
-            before, after = energy(cfg), energy(moved)
-            worst = max(worst, abs(after - before) / abs(before))
-    return CheckResult("energy_gauge_invariance", worst, 1e-10)
+    for k in range(draws):
+        phase = rng.standard_normal(cfg.lattice.shape)
+        if windings is None:
+            winding = tuple(int(n) for n in rng.integers(-2, 3, size=4))
+        else:
+            winding = windings[k]
+        moved = apply_gauge(GaugeTransform(phase, winding), cfg)
+        for energy, e0 in zip(energies, before):
+            worst = max(worst, abs(energy(moved) - e0) / abs(e0))
+    return CheckResult("energy_gauge_invariance", worst, GAUGE_TOL)
 
 
-def _check_gradient() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.7)
-    cfg = _random_flux_cfg(lat, 111)
-    cfg = Configuration(lat, cfg.gauge, cfg.phi, -np.ones(lat.shape), cfg.seed)
-    worst = fd_gradient_check(cfg, step=1e-5, n_directions=10, seed=112)
-    return CheckResult("gradient_matches_finite_differences", worst, 1e-5)
+def gradient_matches_finite_differences(cfg: Configuration, seed: int, draws: int) -> CheckResult:
+    worst = fd_gradient_check(cfg, step=1e-5, n_directions=draws, seed=seed)
+    return CheckResult("gradient_matches_finite_differences", worst, GRADIENT_TOL)
 
 
-def _check_lower_bound() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.8)
-    rng = np.random.default_rng(113)
+def energy_lower_bound_margin(
+    lat: Lattice, seed: int, draws: int, curvature_seed: int
+) -> CheckResult:
+    """Largest floor minus energy over random fields (seeds seed, seed+1, ...) and random s."""
+    rng = np.random.default_rng(curvature_seed)
     worst = -np.inf
-    for seed in range(10):
-        cfg = random_configuration(lat, 200 + seed, (0.5, 1.2))
-        cfg = Configuration(lat, cfg.gauge, cfg.phi, rng.standard_normal(lat.shape), cfg.seed)
-        bound = energy_lower_bound(lat, cfg.scalar_curvature)
-        worst = max(worst, bound - energy_weitzenbock(cfg))
+    for k in range(draws):
+        s = rng.standard_normal(lat.shape)
+        cfg = random_configuration(lat, seed + k, (0.5, 1.2), scalar_curvature=s)
+        worst = max(worst, energy_lower_bound(lat, cfg.scalar_curvature) - energy_weitzenbock(cfg))
     return CheckResult("energy_lower_bound_margin", worst, 0.0)
 
 
-def _check_coulomb_residual() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.7)
+def coulomb_residual(lat: Lattice, seed: int, draws: int) -> CheckResult:
+    """Worst Coulomb residual relative to 1 + |a|_(1,2) over mixed-flux configurations."""
     worst = 0.0
-    for seed in range(5):
-        cfg = _random_flux_cfg(lat, 300 + seed)
-        fixed, report = full_gauge_fix(cfg)
+    for k in range(draws):
+        cfg = mixed_flux_configuration(lat, seed + k)
+        _, report = full_gauge_fix(cfg)
         worst = max(worst, report.residual / (1.0 + sobolev12_norm(lat, cfg.gauge.a)))
-    return CheckResult("coulomb_residual", worst, 1e-8)
+    return CheckResult("coulomb_residual", worst, COULOMB_TOL)
 
 
-def _check_hodge_bound(dims) -> CheckResult:
-    lat = Lattice(dims, 0.5)
+def hodge_sobolev_bound(lat: Lattice, seed: int, draws: int, amplitudes=(0.8, 0.5)) -> CheckResult:
+    """Worst |a|_(1,2) / (C |d1 a| + C') over gauge-fixed flux-free configurations."""
     consts = hodge_constants(lat)
     worst = 0.0
-    for seed in range(10):
-        cfg = random_configuration(lat, 400 + seed, (0.8, 0.5))
-        fixed, _ = full_gauge_fix(cfg)
+    for k in range(draws):
+        fixed, _ = full_gauge_fix(random_configuration(lat, seed + k, amplitudes))
         lhs = sobolev12_norm(lat, fixed.gauge.a)
         rhs = consts.curl_factor * l2_norm(lat, d1(lat, fixed.gauge.a)) + consts.harmonic_radius
         worst = max(worst, lhs / rhs)
-    name = "hodge_sobolev_bound_" + "x".join(str(n) for n in dims)
-    return CheckResult(name, worst, 1.0)
+    return CheckResult("hodge_sobolev_bound_" + "x".join(str(n) for n in lat.dims), worst, 1.0)
 
 
-def _check_flux_quantization() -> CheckResult:
-    lat = Lattice((3, 3, 3, 3), 0.6)
-    flux = np.zeros((4, 4), dtype=int)
-    flux[0, 1], flux[1, 0] = 1, -1
-    cfg = random_configuration(lat, 115, (0.4, 0.0), flux=flux)
+def flux_quantization(cfg: Configuration) -> CheckResult:
+    """Worst |h^2 sum of F over a coordinate-plane slice - 2 pi n| over all six planes."""
     F = curvature(cfg)
-    h2 = lat.spacing**2
-    # sum F over each (0,1)-plane slice: fix the transverse coordinates
-    plane_sums = h2 * F[..., 0].sum(axis=(0, 1))
-    worst = float(np.max(np.abs(plane_sums - 2.0 * np.pi)))
-    return CheckResult("flux_quantization", worst, 1e-10)
+    h2 = cfg.lattice.spacing**2
+    worst = 0.0
+    for p, (mu, nu) in enumerate(PLANES):
+        plane_sums = h2 * F[..., p].sum(axis=(mu, nu))
+        target = 2.0 * np.pi * cfg.gauge.flux[mu, nu]
+        worst = max(worst, float(np.max(np.abs(plane_sums - target))))
+    return CheckResult("flux_quantization", worst, GAUGE_TOL)
 
 
 def smooth_configuration(n: int) -> Configuration:
@@ -248,12 +247,14 @@ def smooth_configuration(n: int) -> Configuration:
     return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, s)
 
 
-def _check_weitzenbock_refinement() -> CheckResult:
+def weitzenbock_gap_contraction() -> CheckResult:
+    """4^4 over 8^4 gap between the two energy forms; 0 if the fine gap vanishes."""
     gaps = []
     for n in (4, 8):
         cfg = smooth_configuration(n)
         gaps.append(abs(energy_first_order(cfg) - energy_weitzenbock(cfg)))
-    return CheckResult("weitzenbock_gap_contraction", gaps[0] / gaps[1], 1.5, op=">=")
+    ratio = gaps[0] / gaps[1] if gaps[1] > 0.0 else 0.0
+    return CheckResult("weitzenbock_gap_contraction", ratio, 1.5, op=">=")
 
 
 def run_checks(level: str = "fast", table: CliffordTable | None = None) -> list[CheckResult]:
@@ -261,23 +262,38 @@ def run_checks(level: str = "fast", table: CliffordTable | None = None) -> list[
     if level not in ("fast", "full"):
         raise ValueError(f"level must be fast or full, got {level!r}")
     tbl = standard_table() if table is None else table
+
+    def cube(spacing):
+        return Lattice((3, 3, 3, 3), spacing)
+
+    s = -np.ones((3, 3, 3, 3))
+    one_flux = np.zeros((4, 4), dtype=int)
+    one_flux[0, 1], one_flux[1, 0] = 1, -1
     results = [
-        _check_clifford(tbl),
-        _check_quadratic_form(tbl),
-        _check_dd_zero(),
-        _check_adjoint_d0(),
-        _check_adjoint_d1(),
-        _check_adjoint_covariant_diff(),
-        _check_adjoint_dirac(tbl),
-        _check_gauge_invariance(tbl),
-        _check_gradient(),
-        _check_lower_bound(),
-        _check_coulomb_residual(),
-        _check_hodge_bound((3, 3, 3, 3)),
-        _check_flux_quantization(),
+        clifford_relation_defect(tbl),
+        quadratic_form_norm_identity(tbl, (), 101, 25),
+        exterior_derivative_squares_to_zero(cube(0.7), 102, 10),
+        adjoint_defect("adjoint_d0_codiff1", cube(0.6), 103, 25),
+        adjoint_defect("adjoint_d1_codiff2", cube(0.6), 104, 25),
+        adjoint_defect("adjoint_covariant_diff", mixed_flux_configuration(cube(0.8), 105), 106, 25),
+        adjoint_defect("adjoint_dirac", mixed_flux_configuration(cube(0.8), 107), 108, 25, tbl),
+        energy_gauge_invariance(
+            mixed_flux_configuration(cube(0.9), 109, scalar_curvature=s),
+            110,
+            10,
+            tbl,
+            windings=[(k % 3 - 1, 0, 1, -2) for k in range(10)],
+        ),
+        gradient_matches_finite_differences(
+            mixed_flux_configuration(cube(0.7), 111, scalar_curvature=s), 112, 10
+        ),
+        energy_lower_bound_margin(cube(0.8), 200, 10, curvature_seed=113),
+        coulomb_residual(cube(0.7), 300, 5),
+        hodge_sobolev_bound(cube(0.5), 400, 10),
+        flux_quantization(random_configuration(cube(0.6), 115, (0.4, 0.0), flux=one_flux)),
     ]
     if level == "full":
-        results.append(_check_hodge_bound((4, 4, 4, 4)))
-        results.append(_check_hodge_bound((8, 8, 8, 8)))
-        results.append(_check_weitzenbock_refinement())
+        results.append(hodge_sobolev_bound(Lattice((4, 4, 4, 4), 0.5), 400, 10))
+        results.append(hodge_sobolev_bound(Lattice((8, 8, 8, 8), 0.5), 400, 10))
+        results.append(weitzenbock_gap_contraction())
     return results

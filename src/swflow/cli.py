@@ -86,7 +86,10 @@ def _build_run(config: dict):
         scalar_curvature=parse_scalar_curvature(config.get("scalar_curvature", 0.0), lat),
     )
     params = MinimizeParams(**config.get("minimize", {}))
-    return cfg, params
+    out_dir = config.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ValueError(f"output_dir must be a string, got {out_dir!r}")
+    return cfg, params, out_dir
 
 
 def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: float):
@@ -126,7 +129,7 @@ def cmd_run(args) -> int:
     try:
         with open(path) as fh:
             config = json.load(fh)
-        cfg, params = _build_run(config)
+        cfg, params, out_dir = _build_run(config)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"swflow run: bad config: {exc}", file=sys.stderr)
         return 2
@@ -137,7 +140,6 @@ def cmd_run(args) -> int:
         print(f"swflow run: solver failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
-    out_dir = config.get("output_dir", ".")
     try:
         _write_outputs(out_dir, config, traj, wall)
     except OSError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import PLANES, hodge_star2
+from .lattice import PLANES
 
 # standard Hermitian spin matrices, tau1 tau2 = i tau3
 _TAU = np.array(
@@ -85,12 +85,6 @@ def _check_spinor(phi: np.ndarray):
         raise ValueError(f"spinor fiber must have 2 components, got {phi.shape[-1]}")
 
 
-def spinor_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Fiberwise Hermitian product, conjugate-linear in the second slot."""
-    _check_spinor(u)
-    return np.einsum("...a,...a->...", u, np.conj(v))
-
-
 def clifford_mult(tbl: CliffordTable, mu: int, phi: np.ndarray) -> np.ndarray:
     """Apply sigma_mu fiberwise (positive spinors to negative spinors)."""
     if not 0 <= mu < 4:
@@ -132,23 +126,3 @@ def two_form_action(tbl: CliffordTable, omega: np.ndarray, phi: np.ndarray) -> n
     if omega.shape[-1] != 6:
         raise ValueError(f"2-form fiber must have 6 components, got {omega.shape[-1]}")
     return np.einsum("...i,iab,...b->...a", omega, tbl.bivectors, phi)
-
-
-def selfdual_action(tbl: CliffordTable, omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Action of a self-dual 2-form on positive spinors.
-
-    Rejects omega whose anti-self-dual part exceeds 1e-10 of its norm; use
-    two_form_action when a mixed form is intended. i times the result is a
-    Hermitian function of phi, and pairing against phi itself gives
-    i <sum sigma(phi) B phi, phi> = 4 |sigma(phi)|^2 = |phi|^4 / 2.
-    """
-    omega = np.asarray(omega)
-    if omega.shape[-1] != 6:
-        raise ValueError(f"2-form fiber must have 6 components, got {omega.shape[-1]}")
-    # omega - *omega is twice the anti-self-dual projection
-    asd2 = np.linalg.norm(omega - hodge_star2(omega))
-    if asd2 > 2e-10 * np.linalg.norm(omega):
-        raise ValueError(
-            f"2-form has anti-self-dual part {asd2 / 2.0:.3e}, beyond tolerance"
-        )
-    return two_form_action(tbl, omega, phi)

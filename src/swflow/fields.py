@@ -28,6 +28,7 @@ def check_flux_matrix(flux) -> np.ndarray:
     """Validate and return the 4x4 antisymmetric integer flux matrix."""
     f = np.asarray(flux)
     _require(f.shape == (4, 4), f"flux must be 4x4, got {f.shape}")
+    _require(np.all(np.isfinite(f)), "flux entries must be finite")
     _require(
         not np.iscomplexobj(f) and np.all(f == np.round(f)),
         "flux entries must be integers",

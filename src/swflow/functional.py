@@ -30,7 +30,7 @@ from .lattice import (
 )
 from .operators import (
     covariant_diff,
-    covariant_laplacian,
+    covariant_diff_adjoint,
     curvature,
     dirac,
     fplus_at_sites,
@@ -131,8 +131,9 @@ def gradient(cfg: Configuration) -> Gradient:
     lat = cfg.lattice
     grad = covariant_diff(cfg)
     phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
+    # -Delta_A phi = grad* grad phi, from the covariant difference already held
     dphi = (
-        -covariant_laplacian(cfg)
+        covariant_diff_adjoint(cfg, grad)
         + 0.25 * (cfg.scalar_curvature + phi2)[..., None] * cfg.phi
     )
     da = 4.0 * codiff2(lat, selfdual_project(curvature(cfg)))

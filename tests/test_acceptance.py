@@ -8,57 +8,20 @@ the vanishing theorem for positive curvature, convergence of the
 gauge-fixed flow to a common representative, and flux quantization.
 
 These run the public API only; the per-module tests cover internals.
+The invariants that `swflow check` also measures come from the registry
+in swflow.checks, called here at the suite's own sizes, seeds and draw
+counts.
 """
 
 import numpy as np
 
-from swflow.clifford import quadratic_form, relation_defect, standard_table
-from swflow.fields import (
-    Configuration,
-    GaugeTransform,
-    apply_gauge,
-    background_curvature,
-    random_configuration,
-)
-from swflow.functional import (
-    energy_first_order,
-    energy_weitzenbock,
-    fd_gradient_check,
-)
-from swflow.gaugefix import full_gauge_fix, gauge_distance, hodge_constants
-from swflow.lattice import (
-    Lattice,
-    PLANE_INDEX,
-    codiff1,
-    codiff2,
-    d0,
-    d1,
-    l2_inner,
-    l2_norm,
-    linf_norm,
-    sobolev12_norm,
-)
-from swflow.operators import (
-    covariant_diff,
-    covariant_diff_adjoint,
-    curvature,
-    dirac,
-    dirac_adjoint,
-)
+from swflow import checks
+from swflow.checks import mixed_flux_configuration
+from swflow.clifford import standard_table
+from swflow.fields import Configuration, GaugeTransform, apply_gauge, random_configuration
+from swflow.gaugefix import full_gauge_fix, gauge_distance
+from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
 from swflow.optimize import MinimizeParams, minimize, ps_diagnostics
-from swflow.checks import smooth_configuration
-
-
-def one_flux():
-    m = np.zeros((4, 4), dtype=int)
-    m[0, 1], m[1, 0] = 1, -1
-    return m
-
-
-def mixed_flux_cfg(lat, seed, amplitudes=(0.6, 0.9)):
-    m = one_flux()
-    m[2, 3], m[3, 2] = -1, 1
-    return random_configuration(lat, seed, amplitudes, flux=m)
 
 
 def constant_s(cfg, value):
@@ -66,98 +29,41 @@ def constant_s(cfg, value):
     return Configuration(cfg.lattice, cfg.gauge, cfg.phi, s, cfg.seed)
 
 
-def worst_adjoint_defect(lat, op, adj, shape_u, shape_v, seed, n, complex_fields):
-    rng = np.random.default_rng(seed)
-
-    def draw(shape):
-        u = rng.standard_normal(shape)
-        if complex_fields:
-            u = u + 1j * rng.standard_normal(shape)
-        return u
-
-    worst = 0.0
-    for _ in range(n):
-        u, v = draw(lat.shape + shape_u), draw(lat.shape + shape_v)
-        defect = abs(l2_inner(lat, op(u), v) - l2_inner(lat, u, adj(v)))
-        worst = max(worst, defect / (l2_norm(lat, u) * l2_norm(lat, v)))
-    return worst
+def assert_holds(result):
+    assert result.passed, result.line()
 
 
 def test_01_algebraic_identities_exact():
     tbl = standard_table()
-    assert relation_defect(tbl) <= 1e-12
-
     lat = Lattice((3, 3, 3, 3), 0.7)
-    rng = np.random.default_rng(20260410)
-
-    worst_dd = 0.0
-    worst_qf = 0.0
-    for _ in range(100):
-        f = rng.standard_normal(lat.shape)
-        worst_dd = max(worst_dd, l2_norm(lat, d1(lat, d0(lat, f))) / l2_norm(lat, f))
-        phi = rng.standard_normal(lat.shape + (2,)) + 1j * rng.standard_normal(
-            lat.shape + (2,)
-        )
-        lhs = np.sum(quadratic_form(tbl, phi) ** 2, axis=-1)
-        rhs = np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 8.0
-        worst_qf = max(worst_qf, float(np.max(np.abs(lhs - rhs) / rhs)))
-    assert worst_dd <= 1e-12
-    assert worst_qf <= 1e-12
-
-    cfg = mixed_flux_cfg(lat, 11)
-    pairs = [
-        (lambda u: d0(lat, u), lambda v: codiff1(lat, v), (), (4,), False),
-        (lambda u: d1(lat, u), lambda v: codiff2(lat, v), (4,), (6,), False),
-        (
-            lambda u: covariant_diff(cfg, u),
-            lambda v: covariant_diff_adjoint(cfg, v),
-            (2,),
-            (4, 2),
-            True,
-        ),
-        (
-            lambda u: dirac(cfg, u),
-            lambda v: dirac_adjoint(cfg, v),
-            (2,),
-            (2,),
-            True,
-        ),
+    cfg = mixed_flux_configuration(lat, 11)
+    results = [
+        checks.clifford_relation_defect(tbl),
+        checks.exterior_derivative_squares_to_zero(lat, 20260410, 100),
+        checks.quadratic_form_norm_identity(tbl, lat.shape, 20260410, 100),
     ]
-    for i, (op, adj, su, sv, cplx) in enumerate(pairs):
-        worst = worst_adjoint_defect(lat, op, adj, su, sv, 200 + i, 100, cplx)
-        assert worst <= 1e-12
+    for i, name in enumerate(checks.ADJOINT_PAIRS):
+        results.append(checks.adjoint_defect(name, cfg, 200 + i, 100))
+    for result in results:
+        assert_holds(result)
 
 
 def test_02_energy_gauge_invariance():
     lat = Lattice((4, 4, 4, 4), 0.7)
-    cfg = mixed_flux_cfg(lat, 21)
-    rng = np.random.default_rng(20260411)
-    e2, e1 = energy_weitzenbock(cfg), energy_first_order(cfg)
-    worst = 0.0
-    for _ in range(50):
-        g = GaugeTransform(
-            rng.standard_normal(lat.shape),
-            tuple(int(k) for k in rng.integers(-2, 3, size=4)),
-        )
-        moved = apply_gauge(g, cfg)
-        worst = max(worst, abs(energy_weitzenbock(moved) - e2) / abs(e2))
-        worst = max(worst, abs(energy_first_order(moved) - e1) / abs(e1))
-    assert worst <= 1e-10
+    assert_holds(checks.energy_gauge_invariance(mixed_flux_configuration(lat, 21), 20260411, 50))
 
 
 def test_03_gradient_matches_finite_differences():
     lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = mixed_flux_cfg(lat, 31)
     rng = np.random.default_rng(20260412)
     s = -1.0 + 0.5 * rng.standard_normal(lat.shape)
-    cfg = Configuration(lat, cfg.gauge, cfg.phi, s, cfg.seed)
-    err = fd_gradient_check(cfg, step=1e-5, n_directions=50, seed=32)
-    assert err <= 1e-5
+    cfg = mixed_flux_configuration(lat, 31, scalar_curvature=s)
+    assert_holds(checks.gradient_matches_finite_differences(cfg, 32, 50))
 
 
 def test_04_gauge_normal_form():
     lat = Lattice((4, 4, 4, 4), 0.9)
-    cfg = mixed_flux_cfg(lat, 41)
+    cfg = mixed_flux_configuration(lat, 41)
     # push the harmonic part outside the fundamental domain so the
     # integer-reduction step has real work to do
     a = cfg.gauge.a.copy()
@@ -165,47 +71,30 @@ def test_04_gauge_normal_form():
     cfg = cfg.replace(a=a)
 
     fixed, rep = full_gauge_fix(cfg)
-    assert rep.residual <= 1e-8
-    assert float(l2_norm(lat, codiff1(lat, fixed.gauge.a))) <= 1e-8
+    assert rep.residual <= checks.COULOMB_TOL
+    assert float(l2_norm(lat, codiff1(lat, fixed.gauge.a))) <= checks.COULOMB_TOL
     half_width = np.pi / (np.array(lat.dims) * lat.spacing)
-    assert np.all(np.abs(rep.harmonic) <= half_width + 1e-12)
+    assert np.all(np.abs(rep.harmonic) <= half_width + checks.IDENTITY_TOL)
 
     again, rep2 = full_gauge_fix(fixed)
     assert rep2.winding == (0, 0, 0, 0)
-    assert float(np.max(np.abs(again.gauge.a - fixed.gauge.a))) <= 1e-10
+    assert float(np.max(np.abs(again.gauge.a - fixed.gauge.a))) <= checks.GAUGE_TOL
 
     # a pure-gauge connection must come back as a = 0 exactly
     rng = np.random.default_rng(20260413)
     zero = random_configuration(lat, 42, (0.0, 0.8))
     pure = apply_gauge(GaugeTransform(1.3 * rng.standard_normal(lat.shape), (1, 0, -2, 0)), zero)
     reduced, _ = full_gauge_fix(pure)
-    assert float(np.max(np.abs(reduced.gauge.a))) <= 1e-10
+    assert float(np.max(np.abs(reduced.gauge.a))) <= checks.GAUGE_TOL
 
 
 def test_05_sobolev_bound_from_spectral_constants():
     for dims, spacing in [((3, 3, 3, 3), 1.0 / 3.0), ((4, 4, 4, 4), 0.5)]:
-        lat = Lattice(dims, spacing)
-        hc = hodge_constants(lat)
-        violations = 0
-        for seed in range(100):
-            cfg = random_configuration(lat, 5000 + seed, (0.8, 0.7))
-            fixed, _ = full_gauge_fix(cfg)
-            lhs = sobolev12_norm(lat, fixed.gauge.a)
-            # the curvature of the determinant line is twice d1(a), so the
-            # curl constant enters the flux-free bound halved
-            rhs = 0.5 * hc.curl_factor * l2_norm(lat, curvature(fixed))
-            rhs += hc.harmonic_radius
-            violations += int(lhs > rhs)
-        assert violations == 0
+        assert_holds(checks.hodge_sobolev_bound(Lattice(dims, spacing), 5000, 100, (0.8, 0.7)))
 
 
 def test_06_energy_forms_agree_under_refinement():
-    gaps = []
-    for n in (4, 8):
-        cfg = smooth_configuration(n)
-        gaps.append(abs(energy_first_order(cfg) - energy_weitzenbock(cfg)))
-    assert gaps[1] > 0.0
-    assert gaps[0] / gaps[1] >= 1.5
+    assert_holds(checks.weitzenbock_gap_contraction())
 
 
 def test_07_maximum_principle():
@@ -263,17 +152,10 @@ def test_09_gauge_equivalent_runs_converge_together():
 
 def test_10_flux_quantization():
     lat = Lattice((4, 4, 4, 4), 0.5)
-    flux = one_flux()
-    F = background_curvature(lat, flux)
-    cell = lat.spacing**2
-    plane = PLANE_INDEX[(0, 1)]
-    sums = cell * F[..., plane].sum(axis=(0, 1))
-    assert float(np.max(np.abs(sums - 2.0 * np.pi))) <= 1e-10
-    others = [p for p in range(6) if p != plane]
-    assert float(np.max(np.abs(cell * F[..., others].sum(axis=(0, 1))))) <= 1e-10
-
-    # adding an arbitrary fluctuation must not move any plane-slice sum
-    cfg = random_configuration(lat, 1010, (0.9, 0.0), flux=flux)
-    Ff = curvature(cfg)
-    sums_f = cell * Ff[..., plane].sum(axis=(0, 1))
-    assert float(np.max(np.abs(sums_f - 2.0 * np.pi))) <= 1e-10
+    flux = np.zeros((4, 4), dtype=int)
+    flux[0, 1], flux[1, 0] = 1, -1
+    # the background alone, then with an arbitrary fluctuation on top,
+    # which must not move any plane-slice sum
+    for amplitudes in ((0.0, 0.0), (0.9, 0.0)):
+        cfg = random_configuration(lat, 1010, amplitudes, flux=flux)
+        assert_holds(checks.flux_quantization(cfg))

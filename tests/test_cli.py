@@ -87,6 +87,8 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
         dict(scalar_curvature="blob:1"),
         dict(minimize={"max_iters": 5, "method": "newton"}),
         dict(amplitudes={"a": -0.1, "phi": 0.5}),
+        dict(output_dir=5),
+        dict(output_dir=None),
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):

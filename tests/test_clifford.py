@@ -9,14 +9,17 @@ from swflow.clifford import (
     clifford_mult_adjoint,
     quadratic_form,
     relation_defect,
-    selfdual_action,
-    spinor_inner,
     standard_table,
     two_form_action,
 )
 from swflow.lattice import PLANES, hodge_star2, selfdual_project
 
 rng = np.random.default_rng(20260402)
+
+
+def fiber_inner(u, v):
+    # Hermitian product on the spinor fiber, conjugate-linear in the second slot
+    return np.sum(u * np.conj(v), axis=-1)
 
 
 def random_spinors(n):
@@ -114,8 +117,8 @@ def test_clifford_mult_adjoint_is_adjoint():
     phi = random_spinors(30)
     psi = random_spinors(30)
     for mu in range(4):
-        lhs = spinor_inner(clifford_mult(tbl, mu, phi), psi)
-        rhs = spinor_inner(phi, clifford_mult_adjoint(tbl, mu, psi))
+        lhs = fiber_inner(clifford_mult(tbl, mu, phi), psi)
+        rhs = fiber_inner(phi, clifford_mult_adjoint(tbl, mu, psi))
         assert np.allclose(lhs, rhs)
 
 
@@ -125,9 +128,9 @@ def test_polarized_clifford_relation_on_spinors():
     norms2 = np.sum(np.abs(phi) ** 2, axis=-1)
     for mu in range(4):
         for nu in range(4):
-            lhs = spinor_inner(
+            lhs = fiber_inner(
                 clifford_mult(tbl, mu, phi), clifford_mult(tbl, nu, phi)
-            ) + spinor_inner(clifford_mult(tbl, nu, phi), clifford_mult(tbl, mu, phi))
+            ) + fiber_inner(clifford_mult(tbl, nu, phi), clifford_mult(tbl, mu, phi))
             want = 2.0 * norms2 if mu == nu else 0.0
             assert np.allclose(lhs, want, atol=1e-12)
 
@@ -168,11 +171,11 @@ def test_selfdual_action_hermitian_pairing():
         omega = selfdual_project(rng.standard_normal(6))
         phi = random_spinors(1)[0]
         psi = random_spinors(1)[0]
-        val = spinor_inner(1j * selfdual_action(tbl, omega, phi), phi)
+        val = fiber_inner(1j * two_form_action(tbl, omega, phi), phi)
         assert abs(val.imag) < 1e-13 * (1.0 + abs(val))
         # full Hermiticity of i * action
-        lhs = spinor_inner(1j * selfdual_action(tbl, omega, phi), psi)
-        rhs = spinor_inner(phi, 1j * selfdual_action(tbl, omega, psi))
+        lhs = fiber_inner(1j * two_form_action(tbl, omega, phi), psi)
+        rhs = fiber_inner(phi, 1j * two_form_action(tbl, omega, psi))
         assert np.allclose(lhs, rhs)
 
 
@@ -181,22 +184,12 @@ def test_selfdual_action_pairs_with_quadratic_form():
     tbl = standard_table()
     phi = random_spinors(100)
     s = quadratic_form(tbl, phi)
-    val = spinor_inner(1j * selfdual_action(tbl, s, phi), phi)
+    val = fiber_inner(1j * two_form_action(tbl, s, phi), phi)
     assert np.allclose(val.imag, 0.0, atol=1e-12)
     assert np.allclose(val.real, 4.0 * np.sum(s**2, axis=-1), rtol=1e-12)
     assert np.allclose(
         val.real, np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 2.0, rtol=1e-12
     )
-
-
-def test_selfdual_action_rejects_mixed_form():
-    tbl = standard_table()
-    omega = rng.standard_normal(6)
-    omega -= selfdual_project(omega)  # pure anti-self-dual, nonzero
-    phi = random_spinors(1)[0]
-    with pytest.raises(ValueError):
-        selfdual_action(tbl, omega, phi)
-    assert np.allclose(selfdual_action(tbl, np.zeros(6), phi), 0.0)
 
 
 def test_two_form_action_kills_antiselfdual():
@@ -205,7 +198,7 @@ def test_two_form_action_kills_antiselfdual():
     asd = omega - selfdual_project(omega)
     phi = random_spinors(5)
     assert np.allclose(two_form_action(tbl, asd, phi), 0.0, atol=1e-14)
-    # and agrees with selfdual_action on the self-dual half
+    # so the full form acts as its self-dual half
     sd = selfdual_project(omega)
     assert np.allclose(
         two_form_action(tbl, omega, phi), two_form_action(tbl, sd, phi)

@@ -62,6 +62,11 @@ def test_flux_matrix_validation():
         check_flux_matrix(flux_matrix(f01=1) * 0.5)  # not integer
     with pytest.raises(ValueError):
         check_flux_matrix(np.zeros((3, 3), dtype=int))
+    infinite = flux_matrix(f01=1).astype(float)
+    # both entries cast to INT_MIN, which passes the antisymmetry test
+    infinite[0, 1], infinite[1, 0] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="finite"):
+        check_flux_matrix(infinite)
 
 
 def test_configuration_shape_and_finiteness_validation():
