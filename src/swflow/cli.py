@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -24,7 +25,9 @@ import time
 import numpy as np
 
 from .checks import run_checks
-from .fields import load_configuration, random_configuration, save_configuration
+from .fields import (
+    load_configuration, random_configuration, save_configuration, write_atomic, write_json,
+)
 from .functional import energy_weitzenbock
 from .gaugefix import full_gauge_fix
 from .lattice import Lattice
@@ -75,12 +78,16 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
     raise ValueError(f"unknown scalar_curvature profile {value!r}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _build_run(config: dict):
     lat = Lattice(tuple(config["dims"]), float(config["spacing"]))
     amplitudes = config.get("amplitudes", {"a": 0.0, "phi": 0.0})
     cfg = random_configuration(
         lat,
-        int(config.get("seed", 0)),
+        config.get("seed", 0),
         (amplitudes["a"], amplitudes["phi"]),
         flux=config.get("flux"),
         scalar_curvature=parse_scalar_curvature(config.get("scalar_curvature", 0.0), lat),
@@ -94,11 +101,11 @@ def _build_run(config: dict):
 
 def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: float):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "history.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for rec in traj.records:
-            writer.writerow([getattr(rec, col) for col in HISTORY_COLUMNS])
+    history = io.StringIO()
+    writer = csv.writer(history)
+    writer.writerow(HISTORY_COLUMNS)
+    writer.writerows([getattr(rec, col) for col in HISTORY_COLUMNS] for rec in traj.records)
+    write_atomic(os.path.join(out_dir, "history.csv"), history.getvalue())
     save_configuration(traj.final, os.path.join(out_dir, "final.json"))
     last = traj.records[-1]
     summary = {
@@ -116,9 +123,7 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
         },
         "config": config,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
 def cmd_run(args) -> int:
@@ -128,7 +133,7 @@ def cmd_run(args) -> int:
         return 2
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
         cfg, params, out_dir = _build_run(config)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"swflow run: bad config: {exc}", file=sys.stderr)
@@ -142,7 +147,7 @@ def cmd_run(args) -> int:
     wall = time.perf_counter() - t0
     try:
         _write_outputs(out_dir, config, traj, wall)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"swflow run: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     last = traj.records[-1]
@@ -176,17 +181,11 @@ def cmd_gaugefix(args) -> int:
     after = energy_weitzenbock(fixed)
     try:
         save_configuration(fixed, args.output)
-        with open(args.output + ".report.json", "w") as fh:
-            json.dump(
-                {
-                    "residual": report.residual,
-                    "winding": list(report.winding),
-                    "harmonic": list(report.harmonic),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(args.output + ".report.json", {
+            "residual": report.residual,
+            "winding": list(report.winding),
+            "harmonic": list(report.harmonic),
+        })
     except OSError as exc:
         print(f"swflow gaugefix: cannot write outputs: {exc}", file=sys.stderr)
         return 1

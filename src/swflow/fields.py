@@ -5,16 +5,24 @@ fluctuation around the flux background, units 1/length) plus an integer
 antisymmetric flux matrix selecting the bundle sector. Gauge transforms
 carry a periodic real angle zeta plus four winding integers; windings are
 never baked into zeta, which keeps branch cuts out of the fields entirely.
+
+Every file swflow writes goes through write_atomic, which replaces the target
+in one rename, so a reader or a failed write never sees half a file. JSON
+documents are standard JSON (write_json) whose floats are the shortest
+decimals that read back to the same doubles, so a saved configuration
+reloads bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PLANES, Lattice, d0
+from .lattice import PLANES, Lattice, d0, require_int
 
 FORMAT_VERSION = 1
 
@@ -64,7 +72,7 @@ class GaugeTransform:
         z = np.asarray(self.zeta, dtype=float)
         _require(z.ndim == 4, f"zeta must be a site scalar field, got shape {z.shape}")
         _require(np.all(np.isfinite(z)), "zeta must be finite")
-        k = tuple(int(v) for v in self.winding)
+        k = tuple(require_int(v, "winding") for v in self.winding)
         _require(len(k) == 4, "winding needs four integers")
         object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "winding", k)
@@ -210,6 +218,7 @@ def random_configuration(
     Deterministic in seed. amplitudes is the pair (amp_a, amp_phi), both
     nonnegative; (0, 0) gives the zero configuration.
     """
+    seed = require_int(seed, "seed")
     amp_a, amp_phi = (float(v) for v in amplitudes)
     if amp_a < 0 or amp_phi < 0:
         raise ValueError(f"amplitudes must be nonnegative, got {amplitudes}")
@@ -222,81 +231,69 @@ def random_configuration(
         flux = np.zeros((4, 4), dtype=int)
     if scalar_curvature is None:
         scalar_curvature = np.zeros(lat.dims)
-    return Configuration(lat, GaugeField(a, flux), phi, scalar_curvature, seed=int(seed))
+    return Configuration(lat, GaugeField(a, flux), phi, scalar_curvature, seed=seed)
 
 
-def _emit_json(obj, out: list):
-    # json.dump cannot be told to print floats at full precision, so walk
-    # the document by hand; 17 significant digits round-trip any double
-    if isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".16e"))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for j, (key, val) in enumerate(obj.items()):
-            if j:
-                out.append(", ")
-            out.append(json.dumps(str(key)) + ": ")
-            _emit_json(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for j, val in enumerate(obj):
-            if j:
-                out.append(", ")
-            _emit_json(val, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def write_atomic(path, text: str):
+    """Replace the file at path with text, never leaving it half written.
+
+    The text goes to a new file beside the target (so it gets the usual umask
+    permissions), is synced, and is renamed over the target. On any error the
+    temp file is removed and the target keeps its old bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc):
+    """Atomically write doc as one line of standard JSON.
+
+    Floats print as their repr, the shortest decimal that reads back to the
+    same double; NaN and infinities raise ValueError instead of producing
+    nonstandard JSON.
+    """
+    write_atomic(path, json.dumps(doc, allow_nan=False) + "\n")
 
 
 def _flatten_site_major(u: np.ndarray) -> list:
     """Flatten with x1 varying fastest across sites, components fastest within."""
-    if u.ndim == 4:
-        return [float(v) for v in u.transpose(3, 2, 1, 0).ravel()]
-    return [float(v) for v in u.transpose(3, 2, 1, 0, 4).ravel()]
+    return u.reshape(u.shape[:4] + (-1,)).transpose(3, 2, 1, 0, 4).ravel().tolist()
 
 
-def _unflatten_site_major(vals, dims, ncomp: int) -> np.ndarray:
-    n1, n2, n3, n4 = dims
+def _unflatten_site_major(vals, shape) -> np.ndarray:
+    """Inverse of _flatten_site_major for a field of the given shape."""
     arr = np.asarray(vals, dtype=float)
-    if ncomp == 0:
-        expect = n1 * n2 * n3 * n4
-        if arr.shape != (expect,):
-            raise ValueError(f"expected {expect} values, got {arr.shape}")
-        return arr.reshape(n4, n3, n2, n1).transpose(3, 2, 1, 0).copy()
-    expect = n1 * n2 * n3 * n4 * ncomp
+    expect = int(np.prod(shape))
     if arr.shape != (expect,):
         raise ValueError(f"expected {expect} values, got {arr.shape}")
-    return arr.reshape(n4, n3, n2, n1, ncomp).transpose(3, 2, 1, 0, 4).copy()
+    n1, n2, n3, n4 = shape[:4]
+    return arr.reshape(n4, n3, n2, n1, -1).transpose(3, 2, 1, 0, 4).reshape(shape).copy()
 
 
 def save_configuration(cfg: Configuration, path):
     """Write a configuration as a single JSON document (format version 1)."""
     lat = cfg.lattice
-    doc = {
+    write_json(path, {
         "version": FORMAT_VERSION,
         "dims": list(lat.dims),
         "spacing": lat.spacing,
-        "flux": [[int(v) for v in row] for row in cfg.gauge.flux],
+        "flux": cfg.gauge.flux.tolist(),
         "a": _flatten_site_major(cfg.gauge.a),
         "phi_re": _flatten_site_major(cfg.phi.real),
         "phi_im": _flatten_site_major(cfg.phi.imag),
         "s": _flatten_site_major(cfg.scalar_curvature),
         "seed": cfg.seed,
-    }
-    out: list = []
-    _emit_json(doc, out)
-    with open(path, "w") as fh:
-        fh.write("".join(out))
-        fh.write("\n")
+    })
 
 
 def load_configuration(path) -> Configuration:
@@ -315,22 +312,20 @@ def load_configuration(path) -> Configuration:
     missing = {"dims", "spacing", "flux", "a", "phi_re", "phi_im", "s"} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    dims = tuple(int(v) for v in doc["dims"])
-    if len(dims) != 4:
-        raise ValueError(f"{path}: dims must have four entries, got {doc['dims']}")
-    lat = Lattice(dims, float(doc["spacing"]))
+    dims, seed = doc["dims"], doc.get("seed")
     try:
-        a = _unflatten_site_major(doc["a"], dims, 4)
-        phi_re = _unflatten_site_major(doc["phi_re"], dims, 2)
-        phi_im = _unflatten_site_major(doc["phi_im"], dims, 2)
-        s = _unflatten_site_major(doc["s"], dims, 0)
+        if not isinstance(dims, list):
+            raise ValueError(f"dims must be a list, got {dims!r}")
+        lat = Lattice(tuple(dims), float(doc["spacing"]))
+        seed = None if seed is None else require_int(seed, "seed")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        a = _unflatten_site_major(doc["a"], lat.dims + (4,))
+        # set the parts directly: re + 1j * im would turn an imaginary -0.0 into +0.0
+        phi = _unflatten_site_major(doc["phi_re"], lat.dims + (2,)).astype(complex)
+        phi.imag = _unflatten_site_major(doc["phi_im"], lat.dims + (2,))
+        s = _unflatten_site_major(doc["s"], lat.dims)
     except ValueError as exc:
         raise ValueError(f"{path}: field length mismatch ({exc})") from None
-    seed = doc.get("seed")
-    return Configuration(
-        lat,
-        GaugeField(a, doc["flux"]),
-        phi_re + 1j * phi_im,
-        s,
-        seed=None if seed is None else int(seed),
-    )
+    return Configuration(lat, GaugeField(a, doc["flux"]), phi, s, seed=seed)

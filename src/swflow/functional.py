@@ -24,7 +24,6 @@ from .lattice import (
     Lattice,
     codiff2,
     fiber_norm,
-    l2_norm,
     selfdual_project,
     sobolev12_norm,
 )
@@ -88,23 +87,19 @@ def energy_first_order(
     """h^4 sum of |D phi|^2 + |F+ at sites - sigma(phi)|^2; nonnegative.
 
     Zero exactly when the first-order equations D phi = 0 and
-    F+ = sigma(phi) hold at every site.
+    F+ = sigma(phi) hold at every site; the sum of sw_equation_residual.
     """
-    tbl = standard_table() if table is None else table
-    lat = cfg.lattice
-    d2 = np.sum(np.abs(dirac(cfg, table=tbl)) ** 2, axis=-1)
-    mismatch = fplus_at_sites(cfg) - quadratic_form(tbl, cfg.phi)
-    return float(lat.spacing**4 * np.sum(d2 + np.sum(mismatch**2, axis=-1)))
+    return sum(sw_equation_residual(cfg, table))
 
 
 def sw_equation_residual(
     cfg: Configuration, table: CliffordTable | None = None
 ) -> tuple[float, float]:
-    """(|D phi|^2, |F+ - sigma(phi)|^2) as separate L^2 quantities."""
+    """(|D phi|^2, |F+ - sigma(phi)|^2) as separate L^2 quantities, h^4 sum each."""
     tbl = standard_table() if table is None else table
-    lat = cfg.lattice
-    r_dirac = l2_norm(lat, dirac(cfg, table=tbl)) ** 2
-    r_curv = l2_norm(lat, fplus_at_sites(cfg) - quadratic_form(tbl, cfg.phi)) ** 2
+    h4 = cfg.lattice.spacing**4
+    r_dirac = h4 * float(np.sum(np.abs(dirac(cfg, table=tbl)) ** 2))
+    r_curv = h4 * float(np.sum((fplus_at_sites(cfg) - quadratic_form(tbl, cfg.phi)) ** 2))
     return (r_dirac, r_curv)
 
 

@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ordered coordinate planes (0-based directions); index of (mu,nu) with mu < nu
+# ordered coordinate planes (0-based directions), mu < nu
 PLANES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-PLANE_INDEX = {p: i for i, p in enumerate(PLANES)}
+
+
+def require_int(value, what: str) -> int:
+    """value as an int; Python and NumPy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -26,11 +32,11 @@ class Lattice:
     spacing: float
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(require_int(n, "dims entry") for n in self.dims)
         if len(dims) != 4 or any(n < 2 for n in dims):
             raise ValueError(f"dims must be four integers >= 2, got {self.dims}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", float(self.spacing))
 

@@ -19,7 +19,7 @@ import numpy as np
 from .fields import Configuration
 from .functional import Gradient, energy_weitzenbock, excess_report, gradient
 from .gaugefix import full_gauge_fix, gauge_distance
-from .lattice import l2_inner, linf_norm
+from .lattice import l2_inner, linf_norm, require_int
 
 MAX_BACKTRACKS = 60
 
@@ -44,6 +44,8 @@ class MinimizeParams:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("max_iters", "gaugefix_every", "record_every"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.grad_tol > 0:

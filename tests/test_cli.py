@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,15 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
         dict(amplitudes={"a": -0.1, "phi": 0.5}),
         dict(output_dir=5),
         dict(output_dir=None),
+        # integers are never truncated: 2.9 is not 2 and 1.5 is not 1
+        dict(dims=[3, 3, 3, 3.9]),
+        dict(seed=1.5),
+        dict(seed=True),
+        dict(minimize={"max_iters": 3.5}),
+        dict(minimize={"max_iters": 3, "record_every": 1.5}),
+        dict(minimize={"max_iters": 3, "gaugefix_every": 2.5}),
+        # NaN and Infinity are not JSON numbers, and outputs could not echo them
+        dict(minimize={"max_iters": 3, "grad_tol": float("inf")}),
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):
@@ -96,7 +106,31 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     write_config(cfg_path, **overrides)
     assert main(["run", str(cfg_path)]) == 2
     assert not (tmp_path / "out").exists()
-    assert capsys.readouterr().err
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "exp.json"
+    write_config(cfg_path)
+    assert main(["run", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    names = ["final.json", "history.csv", "summary.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    before = {n: ((out / n).read_bytes(), os.stat(out / n).st_mode) for n in names}
+    # the same bits as a plain open(path, "w") gives a new file
+    assert all(stat.S_IMODE(mode) == 0o666 & ~umask for _, mode in before.values())
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    write_config(cfg_path, seed=6)  # a different run, so every output would change
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert main(["run", str(cfg_path)]) == 1
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == names  # no temp file left behind
+    assert {n: ((out / n).read_bytes(), os.stat(out / n).st_mode) for n in names} == before
 
 
 def test_run_is_deterministic(tmp_path):

@@ -1,5 +1,7 @@
 """Containers, gauge action, flux sectors, JSON round trips."""
 
+import json
+import os
 import re
 
 import numpy as np
@@ -17,6 +19,7 @@ from swflow.fields import (
     random_configuration,
     save_configuration,
     transform_angle,
+    write_json,
 )
 from swflow.lattice import PLANES, Lattice, d1
 
@@ -218,21 +221,72 @@ def test_save_load_round_trip_exact(tmp_path):
     assert back.seed == cfg.seed
 
 
+# doubles that a writer printing too few digits, or dropping the sign of
+# zero, cannot bring back: thirds, a non-dyadic decimal, the smallest
+# subnormal, the largest finite double, negative zero
+EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
+
+
+def salted_cfg(lat, flux=None):
+    """random_cfg with every edge value planted in a, Re phi, Im phi and s."""
+    cfg = random_cfg(lat, flux=flux)
+    a, phi, s = cfg.gauge.a.copy(), cfg.phi.copy(), cfg.scalar_curvature.copy()
+    n = len(EDGE_VALUES)
+    a.reshape(-1)[:n] = EDGE_VALUES
+    phi.real.reshape(-1)[:n] = EDGE_VALUES
+    phi.imag.reshape(-1)[-n:] = EDGE_VALUES
+    s.reshape(-1)[-n:] = EDGE_VALUES
+    return Configuration(lat, GaugeField(a, cfg.gauge.flux), phi, s, seed=cfg.seed)
+
+
+def assert_bit_identical(back, cfg):
+    assert back.lattice == cfg.lattice
+    assert back.seed == cfg.seed
+    assert np.array_equal(back.gauge.flux, cfg.gauge.flux)
+    pairs = [
+        (back.gauge.a, cfg.gauge.a),
+        (back.phi.real, cfg.phi.real),
+        (back.phi.imag, cfg.phi.imag),
+        (back.scalar_curvature, cfg.scalar_curvature),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_save_writes_full_precision_reals(tmp_path):
     lat = Lattice((2, 2, 2, 2), 1.0 / 3.0)
-    cfg = random_cfg(lat)
+    cfg = salted_cfg(lat)
     path = tmp_path / "cfg.json"
     save_configuration(cfg, path)
     text = path.read_text()
-    # every real in the document carries 17 significant decimal digits
-    reals = re.findall(r"-?\d\.\d+e[+-]\d+", text)
-    assert reals and all(len(r.split(".")[1].split("e")[0]) == 16 for r in reals)
-    assert "1/3" not in text and "nan" not in text.lower()
+    assert "nan" not in text.lower() and "infinity" not in text.lower()
+    assert_bit_identical(load_configuration(path), cfg)
+
+
+def test_load_reads_seventeen_digit_documents(tmp_path):
+    # configurations once printed every real as format(v, ".16e"); those
+    # files must keep loading to the same arrays
+    lat = Lattice((3, 2, 2, 3), 0.7)
+    cfg = salted_cfg(lat, flux=flux_matrix(f01=1, f23=-2))
+    path = tmp_path / "cfg.json"
+    save_configuration(cfg, path)
+
+    def emit(v):
+        if isinstance(v, float):
+            return format(v, ".16e")
+        if isinstance(v, list):
+            return "[" + ", ".join(emit(x) for x in v) + "]"
+        return json.dumps(v)
+
+    doc = json.loads(path.read_text())
+    old = tmp_path / "old.json"
+    old.write_text("{" + ", ".join(f"{json.dumps(k)}: {emit(v)}" for k, v in doc.items()) + "}\n")
+    assert re.search(r"3\.3333333333333331e-01", old.read_text())
+    assert_bit_identical(load_configuration(old), cfg)
 
 
 def test_flat_order_is_site_major_x1_fastest(tmp_path):
-    import json
-
     lat = Lattice((3, 2, 2, 2), 1.0)
     a = np.zeros(lat.dims + (4,))
     # encode (x1, mu) in the value; x1 must advance once per 4 entries
@@ -258,9 +312,6 @@ def test_load_rejects_bad_documents(tmp_path):
     cfg = random_cfg(lat)
     good = tmp_path / "good.json"
     save_configuration(cfg, good)
-
-    import json
-
     doc = json.loads(good.read_text())
 
     bad = tmp_path / "bad.json"
@@ -285,3 +336,44 @@ def test_load_rejects_bad_documents(tmp_path):
     bad.write_text(json.dumps(doc4))
     with pytest.raises(ValueError, match="missing"):
         load_configuration(bad)
+
+    # dims and seed are integers; they are never truncated on the way in
+    for key, value in (("dims", [2, 2, 2, 2.9]), ("dims", [2, 2, "2", 2]), ("dims", 16),
+                       ("seed", 1.5), ("seed", "7"), ("seed", True)):
+        bad.write_text(json.dumps(dict(doc, **{key: value})))
+        with pytest.raises(ValueError, match=key):
+            load_configuration(bad)
+    bad.write_text(json.dumps(dict(doc, spacing=[1.0])))
+    with pytest.raises(ValueError):
+        load_configuration(bad)
+
+
+def test_windings_and_seeds_must_be_integers():
+    lat = Lattice((2, 2, 2, 2), 1.0)
+    for winding in ((0, 0, 0, 1.5), (0, 0, 0, 1.0), (True, 0, 0, 0)):
+        with pytest.raises(ValueError, match="winding"):
+            GaugeTransform(np.zeros(lat.dims), winding)
+    k = GaugeTransform(np.zeros(lat.dims), tuple(np.array([1, -2, 0, 3]))).winding
+    assert k == (1, -2, 0, 3) and all(type(v) is int for v in k)
+    for seed in (1.5, 1.0, "3", None, False):
+        with pytest.raises(ValueError, match="seed"):
+            random_configuration(lat, seed, (0.1, 0.1))
+    assert random_configuration(lat, np.int64(9), (0.1, 0.1)).seed == 9
+
+
+def test_write_json_replaces_whole_file_or_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    write_json(path, {"x": 0.1, "k": [1, 2]})
+    assert path.read_text() == '{"x": 0.1, "k": [1, 2]}\n'
+    # nonstandard JSON is refused before the target is touched
+    with pytest.raises(ValueError):
+        write_json(path, {"x": float("nan")})
+    # a failed rename leaves the old bytes and no temp file behind
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write_json(path, {"x": 2.0})
+    assert path.read_text() == '{"x": 0.1, "k": [1, 2]}\n'
+    assert os.listdir(tmp_path) == ["doc.json"]

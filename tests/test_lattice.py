@@ -62,6 +62,13 @@ def test_lattice_validation():
         Lattice((1, 2, 2, 2), 1.0)
     with pytest.raises(ValueError):
         Lattice((2, 2, 2, 2), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Lattice((2, 2, 2, 2), np.inf)
+    # dims are integers, never truncated floats, strings or bools
+    for dims in ((2, 2, 2, 2.9), (2, 2, 2, 2.0), ("2", 2, 2, 2), (2, True, 2, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            Lattice(dims, 1.0)
+    assert Lattice(tuple(np.array([2, 3, 2, 2])), 1.0).dims == (2, 3, 2, 2)
     lat = Lattice((2, 3, 4, 5), 0.5)
     assert lat.nsites == 120
     assert lat.lengths == (1.0, 1.5, 2.0, 2.5)

@@ -68,11 +68,23 @@ def negative_curvature_run():
         dict(method="newton"),
         dict(gaugefix_every=-2),
         dict(record_every=0),
+        dict(max_iters=3.5),
+        dict(max_iters=3.0),
+        dict(max_iters=True),
+        dict(gaugefix_every=2.5),
+        dict(record_every=1.5),
+        dict(record_every="2"),
     ],
 )
 def test_params_validation(bad):
     with pytest.raises(ValueError):
         MinimizeParams(**bad)
+
+
+def test_params_accept_numpy_integers():
+    params = MinimizeParams(max_iters=np.int64(7), gaugefix_every=np.int32(0), record_every=np.uint8(2))
+    assert (params.max_iters, params.gaugefix_every, params.record_every) == (7, 0, 2)
+    assert all(type(v) is int for v in (params.max_iters, params.gaugefix_every, params.record_every))
 
 
 def test_zero_configuration_is_already_converged():
