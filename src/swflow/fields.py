@@ -16,6 +16,7 @@ reloads bit for bit.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -135,6 +136,15 @@ class Configuration:
             self.seed,
         )
 
+    def _trial(self, a: np.ndarray, phi: np.ndarray) -> "Configuration":
+        """replace without validation, for trial points derived from valid fields
+        (float a, complex phi); the line search rejects every non-finite one."""
+        gauge = object.__new__(GaugeField)
+        gauge.__dict__.update(self.gauge.__dict__, a=a)
+        trial = object.__new__(Configuration)
+        trial.__dict__.update(self.__dict__, gauge=gauge, phi=phi)
+        return trial
+
 
 def transform_angle(lat: Lattice, g: GaugeTransform) -> np.ndarray:
     """Unwrapped angle theta(x) = zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu."""
@@ -167,19 +177,18 @@ def apply_gauge(g: GaugeTransform, cfg: Configuration) -> Configuration:
     return cfg.replace(a=a_new, phi=phi_new)
 
 
-def build_flux_background(lat: Lattice, flux) -> np.ndarray:
-    """Link angles for the determinant line in the given flux sector.
+def _flux_background(lat: Lattice, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Link angles and per-plane curvature 6-vector (added to site 2-forms by
+    broadcasting) of a validated flux: cached per (lattice, flux), read-only."""
+    return _cached_background(lat, tuple(flux.ravel().tolist()))
 
-    For each plane (mu, nu) with n = flux[mu, nu] != 0 the plaquette holonomy
-    angle is the constant 2 pi n / (N_mu N_nu), so the angles over a full
-    coordinate plane sum to exactly 2 pi n. The real-valued curl of the
-    returned angles equals that constant except at one corner plaquette per
-    plane, where it differs by the invisible 2 pi n.
-    """
-    flux = check_flux_matrix(flux)
-    theta = np.zeros(lat.dims + (4,))
+
+@functools.lru_cache(maxsize=16)
+def _cached_background(lat: Lattice, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    flux = np.reshape(key, (4, 4))
+    theta, F = np.zeros(lat.dims + (4,)), np.zeros(6)
     x = np.indices(lat.dims)
-    for mu, nu in PLANES:
+    for i, (mu, nu) in enumerate(PLANES):
         n = flux[mu, nu]
         if n == 0:
             continue
@@ -188,22 +197,31 @@ def build_flux_background(lat: Lattice, flux) -> np.ndarray:
         # repair the wrap column so interior plaquettes stay uniform
         wrap = x[mu] == nmu - 1
         theta[..., mu] -= np.where(wrap, (2.0 * np.pi * n / nnu) * x[nu], 0.0)
-    return theta
+        F[i] = 2.0 * np.pi * n / (nmu * nnu * lat.spacing**2)
+    theta.flags.writeable = F.flags.writeable = False
+    return theta, F
+
+
+def build_flux_background(lat: Lattice, flux) -> np.ndarray:
+    """Link angles for the determinant line in the given flux sector.
+
+    For each plane (mu, nu) with n = flux[mu, nu] != 0 the plaquette holonomy
+    angle is the constant 2 pi n / (N_mu N_nu), so the angles over a full
+    coordinate plane sum to exactly 2 pi n. The real-valued curl of the
+    returned angles equals that constant except at one corner plaquette per
+    plane, where it differs by the invisible 2 pi n. Returns a fresh array.
+    """
+    return _flux_background(lat, check_flux_matrix(flux))[0].copy()
 
 
 def background_curvature(lat: Lattice, flux) -> np.ndarray:
     """Constant determinant-line curvature 2-form of the flux sector.
 
     Component on plane (mu, nu) is 2 pi n_{mu nu} / (N_mu N_nu h^2)
-    everywhere; its h^2-weighted sum over a coordinate plane is 2 pi n.
+    everywhere (a fresh array); its h^2-weighted sum over a coordinate plane is 2 pi n.
     """
-    flux = check_flux_matrix(flux)
-    F = np.zeros(lat.dims + (6,))
-    for i, (mu, nu) in enumerate(PLANES):
-        n = flux[mu, nu]
-        if n:
-            F[..., i] = 2.0 * np.pi * n / (lat.dims[mu] * lat.dims[nu] * lat.spacing**2)
-    return F
+    F = _flux_background(lat, check_flux_matrix(flux))[1]
+    return np.broadcast_to(F, lat.dims + (6,)).copy()
 
 
 def random_configuration(

@@ -10,6 +10,11 @@ continuum identity); the deliberate redundancy cross-validates both.
 The gradient is exact for energy_weitzenbock under the real pairing
 <<(da, dphi), (delta_a, delta_phi)>> = <da, delta_a> + 2 Re <dphi, delta_phi>,
 verified against central differences by fd_gradient_check.
+
+energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
+the link phases, the covariant difference and F+ once and keeps them with the
+energy; the line search hands an accepted trial's evaluation to the descent
+loop, which takes the gradient there without rebuilding any of them.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .operators import (
     curvature,
     dirac,
     fplus_at_sites,
+    link_phases,
 )
 
 
@@ -67,18 +73,45 @@ class ExcessReport:
     eta_norm: float
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """energy(cfg) with the pieces gradient(cfg) reuses: the link phases U, the
+    covariant difference grad, the self-dual curvature fplus and |phi|^2."""
+
+    cfg: Configuration
+    energy: float
+    U: np.ndarray
+    grad: np.ndarray
+    fplus: np.ndarray
+    phi2: np.ndarray
+
+    def gradient(self) -> Gradient:
+        cfg, lat = self.cfg, self.cfg.lattice
+        # -Delta_A phi = grad* grad phi, from the covariant difference held
+        dphi = covariant_diff_adjoint(cfg, self.grad, self.U) + 0.25 * (
+            cfg.scalar_curvature + self.phi2)[..., None] * cfg.phi
+        da = 4.0 * codiff2(lat, self.fplus)
+        da += 2.0 * np.einsum("...mc,...c->...m", self.grad, np.conj(cfg.phi)).imag
+        return Gradient(lat, da, dphi)
+
+
+def _evaluate(cfg: Configuration) -> _Evaluation:
+    U = link_phases(cfg)
+    grad = covariant_diff(cfg, U=U)
+    fplus = selfdual_project(curvature(cfg))
+    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
+    grad2 = np.sum(np.abs(grad) ** 2, axis=(-2, -1))
+    dens = grad2 + np.sum(fplus**2, axis=-1) + 0.25 * cfg.scalar_curvature * phi2 + 0.125 * phi2**2
+    return _Evaluation(cfg, float(cfg.lattice.spacing**4 * np.sum(dens)), U, grad, fplus, phi2)
+
+
 def energy_weitzenbock(cfg: Configuration) -> float:
     """h^4 sum of |grad phi|^2 + |F+|^2 + (s/4)|phi|^2 + |phi|^4/8.
 
     F+ is the self-dual projection of the plaquette curvature. Gauge
     invariant; bounded below by energy_lower_bound.
     """
-    lat = cfg.lattice
-    grad2 = np.sum(np.abs(covariant_diff(cfg)) ** 2, axis=(-2, -1))
-    fplus2 = np.sum(selfdual_project(curvature(cfg)) ** 2, axis=-1)
-    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
-    dens = grad2 + fplus2 + 0.25 * cfg.scalar_curvature * phi2 + 0.125 * phi2**2
-    return float(lat.spacing**4 * np.sum(dens))
+    return _evaluate(cfg).energy
 
 
 def energy_first_order(
@@ -123,18 +156,7 @@ def gradient(cfg: Configuration) -> Gradient:
     background drops out of codiff2, and a critical pair (constant
     |phi|^2 = -s, flux-free a) gives exactly zero.
     """
-    lat = cfg.lattice
-    grad = covariant_diff(cfg)
-    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
-    # -Delta_A phi = grad* grad phi, from the covariant difference already held
-    dphi = (
-        covariant_diff_adjoint(cfg, grad)
-        + 0.25 * (cfg.scalar_curvature + phi2)[..., None] * cfg.phi
-    )
-    da = 4.0 * codiff2(lat, selfdual_project(curvature(cfg)))
-    current = np.einsum("...mc,...c->...m", grad, np.conj(cfg.phi))
-    da += 2.0 * current.imag
-    return Gradient(lat, da, dphi)
+    return _evaluate(cfg).gradient()
 
 
 def fd_gradient_check(

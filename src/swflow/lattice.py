@@ -84,8 +84,15 @@ def check_twoform(lat: Lattice, F: np.ndarray):
 
 
 def shift(u: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
-    """Periodic translate: shift(u, mu)[x] = u[x + steps * e_mu]."""
-    return np.roll(u, -steps, axis=mu)
+    """Periodic translate: shift(u, mu)[x] = u[x + steps * e_mu], mu a site axis;
+    the permutation np.roll(u, -steps, axis=mu) makes, as two slice copies."""
+    n = u.shape[mu]
+    k = steps % n
+    lead = (slice(None),) * mu
+    out = np.empty_like(u)
+    out[lead + (slice(None, n - k),)] = u[lead + (slice(k, None),)]
+    out[lead + (slice(n - k, None),)] = u[lead + (slice(None, k),)]
+    return out
 
 
 def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -139,10 +146,8 @@ def codiff2(lat: Lattice, F: np.ndarray) -> np.ndarray:
     out = np.zeros(lat.dims + (4,), dtype=F.dtype)
     for i, (mu, nu) in enumerate(PLANES):
         g = F[..., i]
-        db = (g - shift(g, nu, -1)) / lat.spacing
-        out[..., mu] += db
-        db = (g - shift(g, mu, -1)) / lat.spacing
-        out[..., nu] -= db
+        out[..., mu] += (g - shift(g, nu, -1)) / lat.spacing
+        out[..., nu] -= (g - shift(g, mu, -1)) / lat.spacing
     return out
 
 
@@ -166,10 +171,6 @@ def selfdual_project(F: np.ndarray) -> np.ndarray:
     return 0.5 * (F + hodge_star2(F))
 
 
-def _flatten_components(u: np.ndarray) -> np.ndarray:
-    return u.reshape(u.shape[:4] + (-1,))
-
-
 def l2_inner(lat: Lattice, u: np.ndarray, v: np.ndarray):
     """h^4-weighted inner product, conjugate on the second argument."""
     _check_site_axes(lat, u, "field")
@@ -188,7 +189,7 @@ def l2_norm(lat: Lattice, u: np.ndarray) -> float:
 
 def fiber_norm(u: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm over all component axes."""
-    flat = _flatten_components(u)
+    flat = u.reshape(u.shape[:4] + (-1,))
     return np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))
 
 
@@ -202,18 +203,12 @@ def linf_norm(lat: Lattice, u: np.ndarray) -> float:
     return float(np.max(fiber_norm(u)))
 
 
-def grad_componentwise(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    """Plain forward differences d0 applied to every fiber component."""
-    _check_site_axes(lat, u, "field")
-    out = np.empty((4,) + u.shape, dtype=u.dtype)
-    for mu in range(4):
-        out[mu] = (shift(u, mu) - u) / lat.spacing
-    return out
-
-
 def sobolev12_norm(lat: Lattice, u: np.ndarray) -> float:
     """Discrete L^{1,2} norm: (||u||^2 + ||grad u||^2)^(1/2), plain differences."""
-    g = grad_componentwise(lat, u)
+    _check_site_axes(lat, u, "field")
+    g = np.empty((4,) + u.shape, dtype=u.dtype)
+    for mu in range(4):
+        g[mu] = (shift(u, mu) - u) / lat.spacing
     n2 = np.sum(np.abs(u) ** 2) + np.sum(np.abs(g) ** 2)
     return float(np.sqrt(n2 * lat.spacing**4))
 

@@ -10,7 +10,9 @@ Transport convention: U_mu(x) = exp(i h a(x,mu)) * T_mu(x), so that the gauge
 action a -> a + d theta, phi -> exp(-i theta) phi conjugates every operator
 by the pointwise phase. T_mu carries half of the determinant-line background
 angles; the reported curvature is the determinant-line one, twice the
-curvature the spinor transport sees.
+curvature the spinor transport sees. The background angles and curvature
+come from the per-(lattice, flux) cache in fields, and covariant_diff and
+its adjoint accept link phases U the caller already holds.
 """
 
 from __future__ import annotations
@@ -23,43 +25,44 @@ from .clifford import (
     clifford_mult_adjoint,
     standard_table,
 )
-from .fields import Configuration, background_curvature, build_flux_background
+from .fields import Configuration, _flux_background
 from .lattice import PLANES, d1, selfdual_project, shift
 
 
 def link_phases(cfg: Configuration) -> np.ndarray:
     """Unit-modulus spinor transport exp(i(h a + Theta/2)) per link."""
     lat = cfg.lattice
-    theta = build_flux_background(lat, cfg.gauge.flux)
+    theta = _flux_background(lat, cfg.gauge.flux)[0]
     return np.exp(1j * (lat.spacing * cfg.gauge.a + 0.5 * theta))
 
 
-def covariant_diff(cfg: Configuration, phi: np.ndarray | None = None) -> np.ndarray:
+def covariant_diff(cfg: Configuration, phi: np.ndarray | None = None, U=None) -> np.ndarray:
     """Covariant forward difference, one spinor per direction.
 
     (grad_mu phi)(x) = (U_mu(x) phi(x + e_mu) - phi(x)) / h, output shape
     dims + (4, 2). With phi given, differentiates that field in cfg's
-    transport instead of cfg.phi.
+    transport instead of cfg.phi; U, when held, must be link_phases(cfg).
     """
     lat = cfg.lattice
     if phi is None:
         phi = cfg.phi
-    U = link_phases(cfg)
+    U = link_phases(cfg) if U is None else U
     out = np.empty(lat.dims + (4, 2), dtype=complex)
     for mu in range(4):
         out[..., mu, :] = (U[..., mu, None] * shift(phi, mu) - phi) / lat.spacing
     return out
 
 
-def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray) -> np.ndarray:
+def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndarray:
     """Exact adjoint of covariant_diff under the h^4-weighted products.
 
     (grad* G)(x) = (1/h) sum_mu (conj(U_mu(x - e_mu)) G_mu(x - e_mu) - G_mu(x)).
+    U, when held, must be link_phases(cfg).
     """
     lat = cfg.lattice
     if G.shape != lat.dims + (4, 2):
         raise ValueError(f"expected shape {lat.dims + (4, 2)}, got {G.shape}")
-    U = link_phases(cfg)
+    U = link_phases(cfg) if U is None else U
     out = np.zeros(lat.dims + (2,), dtype=complex)
     for mu in range(4):
         trans = np.conj(U[..., mu, None]) * G[..., mu, :]
@@ -111,7 +114,7 @@ def curvature(cfg: Configuration) -> np.ndarray:
     is exactly 2 pi n for that plane's flux integer.
     """
     lat = cfg.lattice
-    return 2.0 * d1(lat, cfg.gauge.a) + background_curvature(lat, cfg.gauge.flux)
+    return 2.0 * d1(lat, cfg.gauge.a) + _flux_background(lat, cfg.gauge.flux)[1]
 
 
 def curvature_at_sites(cfg: Configuration) -> np.ndarray:

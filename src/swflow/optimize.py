@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Configuration
-from .functional import Gradient, energy_weitzenbock, excess_report, gradient
+from .functional import Gradient, _evaluate, energy_weitzenbock, excess_report, gradient
 from .gaugefix import full_gauge_fix, gauge_distance
 from .lattice import l2_inner, linf_norm, require_int
 
@@ -98,16 +98,13 @@ def descent_pairing(g: Gradient, direction: Gradient) -> float:
     return float(np.real(pair_a) + 2.0 * np.real(pair_phi))
 
 
-def _step(cfg: Configuration, direction: Gradient, t: float) -> Configuration:
-    return cfg.replace(a=cfg.gauge.a + t * direction.da, phi=cfg.phi + t * direction.dphi)
-
-
 class LineStep(tuple):
-    """An accepted Armijo step: unpacks as (t, trial); energy is energy(trial)."""
+    """An accepted Armijo step: unpacks as (t, trial); energy is energy(trial)
+    and evaluation holds the pieces of it that gradient(trial) reuses."""
 
-    def __new__(cls, t: float, trial: Configuration, energy: float):
-        step = super().__new__(cls, (t, trial))
-        step.energy = energy
+    def __new__(cls, t: float, evaluation):
+        step = super().__new__(cls, (t, evaluation.cfg))
+        step.energy, step.evaluation = evaluation.energy, evaluation
         return step
 
 
@@ -133,13 +130,14 @@ def line_search(
         e0 = energy_weitzenbock(cfg)
     t = params.initial_step
     for _ in range(MAX_BACKTRACKS + 1):
-        trial = _step(cfg, direction, t)
         # wild trial steps may overflow the quartic term; the Armijo
-        # comparison is False for nan/inf energies, so the step backtracks
+        # comparison is False for nan/inf energies, so the step backtracks and
+        # an accepted trial is finite without being validated
         with np.errstate(over="ignore", invalid="ignore"):
-            e_trial = energy_weitzenbock(trial)
-        if e_trial <= e0 + params.armijo_c * t * pair:
-            return LineStep(t, trial, e_trial)
+            ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
+        if ev.energy <= e0 + params.armijo_c * t * pair:
+            return LineStep(t, ev)
+        del ev  # a rejected trial's pieces must not outlive it into the next one
         t *= params.backtrack
     raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
 
@@ -181,9 +179,11 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     Iterate 0 and the final iterate are always recorded.
     """
     cfg = cfg0
-    energy = energy_weitzenbock(cfg)
-    g = gradient(cfg)
-    grad_norm = g.norm()
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy, g = energy_weitzenbock(cfg), gradient(cfg)
+        grad_norm = g.norm()
+    if not (np.isfinite(energy) and np.isfinite(grad_norm)):
+        raise ValueError(f"starting energy {energy!r} or gradient norm {grad_norm!r} is not finite")
     records = [_record(0, cfg, energy, grad_norm, None)]
     prev_recorded = cfg
     last_recorded_iter = 0
@@ -208,21 +208,21 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             direction = g.scaled(-1.0)
 
         try:
-            step = line_search(cfg, direction, params, g, energy)
+            held = line_search(cfg, direction, params, g, energy).evaluation
         except LineSearchFailure:
             reason = "line_search_failure"
             break
-        _, cfg = step
-        energy = step.energy
-        del step  # else the pre-refix iterate outlives the refix and the record below
+        cfg, energy = held.cfg, held.energy
         it += 1
 
         if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
+            held = None  # else the pre-refix iterate and its pieces outlive the refix
             cfg, energy = _refix_gauge(cfg, energy)
             direction = None  # conjugate memory is stale off the old slice
 
-        prev_g = g
-        g = gradient(cfg)
+        prev_g = g if direction is not None else None  # stale off the old slice too
+        g = gradient(cfg) if held is None else held.gradient()
+        held = None  # held pieces must not outlive this iterate into the next search
         grad_norm = g.norm()
         if it % params.record_every == 0:
             records.append(_record(it, cfg, energy, grad_norm, prev_recorded))

@@ -109,6 +109,15 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_run_with_non_finite_start_fails_before_writing(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    write_config(cfg_path, dims=[2, 2, 2, 2], amplitudes={"a": 0.1, "phi": 1e160})
+    (tmp_path / "out").mkdir()
+    assert main(["run", str(cfg_path)]) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+    assert "solver failed" in capsys.readouterr().err
+
+
 def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "exp.json"
     write_config(cfg_path)

@@ -23,8 +23,8 @@ from swflow.functional import (
     gradient,
     sw_equation_residual,
 )
-from swflow.lattice import Lattice, l2_norm, l4_norm, selfdual_project
-from swflow.operators import covariant_diff, fplus_at_sites
+from swflow.lattice import Lattice, codiff2, l2_norm, l4_norm, selfdual_project
+from swflow.operators import covariant_diff, covariant_diff_adjoint, curvature, fplus_at_sites
 
 rng = np.random.default_rng(20260405)
 
@@ -308,3 +308,22 @@ def test_alternate_clifford_table_gives_same_energy():
     assert energy_first_order(cfg, table=tbl2) == pytest.approx(
         energy_first_order(rotated, table=tbl), rel=1e-12
     )
+
+
+def test_gradient_is_bit_identical_to_separate_operator_traversals():
+    # reference: every piece from the public operators, each building its
+    # own link phases, in the order of the formulas in gradient's docstring
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    cfg = random_cfg(lat, seed=31, flux=flux_matrix(p01=1, p13=2, p23=-1))
+    grad = covariant_diff(cfg)
+    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
+    dphi = covariant_diff_adjoint(cfg, grad) + 0.25 * (cfg.scalar_curvature + phi2)[..., None] * cfg.phi
+    da = 4.0 * codiff2(lat, selfdual_project(curvature(cfg)))
+    da += 2.0 * np.einsum("...mc,...c->...m", grad, np.conj(cfg.phi)).imag
+    g = gradient(cfg)
+    assert np.array_equal(g.da, da)
+    assert np.array_equal(g.dphi, dphi)
+    fplus2 = np.sum(selfdual_project(curvature(cfg)) ** 2, axis=-1)
+    dens = (np.sum(np.abs(grad) ** 2, axis=(-2, -1)) + fplus2
+            + 0.25 * cfg.scalar_curvature * phi2 + 0.125 * phi2**2)
+    assert energy_weitzenbock(cfg) == float(lat.spacing**4 * np.sum(dens))

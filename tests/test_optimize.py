@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import swflow.fields
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -137,6 +138,42 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
     assert np.array_equal(held[1].gauge.a, fresh[1].gauge.a)
     assert np.array_equal(held[1].phi, fresh[1].phi)
     assert held.energy == fresh.energy == energy_weitzenbock(held[1])
+
+
+def mixed_flux_cfg():
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    flux = np.zeros((4, 4), dtype=int)
+    for (mu, nu), n in {(0, 1): 1, (1, 3): 2, (2, 3): -1}.items():
+        flux[mu, nu], flux[nu, mu] = n, -n
+    return with_constant_s(random_configuration(lat, 37, (0.6, 1.5), flux=flux), -1.0)
+
+
+def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
+    cfg = mixed_flux_cfg()
+    step = line_search(cfg, gradient(cfg).scaled(-1.0), MinimizeParams())
+    _, trial = step
+    assert step.energy == energy_weitzenbock(trial)
+    held, fresh = step.evaluation.gradient(), gradient(trial)
+    assert np.array_equal(held.da, fresh.da)
+    assert np.array_equal(held.dphi, fresh.dphi)
+
+
+def test_line_search_does_not_revalidate_the_flux(monkeypatch):
+    cfg = mixed_flux_cfg()
+    direction = gradient(cfg).scaled(-1.0)
+    calls = []
+    validate = swflow.fields.check_flux_matrix
+    monkeypatch.setattr(swflow.fields, "check_flux_matrix", lambda f: calls.append(1) or validate(f))
+    step = line_search(cfg, direction, MinimizeParams(initial_step=64.0))
+    assert step[0] < 64.0  # several trials were rejected before this one
+    assert calls == []
+
+
+def test_minimize_rejects_a_non_finite_start():
+    lat = Lattice((2, 2, 2, 2), 1.0)
+    cfg = random_configuration(lat, 3, (0.1, 1e160))  # |phi|^4 overflows
+    with pytest.raises(ValueError, match="not finite"):
+        minimize(cfg, MinimizeParams())
 
 
 def test_line_search_failure_after_exhausted_backtracks():

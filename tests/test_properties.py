@@ -1,4 +1,9 @@
-"""Property tests over drawn lattices: save/load is bit-identical."""
+"""Property tests over drawn lattices and fields.
+
+save/load is bit-identical; shift is np.roll's permutation; the cached flux
+background is never handed out for mutation; and the invariant registry's
+adjointness, gauge-invariance and flux-quantization measures hold at their
+own tolerances over drawn shapes, spacings, flux sectors and windings."""
 
 import numpy as np
 import pytest
@@ -7,25 +12,38 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from swflow import checks  # noqa: E402
 from swflow.fields import (  # noqa: E402
     Configuration,
     GaugeField,
+    background_curvature,
+    build_flux_background,
     load_configuration,
+    random_configuration,
     save_configuration,
 )
-from swflow.lattice import PLANES, Lattice  # noqa: E402
+from swflow.lattice import PLANES, Lattice, shift  # noqa: E402
 
 # doubles a lossy writer or reader would change: see tests/test_fields.py
 EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
 
 
+DIMS = st.lists(st.integers(2, 5), min_size=4, max_size=4).map(tuple)
+
+
 @st.composite
-def configurations(draw):
-    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=4, max_size=4)))
-    spacing = draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+def flux_matrices(draw):
     flux = np.zeros((4, 4), dtype=int)
     for (mu, nu), n in zip(PLANES, draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))):
         flux[mu, nu], flux[nu, mu] = n, -n
+    return flux
+
+
+@st.composite
+def configurations(draw):
+    dims = draw(DIMS)
+    spacing = draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    flux = draw(flux_matrices())
     seed = draw(st.none() | st.integers(-(2**63), 2**63 - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fields = [
@@ -61,3 +79,53 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, cfg):
     ]:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=DIMS,
+    trailing=st.sampled_from([(), (2,), (4, 2)]),
+    is_complex=st.booleans(),
+    mu=st.integers(0, 3),
+    steps=st.integers(-7, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shift_is_the_roll_permutation(dims, trailing, is_complex, mu, steps, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dims + trailing)
+    if is_complex:
+        u = u + 1j * rng.standard_normal(dims + trailing)
+    got = shift(u, mu, steps)
+    assert got.dtype == u.dtype
+    assert np.array_equal(got, np.roll(u, -steps, axis=mu))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=DIMS, spacing=st.floats(0.2, 3.0), flux=flux_matrices())
+def test_flux_background_copies_are_independent_of_the_cache(dims, spacing, flux):
+    lat = Lattice(dims, spacing)
+    for build in (build_flux_background, background_curvature):
+        first = build(lat, flux)
+        want = first.copy()
+        assert first.flags.writeable
+        first += 1.0
+        assert np.array_equal(build(lat, flux), want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dims=DIMS,
+    spacing=st.floats(0.3, 2.0),
+    flux=flux_matrices(),
+    seed=st.integers(0, 2**31 - 1),
+    windings=st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=2, max_size=2),
+)
+def test_registry_invariants_hold_over_drawn_problems(dims, spacing, flux, seed, windings):
+    lat = Lattice(dims, spacing)
+    cfg = random_configuration(lat, seed, (0.6, 0.9), flux=flux)
+    results = [checks.adjoint_defect(name, cfg, seed + 1, 3) for name in checks.ADJOINT_PAIRS]
+    results.append(checks.energy_gauge_invariance(cfg, seed + 2, 2, windings=windings))
+    results.append(checks.flux_quantization(cfg))
+    for result in results:
+        assert result.passed, result.line()
+    assert {r.tolerance for r in results} == {checks.IDENTITY_TOL, checks.GAUGE_TOL}
