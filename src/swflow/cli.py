@@ -2,7 +2,7 @@
 
 Subcommands:
   swflow run <config.json>        minimize from a random seed configuration
-  swflow check [--level fast|full] run the invariant suite, one line per check
+  swflow check [--level fast|full] [--json]  run the invariant suite
   swflow gaugefix <in> <out>       normalize a saved configuration
 
 The run config is a JSON object with keys: dims (four ints), spacing,
@@ -160,10 +160,17 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     results = run_checks(args.level)
-    for result in results:
-        print(result.line())
     failed = sum(not r.passed for r in results)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    if args.json:
+        # a non-finite measurement (always a failure) prints as null
+        print(json.dumps([dict(
+            name=r.name, measured=float(r.measured) if np.isfinite(r.measured) else None,
+            tolerance=float(r.tolerance), op=r.op, passed=bool(r.passed),
+        ) for r in results], allow_nan=False))
+    else:
+        for result in results:
+            print(result.line())
+        print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -208,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     p_check.add_argument("--level", choices=("fast", "full"), default="fast")
+    p_check.add_argument("--json", action="store_true",
+                         help="print one JSON array of the checks instead of text lines")
     p_check.set_defaults(func=cmd_check)
 
     p_fix = sub.add_parser("gaugefix", help="bring a saved configuration to normal form")

@@ -15,6 +15,15 @@ energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
 the link phases, the covariant difference and F+ once and keeps them with the
 energy; the line search hands an accepted trial's evaluation to the descent
 loop, which takes the gradient there without rebuilding any of them.
+
+Given a threshold, _evaluate returns None once a partial energy exceeds it:
+first the (s/4)|phi|^2 + |phi|^4/8 terms, then with |F+|^2, so a doomed
+Armijo trial never builds the link phases or grad phi. The rejections are
+exact: each partial density drops nonnegative leading terms of the full sum
+grad2 + f2 + sterm + quart, and rounding is monotone, so it lies elementwise
+at or below the full density; np.sum adds same-shape arrays in one order, so
+a partial energy above the threshold puts the energy above it too (or at NaN,
+also rejected). A NaN partial energy falls through to the full evaluation.
 """
 
 from __future__ import annotations
@@ -95,14 +104,22 @@ class _Evaluation:
         return Gradient(lat, da, dphi)
 
 
-def _evaluate(cfg: Configuration) -> _Evaluation:
+def _evaluate(cfg: Configuration, reject_above: float | None = None) -> _Evaluation | None:
+    """The evaluation of cfg, or None once a partial energy (a floating-point
+    lower bound of it, see the module docstring) exceeds reject_above."""
+    h4 = cfg.lattice.spacing**4
+    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
+    sterm, quart = 0.25 * cfg.scalar_curvature * phi2, 0.125 * phi2**2
+    if reject_above is not None and h4 * np.sum(sterm + quart) > reject_above:
+        return None
+    fplus = selfdual_project(curvature(cfg))
+    f2 = np.sum(fplus**2, axis=-1)
+    if reject_above is not None and h4 * np.sum(f2 + sterm + quart) > reject_above:
+        return None
     U = link_phases(cfg)
     grad = covariant_diff(cfg, U=U)
-    fplus = selfdual_project(curvature(cfg))
-    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
-    grad2 = np.sum(np.abs(grad) ** 2, axis=(-2, -1))
-    dens = grad2 + np.sum(fplus**2, axis=-1) + 0.25 * cfg.scalar_curvature * phi2 + 0.125 * phi2**2
-    return _Evaluation(cfg, float(cfg.lattice.spacing**4 * np.sum(dens)), U, grad, fplus, phi2)
+    dens = np.sum(np.abs(grad) ** 2, axis=(-2, -1)) + f2 + sterm + quart
+    return _Evaluation(cfg, float(h4 * np.sum(dens)), U, grad, fplus, phi2)
 
 
 def energy_weitzenbock(cfg: Configuration) -> float:

@@ -156,9 +156,12 @@ def gauge_distance(cfg1: Configuration, cfg2: Configuration) -> float:
         raise ValueError("gauge_distance needs configurations on the same lattice")
     if not np.array_equal(cfg1.gauge.flux, cfg2.gauge.flux):
         raise ValueError("gauge_distance needs configurations with the same flux")
-    lat = cfg1.lattice
-    fixed1, _ = full_gauge_fix(cfg1)
-    fixed2, _ = full_gauge_fix(cfg2)
+    return _normal_form_distance(full_gauge_fix(cfg1)[0], full_gauge_fix(cfg2)[0])
+
+
+def _normal_form_distance(fixed1: Configuration, fixed2: Configuration) -> float:
+    """gauge_distance between two outputs of full_gauge_fix, which it does not redo."""
+    lat = fixed1.lattice
     overlap = l2_inner(lat, fixed1.phi, fixed2.phi)
     phase = np.exp(1j * np.angle(overlap)) if abs(overlap) > 0.0 else 1.0
     da = fixed1.gauge.a - fixed2.gauge.a

@@ -100,11 +100,6 @@ def dirac_adjoint(
     return covariant_diff_adjoint(cfg, G)
 
 
-def covariant_laplacian(cfg: Configuration, phi: np.ndarray | None = None) -> np.ndarray:
-    """Connection Laplacian Delta_A phi = -grad* grad phi (negative semidefinite)."""
-    return -covariant_diff_adjoint(cfg, covariant_diff(cfg, phi))
-
-
 def curvature(cfg: Configuration) -> np.ndarray:
     """Determinant-line curvature 2-form, 2 d1(a) plus the flux background.
 

@@ -8,6 +8,12 @@ per-iterate quantities the convergence theory is about: energy, gradient
 norm, sup|phi|, the excess diagnostics of the maximum principle, and the
 gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
+
+Each Armijo trial passes its threshold e0 + c t <g, d> to the staged
+evaluation, which rejects a doomed trial before building the link phases;
+its partial energies are floating-point lower bounds of the energy, so every
+decision and trajectory is bit-identical to full evaluation. The loop keeps
+the last recorded iterate's normal form, so a record gauge-fixes one iterate.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .fields import Configuration
 from .functional import Gradient, _evaluate, energy_weitzenbock, excess_report, gradient
-from .gaugefix import full_gauge_fix, gauge_distance
+from .gaugefix import _normal_form_distance, full_gauge_fix
 from .lattice import l2_inner, linf_norm, require_int
 
 MAX_BACKTRACKS = 60
@@ -130,12 +136,13 @@ def line_search(
         e0 = energy_weitzenbock(cfg)
     t = params.initial_step
     for _ in range(MAX_BACKTRACKS + 1):
+        thr = e0 + params.armijo_c * t * pair
         # wild trial steps may overflow the quartic term; the Armijo
         # comparison is False for nan/inf energies, so the step backtracks and
         # an accepted trial is finite without being validated
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
-        if ev.energy <= e0 + params.armijo_c * t * pair:
+            ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi), thr)
+        if ev is not None and ev.energy <= thr:
             return LineStep(t, ev)
         del ev  # a rejected trial's pieces must not outlive it into the next one
         t *= params.backtrack
@@ -143,10 +150,13 @@ def line_search(
 
 
 def _record(
-    it: int, cfg: Configuration, energy: float, grad_norm: float, prev: Configuration | None
-):
+    it: int, cfg: Configuration, energy: float, grad_norm: float, prev_fixed: Configuration | None
+) -> tuple[TrajectoryRecord, Configuration]:
+    """The record of iterate it and cfg's normal form; prev_fixed is the normal
+    form of the previous recorded iterate, so each record fixes one iterate."""
     rep = excess_report(cfg)
-    dist = 0.0 if prev is None else gauge_distance(prev, cfg)
+    fixed, _ = full_gauge_fix(cfg)
+    dist = 0.0 if prev_fixed is None else _normal_form_distance(prev_fixed, fixed)
     return TrajectoryRecord(
         iter=it,
         energy=energy,
@@ -157,15 +167,15 @@ def _record(
         radial_excess=rep.radial_excess,
         eta_norm=rep.eta_norm,
         gauge_step_distance=dist,
-    )
+    ), fixed
 
 
-def _refix_gauge(cfg: Configuration, before: float) -> tuple[Configuration, float]:
-    fixed, _ = full_gauge_fix(cfg)
-    after = energy_weitzenbock(fixed)
-    if abs(after - before) > 1e-10 * max(abs(before), 1.0):
-        raise RuntimeError(f"gauge fixing drifted the energy from {before!r} to {after!r}")
-    return fixed, after
+def _refix_gauge(cfg: Configuration, before: float):
+    """The evaluation of cfg's normal form, whose energy must not drift from before."""
+    ev = _evaluate(full_gauge_fix(cfg)[0])
+    if abs(ev.energy - before) > 1e-10 * max(abs(before), 1.0):
+        raise RuntimeError(f"gauge fixing drifted the energy from {before!r} to {ev.energy!r}")
+    return ev
 
 
 def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
@@ -184,8 +194,8 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         grad_norm = g.norm()
     if not (np.isfinite(energy) and np.isfinite(grad_norm)):
         raise ValueError(f"starting energy {energy!r} or gradient norm {grad_norm!r} is not finite")
-    records = [_record(0, cfg, energy, grad_norm, None)]
-    prev_recorded = cfg
+    record, prev_fixed = _record(0, cfg, energy, grad_norm, None)
+    records = [record]
     last_recorded_iter = 0
     reason = "converged" if grad_norm <= params.grad_tol else "max_iters"
     it = 0
@@ -217,23 +227,24 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
 
         if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
             held = None  # else the pre-refix iterate and its pieces outlive the refix
-            cfg, energy = _refix_gauge(cfg, energy)
+            held = _refix_gauge(cfg, energy)
+            cfg, energy = held.cfg, held.energy
             direction = None  # conjugate memory is stale off the old slice
 
         prev_g = g if direction is not None else None  # stale off the old slice too
-        g = gradient(cfg) if held is None else held.gradient()
+        g = held.gradient()
         held = None  # held pieces must not outlive this iterate into the next search
         grad_norm = g.norm()
         if it % params.record_every == 0:
-            records.append(_record(it, cfg, energy, grad_norm, prev_recorded))
-            prev_recorded = cfg
+            record, prev_fixed = _record(it, cfg, energy, grad_norm, prev_fixed)
+            records.append(record)
             last_recorded_iter = it
         if grad_norm <= params.grad_tol:
             reason = "converged"
             break
 
     if last_recorded_iter != it:
-        records.append(_record(it, cfg, energy, grad_norm, prev_recorded))
+        records.append(_record(it, cfg, energy, grad_norm, prev_fixed)[0])
     return Trajectory(tuple(records), cfg, reason)
 
 

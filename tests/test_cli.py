@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import swflow.checks
+import swflow.cli
 from swflow.cli import main, parse_scalar_curvature
 from swflow.clifford import CliffordTable, standard_table
 from swflow.fields import load_configuration, random_configuration, save_configuration
@@ -217,6 +218,26 @@ def test_check_full_includes_refinement_study(capsys):
     assert main(["check", "--level", "full"]) == 0
     out = capsys.readouterr().out
     assert "weitzenbock_gap_contraction" in out
+
+
+def test_check_json_matches_run_checks(capsys):
+    assert main(["check", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == [
+        {"name": r.name, "measured": r.measured, "tolerance": r.tolerance, "op": r.op, "passed": True}
+        for r in swflow.checks.run_checks("fast")
+    ]
+
+
+def test_check_json_reports_failures_and_non_finite_measurements(monkeypatch, capsys):
+    results = [swflow.checks.CheckResult("finite", 2.0, 1.0),
+               swflow.checks.CheckResult("nan", float("nan"), 1.0, op=">=")]
+    monkeypatch.setattr(swflow.cli, "run_checks", lambda level: results)
+    assert main(["check", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"name": "finite", "measured": 2.0, "tolerance": 1.0, "op": "<=", "passed": False},
+        {"name": "nan", "measured": None, "tolerance": 1.0, "op": ">=", "passed": False},
+    ]
 
 
 def test_check_fails_on_corrupted_clifford_table(monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swflow import functional
 from swflow.clifford import CliffordTable, quadratic_form, standard_table
 from swflow.fields import (
     Configuration,
@@ -327,3 +328,28 @@ def test_gradient_is_bit_identical_to_separate_operator_traversals():
     dens = (np.sum(np.abs(grad) ** 2, axis=(-2, -1)) + fplus2
             + 0.25 * cfg.scalar_curvature * phi2 + 0.125 * phi2**2)
     assert energy_weitzenbock(cfg) == float(lat.spacing**4 * np.sum(dens))
+
+
+def test_staged_evaluation_builds_only_what_a_rejection_needs(monkeypatch):
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    cfg = random_cfg(lat, seed=31, flux=flux_matrix(p01=1, p13=2, p23=-1))
+    full = functional._evaluate(cfg)
+    h4 = lat.spacing**4
+    sterm, quart = 0.25 * cfg.scalar_curvature * full.phi2, 0.125 * full.phi2**2
+    potential = h4 * np.sum(sterm + quart)
+    with_curvature = h4 * np.sum(np.sum(full.fplus**2, axis=-1) + sterm + quart)
+    assert potential < with_curvature < full.energy
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("built a piece the rejection does not need")
+
+    monkeypatch.setattr(functional, "link_phases", unexpected)
+    assert functional._evaluate(cfg, np.nextafter(with_curvature, -np.inf)) is None
+    monkeypatch.setattr(functional, "curvature", unexpected)
+    assert functional._evaluate(cfg, np.nextafter(potential, -np.inf)) is None
+    monkeypatch.undo()
+    for threshold in (with_curvature, np.nextafter(full.energy, -np.inf), full.energy):
+        staged = functional._evaluate(cfg, threshold)
+        assert staged.energy == full.energy
+        for name in ("U", "grad", "fplus", "phi2"):
+            assert np.array_equal(getattr(staged, name), getattr(full, name))

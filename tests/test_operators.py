@@ -17,7 +17,6 @@ from swflow.lattice import PLANES, Lattice, d0, l2_inner, l2_norm
 from swflow.operators import (
     covariant_diff,
     covariant_diff_adjoint,
-    covariant_laplacian,
     curvature,
     curvature_at_sites,
     dirac,
@@ -27,6 +26,11 @@ from swflow.operators import (
 )
 
 rng = np.random.default_rng(20260404)
+
+
+def covariant_laplacian(cfg, phi=None):
+    """Connection Laplacian Delta_A phi = -grad* grad phi (negative semidefinite)."""
+    return -covariant_diff_adjoint(cfg, covariant_diff(cfg, phi))
 
 
 def flux_matrix(**planes):

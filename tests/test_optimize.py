@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import swflow.fields
+import swflow.functional
+import swflow.optimize
+from swflow.cli import parse_scalar_curvature
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -167,6 +170,43 @@ def test_line_search_does_not_revalidate_the_flux(monkeypatch):
     step = line_search(cfg, direction, MinimizeParams(initial_step=64.0))
     assert step[0] < 64.0  # several trials were rejected before this one
     assert calls == []
+
+
+def test_staged_rejection_leaves_the_trajectory_unchanged(monkeypatch):
+    base = mixed_flux_cfg()
+    bump = parse_scalar_curvature("bump:-4,2", base.lattice)
+    cfg = Configuration(base.lattice, base.gauge, base.phi, bump, base.seed)
+    params = MinimizeParams(max_iters=60, grad_tol=1e-12, gaugefix_every=7, record_every=3)
+    full = swflow.functional._evaluate
+    rejected = []
+
+    def counting(trial, reject_above=None):
+        ev = full(trial, reject_above)
+        rejected.append(ev is None)
+        return ev
+
+    monkeypatch.setattr(swflow.optimize, "_evaluate", counting)
+    staged = minimize(cfg, params)
+    assert any(rejected)  # the staged path did reject trials early
+    monkeypatch.setattr(swflow.optimize, "_evaluate", lambda trial, reject_above=None: full(trial))
+    unstaged = minimize(cfg, params)
+    assert staged.records == unstaged.records
+    assert staged.reason == unstaged.reason
+    assert np.array_equal(staged.final.gauge.a, unstaged.final.gauge.a)
+    assert np.array_equal(staged.final.phi, unstaged.final.phi)
+
+
+def test_recorded_steps_are_gauge_distances_with_one_fix_per_record(monkeypatch):
+    cfg = mixed_flux_cfg()
+    params = dict(grad_tol=1e-14, gaugefix_every=2, record_every=1)
+    iterates = [minimize(cfg, MinimizeParams(max_iters=k, **params)).final for k in range(5)]
+    fixes = []
+    fix = swflow.optimize.full_gauge_fix
+    monkeypatch.setattr(swflow.optimize, "full_gauge_fix", lambda c: fixes.append(c) or fix(c))
+    traj = minimize(cfg, MinimizeParams(max_iters=4, **params))
+    assert [r.gauge_step_distance for r in traj.records[1:]] == [
+        gauge_distance(prev, cur) for prev, cur in zip(iterates, iterates[1:])]
+    assert len(fixes) == 5 + 2  # one per record (iterates 0-4), one per refix (2, 4)
 
 
 def test_minimize_rejects_a_non_finite_start():

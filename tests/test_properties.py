@@ -1,9 +1,11 @@
 """Property tests over drawn lattices and fields.
 
 save/load is bit-identical; shift is np.roll's permutation; the cached flux
-background is never handed out for mutation; and the invariant registry's
+background is never handed out for mutation; the invariant registry's
 adjointness, gauge-invariance and flux-quantization measures hold at their
-own tolerances over drawn shapes, spacings, flux sectors and windings."""
+own tolerances over drawn shapes, spacings, flux sectors and windings; and the
+staged evaluation rejects a trial only when the full energy fails the same
+threshold, and otherwise returns the full evaluation bit for bit."""
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from swflow import checks  # noqa: E402
+from swflow.functional import Gradient, _evaluate  # noqa: E402
 from swflow.fields import (  # noqa: E402
     Configuration,
     GaugeField,
@@ -23,6 +26,7 @@ from swflow.fields import (  # noqa: E402
     save_configuration,
 )
 from swflow.lattice import PLANES, Lattice, shift  # noqa: E402
+from swflow.optimize import descent_pairing  # noqa: E402
 
 # doubles a lossy writer or reader would change: see tests/test_fields.py
 EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
@@ -129,3 +133,71 @@ def test_registry_invariants_hold_over_drawn_problems(dims, spacing, flux, seed,
     for result in results:
         assert result.passed, result.line()
     assert {r.tolerance for r in results} == {checks.IDENTITY_TOL, checks.GAUGE_TOL}
+
+
+def _scalar_curvature(kind, lat, rng, height):
+    if kind == "constant":
+        return np.full(lat.dims, height)
+    if kind == "random":
+        return height * rng.standard_normal(lat.dims)
+    x = np.indices(lat.dims) - (np.array(lat.dims) / 2.0).reshape(4, 1, 1, 1, 1)
+    return height * np.exp(-np.sum(x**2, axis=0) / 2.0)
+
+
+def _same_float(x, y):
+    return np.array_equal(np.float64(x), np.float64(y), equal_nan=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dims=DIMS,
+    spacing=st.floats(0.3, 2.0),
+    flux=st.just(np.zeros((4, 4), dtype=int)) | flux_matrices(),
+    s_kind=st.sampled_from(["constant", "random", "bump"]),
+    s_height=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**31 - 1),
+    roughness=st.sampled_from([0.0, 1e-3, 1.0]),
+    along_gradient=st.booleans(),
+    log_t=st.floats(-8.0, 1.0) | st.floats(1.0, 200.0),
+    armijo_c=st.floats(1e-6, 0.9),
+    threshold=st.sampled_from(["armijo", "energy", "below", "above", "inf", "-inf", "nan"]),
+)
+def test_staged_evaluation_decides_as_the_full_energy(
+    dims, spacing, flux, s_kind, s_height, seed, roughness, along_gradient, log_t, armijo_c,
+    threshold,
+):
+    lat = Lattice(dims, spacing)
+    rng = np.random.default_rng(seed)
+    s = _scalar_curvature(s_kind, lat, rng, s_height)
+    # a constant spinor plus noise: smooth fields make |grad phi|^2 small or
+    # zero, where the partial energies come closest to the full one
+    rough = random_configuration(lat, seed, (0.6 * roughness, 0.9 * roughness), flux=flux,
+                                 scalar_curvature=s)
+    cfg = rough.replace(phi=rough.phi + rng.standard_normal(2))
+    base = _evaluate(cfg)
+    g = base.gradient()
+    if along_gradient:
+        direction = g.scaled(-1.0)
+    else:
+        dphi = rng.standard_normal(g.dphi.shape) + 1j * rng.standard_normal(g.dphi.shape)
+        direction = Gradient(lat, rng.standard_normal(g.da.shape), dphi)
+    t = 10.0**log_t  # up to 1e200: the quartic term overflows to inf, and s|phi|^2 may give nan
+    with np.errstate(all="ignore"):
+        trial = cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi)
+        full = _evaluate(trial)
+        thr = {
+            "armijo": base.energy + armijo_c * t * descent_pairing(g, direction),
+            "energy": full.energy,
+            "below": np.nextafter(full.energy, -np.inf),
+            "above": np.nextafter(full.energy, np.inf),
+            "inf": np.inf,
+            "-inf": -np.inf,
+            "nan": np.nan,
+        }[threshold]
+        staged = _evaluate(trial, float(thr))
+    if staged is None:
+        assert not full.energy <= thr
+    else:
+        assert _same_float(staged.energy, full.energy)
+        for name in ("U", "grad", "fplus", "phi2"):
+            assert np.array_equal(getattr(staged, name), getattr(full, name), equal_nan=True), name
