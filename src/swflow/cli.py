@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -107,23 +108,12 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
     writer.writerows([getattr(rec, col) for col in HISTORY_COLUMNS] for rec in traj.records)
     write_atomic(os.path.join(out_dir, "history.csv"), history.getvalue())
     save_configuration(traj.final, os.path.join(out_dir, "final.json"))
-    last = traj.records[-1]
-    summary = {
-        "reason": traj.reason,
-        "iterations": last.iter,
-        "wall_time_seconds": wall_time,
-        "final": {
-            "energy": last.energy,
-            "grad_norm": last.grad_norm,
-            "phi_linf": last.phi_linf,
-            "threshold": last.threshold,
-            "excess_measure": last.excess_measure,
-            "radial_excess": last.radial_excess,
-            "eta_norm": last.eta_norm,
-        },
-        "config": config,
-    }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    last = dataclasses.asdict(traj.records[-1])
+    final = {key: value for key, value in last.items() if key not in ("iter", "gauge_step_distance")}
+    write_json(os.path.join(out_dir, "summary.json"), {
+        "reason": traj.reason, "iterations": last["iter"], "wall_time_seconds": wall_time,
+        "final": final, "config": config,
+    })
 
 
 def cmd_run(args) -> int:
@@ -135,7 +125,7 @@ def cmd_run(args) -> int:
         with open(path) as fh:
             config = json.load(fh, parse_constant=_reject_constant)
         cfg, params, out_dir = _build_run(config)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"swflow run: bad config: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()

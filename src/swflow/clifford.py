@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import PLANES
+from .lattice import PLANES, worst_of
 
 # standard Hermitian spin matrices, tau1 tau2 = i tau3
 _TAU = np.array(
@@ -65,19 +65,15 @@ def standard_table() -> CliffordTable:
 
 def relation_defect(tbl: CliffordTable) -> float:
     """Worst violation of unitarity and both Clifford anticommutators."""
-    sig = tbl.sigma
-    eye = np.eye(2)
-    worst = 0.0
+    sig, eye = tbl.sigma, np.eye(2)
+    dag = sig.conj().transpose(0, 2, 1)
+    defects = [dag[mu] @ sig[mu] - eye for mu in range(4)]
     for mu in range(4):
-        dag = sig[mu].conj().T
-        worst = max(worst, float(np.max(np.abs(dag @ sig[mu] - eye))))
         for nu in range(4):
             want = 2.0 * eye if mu == nu else np.zeros((2, 2))
-            lhs = dag @ sig[nu] + sig[nu].conj().T @ sig[mu]
-            worst = max(worst, float(np.max(np.abs(lhs - want))))
-            lhs = sig[mu] @ sig[nu].conj().T + sig[nu] @ dag
-            worst = max(worst, float(np.max(np.abs(lhs - want))))
-    return worst
+            defects += [dag[mu] @ sig[nu] + dag[nu] @ sig[mu] - want,
+                        sig[mu] @ dag[nu] + sig[nu] @ dag[mu] - want]
+    return worst_of(0.0, *(np.max(np.abs(d)) for d in defects))
 
 
 def _check_spinor(phi: np.ndarray):

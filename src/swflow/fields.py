@@ -39,8 +39,8 @@ def check_flux_matrix(flux) -> np.ndarray:
     _require(f.shape == (4, 4), f"flux must be 4x4, got {f.shape}")
     _require(np.all(np.isfinite(f)), "flux entries must be finite")
     _require(
-        not np.iscomplexobj(f) and np.all(f == np.round(f)),
-        "flux entries must be integers",
+        not np.iscomplexobj(f) and np.all(f == np.round(f)) and np.all(np.abs(f) < 2.0**63),
+        "flux entries must be integers within int64",
     )
     f = f.astype(int)
     _require(np.array_equal(f, -f.T), "flux matrix must be antisymmetric")
@@ -336,7 +336,7 @@ def load_configuration(path) -> Configuration:
             raise ValueError(f"dims must be a list, got {dims!r}")
         lat = Lattice(tuple(dims), float(doc["spacing"]))
         seed = None if seed is None else require_int(seed, "seed")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     try:
         a = _unflatten_site_major(doc["a"], lat.dims + (4,))

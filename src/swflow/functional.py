@@ -12,18 +12,39 @@ The gradient is exact for energy_weitzenbock under the real pairing
 verified against central differences by fd_gradient_check.
 
 energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
-the link phases, the covariant difference and F+ once and keeps them with the
-energy; the line search hands an accepted trial's evaluation to the descent
-loop, which takes the gradient there without rebuilding any of them.
+the link phases, grad phi and F+ once; the line search hands an accepted
+trial's evaluation to the descent loop, which takes the gradient from it.
 
-Given a threshold, _evaluate returns None once a partial energy exceeds it:
-first the (s/4)|phi|^2 + |phi|^4/8 terms, then with |F+|^2, so a doomed
-Armijo trial never builds the link phases or grad phi. The rejections are
-exact: each partial density drops nonnegative leading terms of the full sum
-grad2 + f2 + sterm + quart, and rounding is monotone, so it lies elementwise
-at or below the full density; np.sum adds same-shape arrays in one order, so
-a partial energy above the threshold puts the energy above it too (or at NaN,
-also rejected). A NaN partial energy falls through to the full evaluation.
+Every term but |grad phi|^2 is a polynomial in the fields. Along a search line
+(a + t da, phi + t dphi) the flux background is constant, F+ = F+_0 + t G with
+G = selfdual_project(2 d1 da), and with p = |phi|^2, q = Re<phi, dphi>, r =
+|dphi|^2 per site those terms sum to the quartic P(t) = h^4 sum |F+|^2 +
+(s/4) p(t) + p(t)^2/8, p(t) = p + 2tq + t^2 r. _line_floor sums its
+coefficients once per search and returns t -> P(t) - m(t), a lower bound of
+the energy _evaluate would compute at the trial: the line search skips a
+trial whose bound exceeds the Armijo threshold without building it. m is an
+a priori rounding bound (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 3-4). Let u = 2^-53, gamma_k = ku/(1 - ku), K = bit length
+of n + 17 (the most roundings a term meets in numpy's pairwise sum over n
+sites), D = 8 (max|a| + t max|da|)/h + max|background F|, R = |F+_0| + t|G|
++ sqrt(6n) gamma_20 D and M = R^2 + (sqrt(sum|s|p) + t sqrt(sum|s|r))^2/4 +
+((sum p^2)^(1/4) + t (sum r^2)^(1/4))^4/8, by Minkowski a bound of every
+rounded term's absolute value. Then:
+- grad2 >= 0 is added first and rounding is monotone, so the computed energy
+  is at least its partial sum, within gamma_(K+16) M of that sum taken
+  exactly over the trial's computed F+ and phi;
+- the trial point is off the line by gamma_2 (|a| + t|da|): via |phi|^2 that
+  is gamma_11 M; via 2 d1 it scales with a/h, not with F, and with the
+  rounding of F+_0, G and the trial's F+ puts each component of the latter
+  within gamma_20 D of F+_0 + t G, which costs sum |F+|^2 at most
+  2 sqrt(6n) gamma_20 D R (Cauchy-Schwarz, R bounding both L^2 norms);
+- the computed P is within gamma_(K+21) M of P (12 roundings per coefficient
+  term, K in the sums, 9 in Horner's rule and the h^4 factor).
+So m = h^4 (gamma_(2K+64) M + 2 sqrt(6n) gamma_24 D R), the spare roundings
+covering m's own, plus 2^-1000 n h^4 (1 + max|s|) max(1, t)^4 for underflow.
+A skipped trial's computed energy exceeds the threshold, so decisions and
+trajectories are bit-identical to full evaluation; a NaN or inf P or m makes
+the bound NaN, and the trial is evaluated.
 """
 
 from __future__ import annotations
@@ -33,13 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordTable, quadratic_form, standard_table
-from .fields import Configuration
+from .fields import Configuration, _flux_background
 from .lattice import (
     Lattice,
     codiff2,
+    d1,
     fiber_norm,
     selfdual_project,
     sobolev12_norm,
+    worst_of,
 )
 from .operators import (
     covariant_diff,
@@ -104,22 +127,47 @@ class _Evaluation:
         return Gradient(lat, da, dphi)
 
 
-def _evaluate(cfg: Configuration, reject_above: float | None = None) -> _Evaluation | None:
-    """The evaluation of cfg, or None once a partial energy (a floating-point
-    lower bound of it, see the module docstring) exceeds reject_above."""
+def _evaluate(cfg: Configuration) -> _Evaluation:
     h4 = cfg.lattice.spacing**4
     phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
     sterm, quart = 0.25 * cfg.scalar_curvature * phi2, 0.125 * phi2**2
-    if reject_above is not None and h4 * np.sum(sterm + quart) > reject_above:
-        return None
     fplus = selfdual_project(curvature(cfg))
     f2 = np.sum(fplus**2, axis=-1)
-    if reject_above is not None and h4 * np.sum(f2 + sterm + quart) > reject_above:
-        return None
     U = link_phases(cfg)
     grad = covariant_diff(cfg, U=U)
     dens = np.sum(np.abs(grad) ** 2, axis=(-2, -1)) + f2 + sterm + quart
     return _Evaluation(cfg, float(h4 * np.sum(dens)), U, grad, fplus, phi2)
+
+
+def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray | None = None):
+    """t -> a lower bound (or NaN) of _evaluate's energy at cfg + t direction,
+    from the line polynomial; fplus, when held, is cfg's F+ from _evaluate."""
+    lat, s = cfg.lattice, cfg.scalar_curvature
+    n, h, h4 = lat.nsites, lat.spacing, lat.spacing**4
+    fplus = selfdual_project(curvature(cfg)) if fplus is None else fplus
+    G = selfdual_project(2.0 * d1(lat, direction.da))
+    x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (cfg.phi, direction.dphi))
+    p, q, r, f, fg, gg = (np.einsum("...i,...i->...", v, w) for v, w in (
+        (x, x), (x, y), (y, y), (fplus, fplus), (fplus, G), (G, G)))
+    c4, c3, c2, c1, c0 = (np.sum(k) for k in (0.125 * r * r, 0.5 * q * r,
+                          gg + 0.25 * r * (s + p) + 0.5 * q * q, 2.0 * fg + 0.5 * q * (s + p),
+                          f + 0.25 * s * p + 0.125 * p * p))
+    norm_f, norm_g, sp, sr = (np.sqrt(np.sum(k)) for k in (f, gg, np.abs(s) * p, np.abs(s) * r))
+    p4, r4 = (np.sum(k * k) ** 0.25 for k in (p, r))
+    alpha, beta = np.max(np.abs(cfg.gauge.a)), np.max(np.abs(direction.da))
+    flux = np.max(np.abs(_flux_background(lat, cfg.gauge.flux)[1]))
+    root, underflow = np.sqrt(6.0 * n), 2.0**-1000 * n * h4 * (1.0 + np.max(np.abs(s)))
+    g20, g24, gk = (j * 2.0**-53 / (1.0 - j * 2.0**-53) for j in (20, 24, 2 * n.bit_length() + 98))
+
+    def floor(t):
+        P = h4 * ((((c4 * t + c3) * t + c2) * t + c1) * t + c0)
+        D = 8.0 * (alpha + t * beta) / h + flux
+        R = norm_f + t * norm_g + root * g20 * D
+        M = R * R + 0.25 * (sp + t * sr) ** 2 + 0.125 * (p4 + t * r4) ** 4
+        m = h4 * (gk * M + 2.0 * root * g24 * D * R) + underflow * np.maximum(1.0, t) ** 4
+        return P - m if np.isfinite(P) and np.isfinite(m) else np.nan
+
+    return floor
 
 
 def energy_weitzenbock(cfg: Configuration) -> float:
@@ -201,33 +249,24 @@ def fd_gradient_check(
     for _ in range(n_directions):
         kind = int(rng.integers(0, 3))
         site = tuple(int(rng.integers(0, n)) for n in lat.dims)
+        idx = site + (int(rng.integers(0, 4 if kind == 0 else 2)),)
         if kind == 0:
-            mu = int(rng.integers(0, 4))
-            pair = h4 * float(grad.da[site + (mu,)])
-
-            def bump(eps, site=site, mu=mu):
-                a2 = cfg.gauge.a.copy()
-                a2[site + (mu,)] += eps
-                return cfg.replace(a=a2)
-
+            field, unit, pair = "a", 1.0, h4 * float(grad.da[idx])
         else:
-            comp = int(rng.integers(0, 2))
-            unit = 1.0 if kind == 1 else 1.0j
-            val = grad.dphi[site + (comp,)]
+            val = grad.dphi[idx]
+            field, unit = "phi", 1.0 if kind == 1 else 1.0j
             pair = 2.0 * h4 * float(val.real if kind == 1 else val.imag)
 
-            def bump(eps, site=site, comp=comp, unit=unit):
-                p2 = cfg.phi.copy()
-                p2[site + (comp,)] += eps * unit
-                return cfg.replace(phi=p2)
+        def energy_at(eps):
+            data = (cfg.gauge.a if field == "a" else cfg.phi).copy()
+            data[idx] += eps * unit
+            return energy_weitzenbock(cfg.replace(**{field: data}))
 
-        fd = (energy_weitzenbock(bump(step)) - energy_weitzenbock(bump(-step))) / (
-            2.0 * step
-        )
+        fd = (energy_at(step) - energy_at(-step)) / (2.0 * step)
         scale = max(abs(fd), abs(pair))
         if scale < 1e-10 * (1.0 + abs(base)):
             continue
-        worst = max(worst, abs(fd - pair) / scale)
+        worst = worst_of(worst, abs(fd - pair) / scale)
     return worst
 
 

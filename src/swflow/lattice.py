@@ -24,6 +24,11 @@ def require_int(value, what: str) -> int:
     return int(value)
 
 
+def worst_of(*values) -> float:
+    """The largest of values, or NaN if any is NaN (max(0.0, nan) drops it)."""
+    return float(np.max(values))
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Periodic hypercubic lattice: dims = (N1, N2, N3, N4), spacing h > 0."""

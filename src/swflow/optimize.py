@@ -9,11 +9,11 @@ norm, sup|phi|, the excess diagnostics of the maximum principle, and the
 gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
 
-Each Armijo trial passes its threshold e0 + c t <g, d> to the staged
-evaluation, which rejects a doomed trial before building the link phases;
-its partial energies are floating-point lower bounds of the energy, so every
-decision and trajectory is bit-identical to full evaluation. The loop keeps
-the last recorded iterate's normal form, so a record gauge-fixes one iterate.
+Each line search sums the step polynomial of the energy without |grad phi|^2
+from the F+ the loop holds and skips, unbuilt, each trial whose polynomial less
+a rounding margin exceeds e0 + c t <g, d>: its computed energy would too, so
+trajectories are bit-identical to full evaluation (derived in functional).
+The loop keeps the last recorded iterate's normal form for the next record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Configuration
-from .functional import Gradient, _evaluate, energy_weitzenbock, excess_report, gradient
+from .functional import Gradient, _evaluate, _line_floor, energy_weitzenbock, excess_report, gradient
 from .gaugefix import _normal_form_distance, full_gauge_fix
 from .lattice import l2_inner, linf_norm, require_int
 
@@ -52,16 +52,15 @@ class MinimizeParams:
     def __post_init__(self):
         for name in ("max_iters", "gaugefix_every", "record_every"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        # real numbers only: a string, or an int beyond the doubles, fails here and not mid-run
+        for name, high in zip(("grad_tol", "armijo_c", "backtrack", "initial_step"), (np.inf, 1, 1, np.inf)):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+            if not (real and 0 < float(value) < high):
+                raise ValueError(f"{name} must be a number in (0, {high})")
+            object.__setattr__(self, name, float(value))
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
         if self.method not in ("descent", "conjugate"):
             raise ValueError(f"method must be descent or conjugate, got {self.method!r}")
         if self.gaugefix_every < 0:
@@ -120,12 +119,14 @@ def line_search(
     params: MinimizeParams,
     g: Gradient | None = None,
     e0: float | None = None,
+    fplus: np.ndarray | None = None,
 ) -> LineStep:
     """Backtrack from initial_step until the Armijo inequality holds.
 
     Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>.
-    g and e0, when the caller already holds them, must be gradient(cfg) and
-    energy_weitzenbock(cfg); they are computed here otherwise.
+    g, e0 and fplus, when the caller already holds them, must be gradient(cfg),
+    energy_weitzenbock(cfg) and the F+ of cfg's evaluation; they are computed
+    here otherwise.
     Raises NonDescentDirectionError if <g, d> >= 0 (zero direction included)
     and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
     """
@@ -135,17 +136,19 @@ def line_search(
     if e0 is None:
         e0 = energy_weitzenbock(cfg)
     t = params.initial_step
-    for _ in range(MAX_BACKTRACKS + 1):
-        thr = e0 + params.armijo_c * t * pair
-        # wild trial steps may overflow the quartic term; the Armijo
-        # comparison is False for nan/inf energies, so the step backtracks and
-        # an accepted trial is finite without being validated
-        with np.errstate(over="ignore", invalid="ignore"):
-            ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi), thr)
-        if ev is not None and ev.energy <= thr:
-            return LineStep(t, ev)
-        del ev  # a rejected trial's pieces must not outlive it into the next one
-        t *= params.backtrack
+    # wild trial steps may overflow the quartic term; the Armijo comparison is
+    # False for nan/inf energies and bounds, so the step backtracks and an
+    # accepted trial is finite without being validated
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = _line_floor(cfg, direction, fplus)
+        for _ in range(MAX_BACKTRACKS + 1):
+            thr = e0 + params.armijo_c * t * pair
+            if not floor(t) > thr:
+                ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
+                if ev.energy <= thr:
+                    return LineStep(t, ev)
+                del ev  # a rejected trial's pieces must not outlive it into the next one
+            t *= params.backtrack
     raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
 
 
@@ -190,7 +193,9 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     """
     cfg = cfg0
     with np.errstate(over="ignore", invalid="ignore"):
-        energy, g = energy_weitzenbock(cfg), gradient(cfg)
+        held = _evaluate(cfg)
+        energy, g, fplus = held.energy, held.gradient(), held.fplus
+        held = None  # as after every step below
         grad_norm = g.norm()
     if not (np.isfinite(energy) and np.isfinite(grad_norm)):
         raise ValueError(f"starting energy {energy!r} or gradient norm {grad_norm!r} is not finite")
@@ -218,7 +223,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             direction = g.scaled(-1.0)
 
         try:
-            held = line_search(cfg, direction, params, g, energy).evaluation
+            held = line_search(cfg, direction, params, g, energy, fplus).evaluation
         except LineSearchFailure:
             reason = "line_search_failure"
             break
@@ -226,14 +231,14 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         it += 1
 
         if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
-            held = None  # else the pre-refix iterate and its pieces outlive the refix
+            held = fplus = None  # else the pre-refix iterate and its pieces outlive the refix
             held = _refix_gauge(cfg, energy)
             cfg, energy = held.cfg, held.energy
             direction = None  # conjugate memory is stale off the old slice
 
         prev_g = g if direction is not None else None  # stale off the old slice too
-        g = held.gradient()
-        held = None  # held pieces must not outlive this iterate into the next search
+        g, fplus = held.gradient(), held.fplus
+        held = None  # held pieces but F+ must not outlive this iterate into the next search
         grad_norm = g.norm()
         if it % params.record_every == 0:
             record, prev_fixed = _record(it, cfg, energy, grad_norm, prev_fixed)

@@ -100,6 +100,11 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
         dict(minimize={"max_iters": 3, "gaugefix_every": 2.5}),
         # NaN and Infinity are not JSON numbers, and outputs could not echo them
         dict(minimize={"max_iters": 3, "grad_tol": float("inf")}),
+        # an integral float beyond int64 is not a flux integer (it used to wrap)
+        dict(flux=[[0, 1e300, 0, 0], [-1e300, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        # a step no double holds used to fail mid-run as a solver failure
+        dict(minimize={"max_iters": 3, "initial_step": 10**400}),
+        dict(minimize={"max_iters": 3, "grad_tol": "1e-4"}),
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):
@@ -247,6 +252,18 @@ def test_check_fails_on_corrupted_clifford_table(monkeypatch, capsys):
     assert main(["check", "--level", "fast"]) == 1
     out = capsys.readouterr().out
     assert "FAIL clifford_relation_defect" in out
+
+
+def test_check_fails_on_a_nan_clifford_entry(monkeypatch, capsys):
+    sigma = standard_table().sigma.copy()
+    sigma[2, 0, 0] = np.nan
+    monkeypatch.setattr(swflow.checks, "standard_table", lambda: CliffordTable(sigma))
+    assert main(["check", "--level", "fast"]) == 1
+    assert "FAIL clifford_relation_defect: measured nan" in capsys.readouterr().out.splitlines()[0]
+    assert main(["check", "--level", "fast", "--json"]) == 1
+    first = json.loads(capsys.readouterr().out)[0]
+    assert first == {"name": "clifford_relation_defect", "measured": None,
+                     "tolerance": swflow.checks.IDENTITY_TOL, "op": "<=", "passed": False}
 
 
 def fixture_configuration():

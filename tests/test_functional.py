@@ -330,26 +330,29 @@ def test_gradient_is_bit_identical_to_separate_operator_traversals():
     assert energy_weitzenbock(cfg) == float(lat.spacing**4 * np.sum(dens))
 
 
-def test_staged_evaluation_builds_only_what_a_rejection_needs(monkeypatch):
+def test_line_floor_decides_without_building_the_trial(monkeypatch):
     lat = Lattice((3, 4, 2, 5), 0.7)
     cfg = random_cfg(lat, seed=31, flux=flux_matrix(p01=1, p13=2, p23=-1))
-    full = functional._evaluate(cfg)
+    base = functional._evaluate(cfg)
+    direction = base.gradient().scaled(-1.0)
+    floor = functional._line_floor(cfg, direction, base.fplus)
+    steps = [2.0**-k for k in range(-6, 12)]
+    trials = [functional._evaluate(cfg._trial(cfg.gauge.a + t * direction.da,
+                                              cfg.phi + t * direction.dphi)) for t in steps]
     h4 = lat.spacing**4
-    sterm, quart = 0.25 * cfg.scalar_curvature * full.phi2, 0.125 * full.phi2**2
-    potential = h4 * np.sum(sterm + quart)
-    with_curvature = h4 * np.sum(np.sum(full.fplus**2, axis=-1) + sterm + quart)
-    assert potential < with_curvature < full.energy
+    for t, full in zip(steps, trials):
+        partial = h4 * np.sum(np.sum(full.fplus**2, axis=-1) + 0.25 * cfg.scalar_curvature * full.phi2
+                              + 0.125 * full.phi2**2)
+        assert floor(t) < partial < full.energy
 
     def unexpected(*args, **kwargs):
-        raise AssertionError("built a piece the rejection does not need")
+        raise AssertionError("built a piece of the trial")
 
-    monkeypatch.setattr(functional, "link_phases", unexpected)
-    assert functional._evaluate(cfg, np.nextafter(with_curvature, -np.inf)) is None
-    monkeypatch.setattr(functional, "curvature", unexpected)
-    assert functional._evaluate(cfg, np.nextafter(potential, -np.inf)) is None
-    monkeypatch.undo()
-    for threshold in (with_curvature, np.nextafter(full.energy, -np.inf), full.energy):
-        staged = functional._evaluate(cfg, threshold)
-        assert staged.energy == full.energy
-        for name in ("U", "grad", "fplus", "phi2"):
-            assert np.array_equal(getattr(staged, name), getattr(full, name))
+    for name in ("link_phases", "covariant_diff", "curvature", "d1", "selfdual_project"):
+        monkeypatch.setattr(functional, name, unexpected)
+    for t, full in zip(steps, trials):
+        # skipped below the bound, which the energy exceeds; never skipped at the energy
+        assert full.energy > np.nextafter(floor(t), -np.inf)
+        assert not floor(t) > full.energy
+    # the long steps of a line search are decided doomed without building them
+    assert floor(steps[0]) > base.energy and floor(steps[1]) > base.energy

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import swflow.checks
 import swflow.fields
 import swflow.functional
 import swflow.optimize
@@ -78,6 +79,9 @@ def negative_curvature_run():
         dict(gaugefix_every=2.5),
         dict(record_every=1.5),
         dict(record_every="2"),
+        dict(grad_tol="1e-4"),
+        dict(initial_step=True),
+        dict(backtrack=float("nan")),
     ],
 )
 def test_params_validation(bad):
@@ -172,28 +176,49 @@ def test_line_search_does_not_revalidate_the_flux(monkeypatch):
     assert calls == []
 
 
-def test_staged_rejection_leaves_the_trajectory_unchanged(monkeypatch):
+def _never_skipping(monkeypatch):
+    monkeypatch.setattr(swflow.optimize, "_line_floor", lambda cfg, direction, fplus=None: lambda t: np.nan)
+
+
+def _assert_same_run(run, other):
+    assert run.records == other.records
+    assert run.reason == other.reason
+    assert np.array_equal(run.final.gauge.a, other.final.gauge.a)
+    assert np.array_equal(run.final.phi, other.final.phi)
+
+
+def test_skipped_trials_leave_the_trajectory_unchanged(monkeypatch):
     base = mixed_flux_cfg()
     bump = parse_scalar_curvature("bump:-4,2", base.lattice)
     cfg = Configuration(base.lattice, base.gauge, base.phi, bump, base.seed)
     params = MinimizeParams(max_iters=60, grad_tol=1e-12, gaugefix_every=7, record_every=3)
     full = swflow.functional._evaluate
-    rejected = []
+    evaluated = []
 
-    def counting(trial, reject_above=None):
-        ev = full(trial, reject_above)
-        rejected.append(ev is None)
-        return ev
+    def counting(trial):
+        evaluated.append(trial)
+        return full(trial)
 
     monkeypatch.setattr(swflow.optimize, "_evaluate", counting)
-    staged = minimize(cfg, params)
-    assert any(rejected)  # the staged path did reject trials early
-    monkeypatch.setattr(swflow.optimize, "_evaluate", lambda trial, reject_above=None: full(trial))
-    unstaged = minimize(cfg, params)
-    assert staged.records == unstaged.records
-    assert staged.reason == unstaged.reason
-    assert np.array_equal(staged.final.gauge.a, unstaged.final.gauge.a)
-    assert np.array_equal(staged.final.phi, unstaged.final.phi)
+    skipping = minimize(cfg, params)
+    skipping_evaluations = len(evaluated)
+    _never_skipping(monkeypatch)
+    evaluated.clear()
+    unskipped = minimize(cfg, params)
+    assert skipping_evaluations < len(evaluated)  # the floor did skip trials
+    _assert_same_run(skipping, unskipped)
+
+
+def test_minimize_with_a_never_skipping_floor_is_identical(monkeypatch):
+    lat = Lattice((2, 3, 2, 5), 1.1)
+    flux = np.zeros((4, 4), dtype=int)
+    flux[0, 2], flux[2, 0] = 2, -2
+    cfg = with_constant_s(random_configuration(lat, 41, (0.8, 2.0), flux=flux), -2.0)
+    params = MinimizeParams(max_iters=80, grad_tol=1e-12, initial_step=16.0, method="conjugate",
+                            gaugefix_every=5, record_every=2)
+    skipping = minimize(cfg, params)
+    _never_skipping(monkeypatch)
+    _assert_same_run(skipping, minimize(cfg, params))
 
 
 def test_recorded_steps_are_gauge_distances_with_one_fix_per_record(monkeypatch):
@@ -350,3 +375,16 @@ def test_ps_diagnostics_on_converged_run(negative_curvature_run):
     assert diag.contraction_ratio >= 10.0
     assert diag.radial_excess_final <= 1e-6
     assert diag.quartile_sums[-1] <= diag.quartile_sums[0]
+
+
+def test_numerical_gates_hold_at_n16():
+    lat = Lattice((16, 16, 16, 16), 6.0 / 16)
+    # full_gauge_fix raises unless its Poisson solve passes the residual gate
+    result = swflow.checks.coulomb_residual(lat, 16, 1)
+    assert result.passed, result.line()
+    cfg = swflow.checks.mixed_flux_configuration(lat, 16, scalar_curvature=-np.ones(lat.dims))
+    before = energy_weitzenbock(cfg)
+    # _refix_gauge raises when the fixed energy drifts by more than 1e-10 relative
+    held = swflow.optimize._refix_gauge(cfg, before)
+    assert abs(held.energy - before) <= 1e-10 * abs(before)
+    assert not np.array_equal(held.cfg.gauge.a, cfg.gauge.a)  # the fix did move the field

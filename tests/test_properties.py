@@ -4,8 +4,13 @@ save/load is bit-identical; shift is np.roll's permutation; the cached flux
 background is never handed out for mutation; the invariant registry's
 adjointness, gauge-invariance and flux-quantization measures hold at their
 own tolerances over drawn shapes, spacings, flux sectors and windings; and the
-staged evaluation rejects a trial only when the full energy fails the same
-threshold, and otherwise returns the full evaluation bit for bit."""
+line search's polynomial floor skips a trial only when its computed energy
+fails the same threshold; and `swflow run` exits 0, or 2 with "bad config",
+on fuzzed configs, never with a traceback."""
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -15,10 +20,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from swflow import checks  # noqa: E402
-from swflow.functional import Gradient, _evaluate  # noqa: E402
+from swflow.cli import main  # noqa: E402
+from swflow.functional import Gradient, _evaluate, _line_floor  # noqa: E402
 from swflow.fields import (  # noqa: E402
     Configuration,
     GaugeField,
+    GaugeTransform,
+    apply_gauge,
     background_curvature,
     build_flux_background,
     load_configuration,
@@ -144,11 +152,7 @@ def _scalar_curvature(kind, lat, rng, height):
     return height * np.exp(-np.sum(x**2, axis=0) / 2.0)
 
 
-def _same_float(x, y):
-    return np.array_equal(np.float64(x), np.float64(y), equal_nan=True)
-
-
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     dims=DIMS,
     spacing=st.floats(0.3, 2.0),
@@ -156,24 +160,32 @@ def _same_float(x, y):
     s_kind=st.sampled_from(["constant", "random", "bump"]),
     s_height=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**31 - 1),
-    roughness=st.sampled_from([0.0, 1e-3, 1.0]),
+    amp_a=st.sampled_from([0.0, 1e-3, 0.6]),
+    amp_phi=st.sampled_from([0.0, 1e-3, 0.9]),
+    constant_phi=st.booleans(),
+    pure_gauge=st.booleans(),
     along_gradient=st.booleans(),
     log_t=st.floats(-8.0, 1.0) | st.floats(1.0, 200.0),
     armijo_c=st.floats(1e-6, 0.9),
-    threshold=st.sampled_from(["armijo", "energy", "below", "above", "inf", "-inf", "nan"]),
+    threshold=st.sampled_from(["armijo", "energy", "below", "above", "partial", "partial-",
+                               "partial+", "floor", "floor-", "inf", "-inf", "nan"]),
 )
-def test_staged_evaluation_decides_as_the_full_energy(
-    dims, spacing, flux, s_kind, s_height, seed, roughness, along_gradient, log_t, armijo_c,
-    threshold,
+def test_line_floor_skips_only_trials_the_energy_rejects(
+    dims, spacing, flux, s_kind, s_height, seed, amp_a, amp_phi, constant_phi, pure_gauge,
+    along_gradient, log_t, armijo_c, threshold,
 ):
     lat = Lattice(dims, spacing)
     rng = np.random.default_rng(seed)
     s = _scalar_curvature(s_kind, lat, rng, s_height)
-    # a constant spinor plus noise: smooth fields make |grad phi|^2 small or
-    # zero, where the partial energies come closest to the full one
-    rough = random_configuration(lat, seed, (0.6 * roughness, 0.9 * roughness), flux=flux,
-                                 scalar_curvature=s)
-    cfg = rough.replace(phi=rough.phi + rng.standard_normal(2))
+    # noise on a constant (or zero) spinor: smooth or vanishing spinors make
+    # |grad phi|^2 small or zero, where the partial energy comes closest to
+    # the full one
+    rough = random_configuration(lat, seed, (amp_a, amp_phi), flux=flux, scalar_curvature=s)
+    cfg = rough.replace(phi=rough.phi + constant_phi * rng.standard_normal(2))
+    if pure_gauge:
+        # a gauge transform by |chi| ~ 1e6 adds a = d0 chi: F and the energy
+        # stay put while a, and the rounding of a + t da seen through d1, grow
+        cfg = apply_gauge(GaugeTransform(1e6 * rng.standard_normal(dims)), cfg)
     base = _evaluate(cfg)
     g = base.gradient()
     if along_gradient:
@@ -183,21 +195,125 @@ def test_staged_evaluation_decides_as_the_full_energy(
         direction = Gradient(lat, rng.standard_normal(g.da.shape), dphi)
     t = 10.0**log_t  # up to 1e200: the quartic term overflows to inf, and s|phi|^2 may give nan
     with np.errstate(all="ignore"):
-        trial = cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi)
-        full = _evaluate(trial)
+        floor = _line_floor(cfg, direction, base.fplus)(t)
+        full = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
+        # the partial energy the trial's own evaluation sums, without |grad phi|^2
+        partial = lat.spacing**4 * np.sum(np.sum(full.fplus**2, axis=-1)
+                                          + 0.25 * full.cfg.scalar_curvature * full.phi2
+                                          + 0.125 * full.phi2**2)
         thr = {
             "armijo": base.energy + armijo_c * t * descent_pairing(g, direction),
             "energy": full.energy,
             "below": np.nextafter(full.energy, -np.inf),
             "above": np.nextafter(full.energy, np.inf),
+            "partial": partial,
+            "partial-": np.nextafter(partial, -np.inf),
+            "partial+": np.nextafter(partial, np.inf),
+            "floor": floor,
+            "floor-": np.nextafter(floor, -np.inf),
             "inf": np.inf,
             "-inf": -np.inf,
             "nan": np.nan,
         }[threshold]
-        staged = _evaluate(trial, float(thr))
-    if staged is None:
+    if floor > thr:  # line_search skips this trial
         assert not full.energy <= thr
-    else:
-        assert _same_float(staged.energy, full.energy)
-        for name in ("U", "grad", "fplus", "phi2"):
-            assert np.array_equal(getattr(staged, name), getattr(full, name), equal_nan=True), name
+    if np.isfinite(full.energy):
+        assert not floor > full.energy
+
+
+# values of the wrong kind for any config key; none is a string, so a drawn
+# output_dir cannot write outside its temporary directory
+WRONG = (st.none() | st.booleans() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -1])
+         | st.lists(st.integers(-3, 3), max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+WRONG_OR_TEXT = WRONG | st.text(max_size=6)
+
+
+@st.composite
+def bad_flux(draw):
+    flux = draw(flux_matrices()).astype(float)
+    mu, nu = draw(st.sampled_from(PLANES))
+    kind = draw(st.sampled_from(["half", "one-sided", "huge", "nan", "inf", "shape", "ragged"]))
+    if kind == "half":
+        flux[mu, nu], flux[nu, mu] = flux[mu, nu] + 0.5, -flux[mu, nu] - 0.5
+    elif kind == "one-sided":
+        flux[mu, nu] += 1
+    elif kind == "huge":
+        flux[mu, nu], flux[nu, mu] = 1e300, -1e300
+    elif kind in ("nan", "inf"):
+        flux[mu, nu] = float(kind)
+    rows = flux.tolist()
+    if kind == "ragged":
+        rows[mu] = rows[mu][:2]
+    return rows[:3] if kind == "shape" else rows
+
+
+VALID_RUN = st.fixed_dictionaries(
+    {
+        "dims": st.lists(st.integers(2, 3), min_size=4, max_size=4),
+        "spacing": st.floats(0.5, 2.0),
+        "minimize": st.fixed_dictionaries({"max_iters": st.integers(0, 3)}, optional={
+            "grad_tol": st.floats(1e-8, 1.0),
+            "armijo_c": st.floats(1e-6, 0.5),
+            "backtrack": st.floats(0.1, 0.9),
+            "initial_step": st.floats(1e-3, 1e3),
+            "method": st.sampled_from(["descent", "conjugate"]),
+            "gaugefix_every": st.integers(0, 3),
+            "record_every": st.integers(1, 3),
+        }),
+    },
+    optional={
+        "seed": st.integers(0, 2**64),
+        "amplitudes": st.fixed_dictionaries({"a": st.floats(0.0, 1.0), "phi": st.floats(0.0, 2.0)}),
+        "flux": st.none() | flux_matrices().map(np.ndarray.tolist),
+        "scalar_curvature": st.floats(-3.0, 3.0) | st.builds("constant:{}".format, st.floats(-3.0, 3.0))
+        | st.builds("bump:{},{}".format, st.floats(-3.0, 3.0), st.floats(0.5, 2.0) | st.just("inf")),
+    },
+)
+# malformed values per config key ("minimize.<field>" for MinimizeParams fields)
+BAD_VALUES = {
+    "dims": WRONG_OR_TEXT | st.lists(st.sampled_from([1, -1, 2.5, "3", 3]), min_size=4, max_size=4)
+    | st.lists(st.integers(2, 3), max_size=6).filter(lambda dims: len(dims) != 4),
+    "spacing": WRONG_OR_TEXT | st.just(0),
+    "seed": WRONG_OR_TEXT | st.just(1.5),
+    "amplitudes": WRONG_OR_TEXT | st.fixed_dictionaries(
+        {}, optional={"a": WRONG_OR_TEXT | st.just(-0.1), "phi": WRONG_OR_TEXT}),
+    "flux": bad_flux() | WRONG_OR_TEXT,
+    "scalar_curvature": WRONG_OR_TEXT | st.sampled_from([
+        "bump:", "bump:1", "bump:1,2,3", "bump:,", "blob:1", "bump:nan,1", "bump:inf,1", "bump:1,0",
+        "bump:1,-1", "bump:1,nan", "bump:1,1e-200", "bump:x,1", "constant:x", "constant:nan",
+        "constant:inf", "constant:"]),
+    "minimize": WRONG_OR_TEXT | st.just({"max_iters": 1, "step": 1.0}),
+    "output_dir": WRONG,
+    **{f"minimize.{name}": WRONG_OR_TEXT | st.just(bad) for name, bad in [
+        ("max_iters", 2.5), ("grad_tol", 0.0), ("armijo_c", 1.5), ("backtrack", 0.0),
+        ("initial_step", -1.0), ("method", "newton"), ("gaugefix_every", -1), ("record_every", 0)]},
+}
+
+
+@st.composite
+def run_configs(draw):
+    """`swflow run` configs on 2^4 to 3^4 with at most 3 iterations and up to
+    two malformed keys, or a document that is not an object."""
+    config = draw(VALID_RUN)
+    for key in draw(st.sets(st.sampled_from(sorted(BAD_VALUES)), max_size=2)):
+        if key.startswith("minimize.") and isinstance(config["minimize"], dict):
+            config["minimize"][key[len("minimize."):]] = draw(BAD_VALUES[key])
+        elif not key.startswith("minimize."):
+            config[key] = draw(BAD_VALUES[key])
+    return draw(st.just(config) | st.sampled_from([[], "config", 3, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=run_configs())
+def test_run_config_fuzz_exits_cleanly(tmp_path_factory, config):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    if isinstance(config, dict):
+        config.setdefault("output_dir", str(workdir / "out"))
+    path = workdir / "run.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert "bad config" in err.getvalue()
