@@ -26,18 +26,18 @@ trial whose bound exceeds the Armijo threshold without building it. m is an
 a priori rounding bound (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 3-4). Let u = 2^-53, gamma_k = ku/(1 - ku), K = bit length
 of n + 17 (the most roundings a term meets in numpy's pairwise sum over n
-sites), D = 8 (max|a| + t max|da|)/h + max|background F|, R = |F+_0| + t|G|
-+ sqrt(6n) gamma_20 D and M = R^2 + (sqrt(sum|s|p) + t sqrt(sum|s|r))^2/4 +
-((sum p^2)^(1/4) + t (sum r^2)^(1/4))^4/8, by Minkowski a bound of every
-rounded term's absolute value. Then:
+sites), D = 8 (max|a| + t max|da|)/h + max|background F|, R = ||F+_0|| +
+t ||G|| + sqrt(6n) gamma_20 D (an L^2 bound of both curvatures below) and
+M = R^2 + (sqrt(sum|s|p) + t sqrt(sum|s|r))^2/4 + ((sum p^2)^(1/4) +
+t (sum r^2)^(1/4))^4/8, by Minkowski a bound of every rounded term. Then:
 - grad2 >= 0 is added first and rounding is monotone, so the computed energy
   is at least its partial sum, within gamma_(K+16) M of that sum taken
   exactly over the trial's computed F+ and phi;
-- the trial point is off the line by gamma_2 (|a| + t|da|): via |phi|^2 that
-  is gamma_11 M; via 2 d1 it scales with a/h, not with F, and with the
-  rounding of F+_0, G and the trial's F+ puts each component of the latter
-  within gamma_20 D of F+_0 + t G, which costs sum |F+|^2 at most
-  2 sqrt(6n) gamma_20 D R (Cauchy-Schwarz, R bounding both L^2 norms);
+- each trial field x + t dx is off the line by gamma_2 (|x| + t|dx|): for phi,
+  through |phi|^2, that is gamma_11 M; for a, through 2 d1, it scales with
+  a/h, not with F, and with the rounding of F+_0, G and the trial's F+ puts
+  each component of the latter within gamma_20 D of F+_0 + t G, costing
+  sum |F+|^2 at most 2 sqrt(6n) gamma_20 D R (Cauchy-Schwarz over sites);
 - the computed P is within gamma_(K+21) M of P (12 roundings per coefficient
   term, K in the sums, 9 in Horner's rule and the h^4 factor).
 So m = h^4 (gamma_(2K+64) M + 2 sqrt(6n) gamma_24 D R), the spare roundings
