@@ -38,6 +38,14 @@ GAUGE_TOL = 1e-10  # gauge invariance and flux plane sums, accumulated over the 
 GRADIENT_TOL = 1e-5  # analytic gradient against central differences, relative
 COULOMB_TOL = 1e-8  # Coulomb gauge residual
 
+# operator/adjoint pairs measured by adjoint_defect, in a fixed order
+ADJOINT_PAIRS = (
+    "adjoint_d0_codiff1",
+    "adjoint_d1_codiff2",
+    "adjoint_covariant_diff",
+    "adjoint_dirac",
+)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -81,19 +89,21 @@ def quadratic_form_norm_identity(
         phi = rng.standard_normal(sites + (2,)) + 1j * rng.standard_normal(sites + (2,))
         lhs = np.sum(quadratic_form(table, phi) ** 2, axis=-1)
         rhs = np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 8.0
-        worst = worst_of(worst, np.max(np.abs(lhs - rhs) / rhs))
+        worst = worst_of(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
     return CheckResult("quadratic_form_norm_identity", worst, IDENTITY_TOL)
 
 
 def exterior_derivative_squares_to_zero(lat: Lattice, seed: int, draws: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    fields = (rng.standard_normal(lat.shape) for _ in range(draws))
-    worst = worst_of(0.0, *(l2_norm(lat, d1(lat, d0(lat, f))) / l2_norm(lat, f) for f in fields))
+    worst = 0.0
+    for _ in range(draws):
+        f = rng.standard_normal(lat.shape)
+        worst = worst_of(worst, l2_norm(lat, d1(lat, d0(lat, f))) / l2_norm(lat, f))
     return CheckResult("exterior_derivative_squares_to_zero", worst, IDENTITY_TOL)
 
 
 def _adjoint_pairs(lat: Lattice, problem, table) -> dict:
-    """Name -> (operator, adjoint, fiber of u, fiber of v, complex fields), in ADJOINT_PAIRS order."""
+    """Name -> (operator, adjoint, fiber of u, fiber of v, complex fields) for ADJOINT_PAIRS."""
     return {
         "adjoint_d0_codiff1": (partial(d0, lat), partial(codiff1, lat), (), (4,), False),
         "adjoint_d1_codiff2": (partial(d1, lat), partial(codiff2, lat), (4,), (6,), False),
@@ -114,10 +124,6 @@ def _adjoint_pairs(lat: Lattice, problem, table) -> dict:
     }
 
 
-# operator/adjoint pairs measured by adjoint_defect, in a fixed order
-ADJOINT_PAIRS = tuple(_adjoint_pairs(None, None, None))
-
-
 def adjoint_defect(
     name: str, problem, seed: int, draws: int, table: CliffordTable | None = None
 ) -> CheckResult:
@@ -136,9 +142,11 @@ def adjoint_defect(
             u = u + 1j * rng.standard_normal(lat.shape + fiber)
         return u
 
-    pairs = ((draw(fiber_u), draw(fiber_v)) for _ in range(draws))
-    worst = worst_of(0.0, *(abs(l2_inner(lat, op(u), v) - l2_inner(lat, u, adj(v)))
-                            / (l2_norm(lat, u) * l2_norm(lat, v)) for u, v in pairs))
+    worst = 0.0
+    for _ in range(draws):
+        u, v = draw(fiber_u), draw(fiber_v)
+        defect = abs(l2_inner(lat, op(u), v) - l2_inner(lat, u, adj(v)))
+        worst = worst_of(worst, defect / (l2_norm(lat, u) * l2_norm(lat, v)))
     return CheckResult(name, worst, IDENTITY_TOL)
 
 
@@ -157,9 +165,13 @@ def energy_gauge_invariance(
     worst = 0.0
     for k in range(draws):
         phase = rng.standard_normal(cfg.lattice.shape)
-        winding = tuple(int(n) for n in rng.integers(-2, 3, size=4)) if windings is None else windings[k]
+        if windings is None:
+            winding = tuple(int(n) for n in rng.integers(-2, 3, size=4))
+        else:
+            winding = windings[k]
         moved = apply_gauge(GaugeTransform(phase, winding), cfg)
-        worst = worst_of(worst, *(abs(energy(moved) - e0) / abs(e0) for energy, e0 in zip(energies, before)))
+        for energy, e0 in zip(energies, before):
+            worst = worst_of(worst, abs(energy(moved) - e0) / abs(e0))
     return CheckResult("energy_gauge_invariance", worst, GAUGE_TOL)
 
 
@@ -173,27 +185,33 @@ def energy_lower_bound_margin(
 ) -> CheckResult:
     """Largest floor minus energy over random fields (seeds seed, seed+1, ...) and random s."""
     rng = np.random.default_rng(curvature_seed)
-    cfgs = (random_configuration(lat, seed + k, (0.5, 1.2), scalar_curvature=rng.standard_normal(lat.shape))
-            for k in range(draws))
-    margins = (energy_lower_bound(lat, c.scalar_curvature) - energy_weitzenbock(c) for c in cfgs)
-    worst = worst_of(-np.inf, *margins)
+    worst = -np.inf
+    for k in range(draws):
+        s = rng.standard_normal(lat.shape)
+        cfg = random_configuration(lat, seed + k, (0.5, 1.2), scalar_curvature=s)
+        worst = worst_of(worst, energy_lower_bound(lat, cfg.scalar_curvature) - energy_weitzenbock(cfg))
     return CheckResult("energy_lower_bound_margin", worst, 0.0)
 
 
 def coulomb_residual(lat: Lattice, seed: int, draws: int) -> CheckResult:
     """Worst Coulomb residual relative to 1 + |a|_(1,2) over mixed-flux configurations."""
-    cfgs = (mixed_flux_configuration(lat, seed + k) for k in range(draws))
-    worst = worst_of(0.0, *(full_gauge_fix(c)[1].residual / (1.0 + sobolev12_norm(lat, c.gauge.a))
-                            for c in cfgs))
+    worst = 0.0
+    for k in range(draws):
+        cfg = mixed_flux_configuration(lat, seed + k)
+        _, report = full_gauge_fix(cfg)
+        worst = worst_of(worst, report.residual / (1.0 + sobolev12_norm(lat, cfg.gauge.a)))
     return CheckResult("coulomb_residual", worst, COULOMB_TOL)
 
 
 def hodge_sobolev_bound(lat: Lattice, seed: int, draws: int, amplitudes=(0.8, 0.5)) -> CheckResult:
     """Worst |a|_(1,2) / (C |d1 a| + C') over gauge-fixed flux-free configurations."""
     consts = hodge_constants(lat)
-    fixed = (full_gauge_fix(random_configuration(lat, seed + k, amplitudes))[0].gauge.a for k in range(draws))
-    worst = worst_of(0.0, *(sobolev12_norm(lat, a) / (consts.curl_factor * l2_norm(lat, d1(lat, a))
-                                                      + consts.harmonic_radius) for a in fixed))
+    worst = 0.0
+    for k in range(draws):
+        fixed, _ = full_gauge_fix(random_configuration(lat, seed + k, amplitudes))
+        lhs = sobolev12_norm(lat, fixed.gauge.a)
+        rhs = consts.curl_factor * l2_norm(lat, d1(lat, fixed.gauge.a)) + consts.harmonic_radius
+        worst = worst_of(worst, lhs / rhs)
     return CheckResult("hodge_sobolev_bound_" + "x".join(str(n) for n in lat.dims), worst, 1.0)
 
 
@@ -201,8 +219,11 @@ def flux_quantization(cfg: Configuration) -> CheckResult:
     """Worst |h^2 sum of F over a coordinate-plane slice - 2 pi n| over all six planes."""
     F = curvature(cfg)
     h2 = cfg.lattice.spacing**2
-    sums = ((h2 * F[..., p].sum(axis=(mu, nu)), cfg.gauge.flux[mu, nu]) for p, (mu, nu) in enumerate(PLANES))
-    worst = worst_of(0.0, *(np.max(np.abs(plane - 2.0 * np.pi * n)) for plane, n in sums))
+    worst = 0.0
+    for p, (mu, nu) in enumerate(PLANES):
+        plane_sums = h2 * F[..., p].sum(axis=(mu, nu))
+        target = 2.0 * np.pi * cfg.gauge.flux[mu, nu]
+        worst = worst_of(worst, float(np.max(np.abs(plane_sums - target))))
     return CheckResult("flux_quantization", worst, GAUGE_TOL)
 
 
@@ -244,7 +265,9 @@ def run_checks(level: str = "fast", table: CliffordTable | None = None) -> list[
         raise ValueError(f"level must be fast or full, got {level!r}")
     tbl = standard_table() if table is None else table
 
-    cube = partial(Lattice, (3, 3, 3, 3))
+    def cube(spacing):
+        return Lattice((3, 3, 3, 3), spacing)
+
     s = -np.ones((3, 3, 3, 3))
     one_flux = np.zeros((4, 4), dtype=int)
     one_flux[0, 1], one_flux[1, 0] = 1, -1

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -108,12 +107,23 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
     writer.writerows([getattr(rec, col) for col in HISTORY_COLUMNS] for rec in traj.records)
     write_atomic(os.path.join(out_dir, "history.csv"), history.getvalue())
     save_configuration(traj.final, os.path.join(out_dir, "final.json"))
-    last = dataclasses.asdict(traj.records[-1])
-    final = {key: value for key, value in last.items() if key not in ("iter", "gauge_step_distance")}
-    write_json(os.path.join(out_dir, "summary.json"), {
-        "reason": traj.reason, "iterations": last["iter"], "wall_time_seconds": wall_time,
-        "final": final, "config": config,
-    })
+    last = traj.records[-1]
+    summary = {
+        "reason": traj.reason,
+        "iterations": last.iter,
+        "wall_time_seconds": wall_time,
+        "final": {
+            "energy": last.energy,
+            "grad_norm": last.grad_norm,
+            "phi_linf": last.phi_linf,
+            "threshold": last.threshold,
+            "excess_measure": last.excess_measure,
+            "radial_excess": last.radial_excess,
+            "eta_norm": last.eta_norm,
+        },
+        "config": config,
+    }
+    write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
 def cmd_run(args) -> int:

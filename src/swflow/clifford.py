@@ -65,15 +65,19 @@ def standard_table() -> CliffordTable:
 
 def relation_defect(tbl: CliffordTable) -> float:
     """Worst violation of unitarity and both Clifford anticommutators."""
-    sig, eye = tbl.sigma, np.eye(2)
-    dag = sig.conj().transpose(0, 2, 1)
-    defects = [dag[mu] @ sig[mu] - eye for mu in range(4)]
+    sig = tbl.sigma
+    eye = np.eye(2)
+    worst = 0.0
     for mu in range(4):
+        dag = sig[mu].conj().T
+        worst = worst_of(worst, float(np.max(np.abs(dag @ sig[mu] - eye))))
         for nu in range(4):
             want = 2.0 * eye if mu == nu else np.zeros((2, 2))
-            defects += [dag[mu] @ sig[nu] + dag[nu] @ sig[mu] - want,
-                        sig[mu] @ dag[nu] + sig[nu] @ dag[mu] - want]
-    return worst_of(0.0, *(np.max(np.abs(d)) for d in defects))
+            lhs = dag @ sig[nu] + sig[nu].conj().T @ sig[mu]
+            worst = worst_of(worst, float(np.max(np.abs(lhs - want))))
+            lhs = sig[mu] @ sig[nu].conj().T + sig[nu] @ dag
+            worst = worst_of(worst, float(np.max(np.abs(lhs - want))))
+    return worst
 
 
 def _check_spinor(phi: np.ndarray):

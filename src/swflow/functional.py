@@ -249,20 +249,29 @@ def fd_gradient_check(
     for _ in range(n_directions):
         kind = int(rng.integers(0, 3))
         site = tuple(int(rng.integers(0, n)) for n in lat.dims)
-        idx = site + (int(rng.integers(0, 4 if kind == 0 else 2)),)
         if kind == 0:
-            field, unit, pair = "a", 1.0, h4 * float(grad.da[idx])
+            mu = int(rng.integers(0, 4))
+            pair = h4 * float(grad.da[site + (mu,)])
+
+            def bump(eps, site=site, mu=mu):
+                a2 = cfg.gauge.a.copy()
+                a2[site + (mu,)] += eps
+                return cfg.replace(a=a2)
+
         else:
-            val = grad.dphi[idx]
-            field, unit = "phi", 1.0 if kind == 1 else 1.0j
+            comp = int(rng.integers(0, 2))
+            unit = 1.0 if kind == 1 else 1.0j
+            val = grad.dphi[site + (comp,)]
             pair = 2.0 * h4 * float(val.real if kind == 1 else val.imag)
 
-        def energy_at(eps):
-            data = (cfg.gauge.a if field == "a" else cfg.phi).copy()
-            data[idx] += eps * unit
-            return energy_weitzenbock(cfg.replace(**{field: data}))
+            def bump(eps, site=site, comp=comp, unit=unit):
+                p2 = cfg.phi.copy()
+                p2[site + (comp,)] += eps * unit
+                return cfg.replace(phi=p2)
 
-        fd = (energy_at(step) - energy_at(-step)) / (2.0 * step)
+        fd = (energy_weitzenbock(bump(step)) - energy_weitzenbock(bump(-step))) / (
+            2.0 * step
+        )
         scale = max(abs(fd), abs(pair))
         if scale < 1e-10 * (1.0 + abs(base)):
             continue

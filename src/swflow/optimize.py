@@ -10,9 +10,10 @@ gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
 
 Each line search sums the step polynomial of the energy without |grad phi|^2
-from the F+ the loop holds and skips, unbuilt, each trial whose polynomial less
-a rounding margin exceeds e0 + c t <g, d>: its computed energy would too, so
-trajectories are bit-identical to full evaluation (derived in functional).
+from the F+ the loop holds (the first search builds it) and skips, unbuilt,
+each trial whose polynomial less a rounding margin exceeds e0 + c t <g, d>:
+its computed energy would too, so trajectories are bit-identical to full
+evaluation (derived in functional).
 The loop keeps the last recorded iterate's normal form for the next record.
 """
 
@@ -56,9 +57,13 @@ class MinimizeParams:
         for name, high in zip(("grad_tol", "armijo_c", "backtrack", "initial_step"), (np.inf, 1, 1, np.inf)):
             value = getattr(self, name)
             real = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
-            if not (real and 0 < float(value) < high):
+            try:
+                value = float(value) if real else np.nan
+            except OverflowError:
+                value = np.nan
+            if not 0 < value < high:
                 raise ValueError(f"{name} must be a number in (0, {high})")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.method not in ("descent", "conjugate"):
@@ -193,9 +198,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     """
     cfg = cfg0
     with np.errstate(over="ignore", invalid="ignore"):
-        held = _evaluate(cfg)
-        energy, g, fplus = held.energy, held.gradient(), held.fplus
-        held = None  # as after every step below
+        energy, g, fplus = energy_weitzenbock(cfg), gradient(cfg), None
         grad_norm = g.norm()
     if not (np.isfinite(energy) and np.isfinite(grad_norm)):
         raise ValueError(f"starting energy {energy!r} or gradient norm {grad_norm!r} is not finite")

@@ -82,6 +82,7 @@ def negative_curvature_run():
         dict(grad_tol="1e-4"),
         dict(initial_step=True),
         dict(backtrack=float("nan")),
+        dict(initial_step=10**400),
     ],
 )
 def test_params_validation(bad):
