@@ -13,8 +13,8 @@ Each line search sums the step polynomial of the energy without |grad phi|^2
 from the F+ the loop holds (the first search builds it) and skips, unbuilt,
 each trial whose polynomial less a rounding margin exceeds e0 + c t <g, d>:
 its computed energy would too, so trajectories are bit-identical to full
-evaluation (derived in functional).
-The loop keeps the last recorded iterate's normal form for the next record.
+evaluation (derived in functional). The loop keeps the last recorded
+iterate's normal form for the next record.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class MinimizeParams:
     def __post_init__(self):
         for name in ("max_iters", "gaugefix_every", "record_every"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
-        # real numbers only: a string, or an int beyond the doubles, fails here and not mid-run
-        for name, high in zip(("grad_tol", "armijo_c", "backtrack", "initial_step"), (np.inf, 1, 1, np.inf)):
+        # real numbers only: a string, or an int no double holds, fails here and not mid-run
+        bounds = {"grad_tol": np.inf, "armijo_c": 1, "backtrack": 1, "initial_step": np.inf}
+        for name, high in bounds.items():
             value = getattr(self, name)
             real = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
             try:
