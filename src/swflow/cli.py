@@ -64,8 +64,8 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
             height, radius = float(height_s), float(radius_s)
         except ValueError:
             raise ValueError(f"bump profile needs 'bump:<v>,<radius>', got {value!r}")
-        if not radius > 0:
-            raise ValueError("bump radius must be positive")
+        if not (radius > 0 and radius**2 > 0):  # a square that underflows would divide by 0
+            raise ValueError(f"bump radius must be positive with a nonzero square, got {radius_s!r}")
         dist2 = np.zeros(lat.shape)
         for mu, (n, length) in enumerate(zip(lat.dims, lat.lengths)):
             x = np.arange(n) * lat.spacing
@@ -83,7 +83,7 @@ def _reject_constant(name: str):
 
 
 def _build_run(config: dict):
-    lat = Lattice(tuple(config["dims"]), float(config["spacing"]))
+    lat = Lattice(tuple(config["dims"]), config["spacing"])
     amplitudes = config.get("amplitudes", {"a": 0.0, "phi": 0.0})
     cfg = random_configuration(
         lat,

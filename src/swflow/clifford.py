@@ -104,16 +104,16 @@ def clifford_mult_adjoint(tbl: CliffordTable, mu: int, psi: np.ndarray) -> np.nd
 def quadratic_form(tbl: CliffordTable, phi: np.ndarray) -> np.ndarray:
     """Quadratic spinor-to-2-form map sigma(phi).
 
-    Components (i/4) <B_{mu nu} phi, phi> on the ordered planes. Each i B is
-    Hermitian, so the values are real (the float imaginary dust is dropped),
-    and for the standard table the output fiber is self-dual with
+    Components (i/4) <B_{mu nu} phi, phi> on the ordered planes, one product
+    of the per-site outer products conj(phi_a) phi_b with the bivectors. Each
+    i B is Hermitian, so the values are real (the float imaginary dust is
+    dropped), and for the standard table the output fiber is self-dual with
     |sigma(phi)|^2 = |phi|^4 / 8.
     """
     _check_spinor(phi)
-    val = 0.25j * np.einsum(
-        "iab,...b,...a->...i", tbl.bivectors, phi, np.conj(phi)
-    )
-    return np.ascontiguousarray(val.real)
+    outer = (np.conj(phi)[..., :, None] * phi[..., None, :]).reshape(-1, 4)
+    val = outer @ tbl.bivectors.reshape(6, 4).T
+    return -0.25 * val.imag.reshape(phi.shape[:-1] + (6,))
 
 
 def two_form_action(tbl: CliffordTable, omega: np.ndarray, phi: np.ndarray) -> np.ndarray:

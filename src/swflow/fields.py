@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PLANES, Lattice, d0, require_int
+from .lattice import PLANES, Lattice, d0, require_int, require_real
 
 FORMAT_VERSION = 1
 
@@ -237,7 +237,7 @@ def random_configuration(
     nonnegative; (0, 0) gives the zero configuration.
     """
     seed = require_int(seed, "seed")
-    amp_a, amp_phi = (float(v) for v in amplitudes)
+    amp_a, amp_phi = (require_real(v, "amplitude") for v in amplitudes)
     if amp_a < 0 or amp_phi < 0:
         raise ValueError(f"amplitudes must be nonnegative, got {amplitudes}")
     rng = np.random.default_rng(seed)
@@ -334,7 +334,7 @@ def load_configuration(path) -> Configuration:
     try:
         if not isinstance(dims, list):
             raise ValueError(f"dims must be a list, got {dims!r}")
-        lat = Lattice(tuple(dims), float(doc["spacing"]))
+        lat = Lattice(tuple(dims), doc["spacing"])
         seed = None if seed is None else require_int(seed, "seed")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -12,8 +12,8 @@ The gradient is exact for energy_weitzenbock under the real pairing
 verified against central differences by fd_gradient_check.
 
 energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
-the link phases, grad phi and F+ once; the line search hands an accepted
-trial's evaluation to the descent loop, which takes the gradient from it.
+the link phases, grad phi and F+ once; the descent loop takes an accepted
+trial's gradient, and a record's grad phi and |phi|^2, from its evaluation.
 
 Every term but |grad phi|^2 is a polynomial in the fields. Along a search line
 (a + t da, phi + t dphi) the flux background is constant, F+ = F+_0 + t G with
@@ -279,7 +279,7 @@ def fd_gradient_check(
     return worst
 
 
-def excess_report(cfg: Configuration) -> ExcessReport:
+def excess_report(cfg: Configuration, grad=None, phi2=None) -> ExcessReport:
     """Threshold diagnostics for the truncation argument.
 
     threshold = max(-min s, 0); Omega is the region |phi| > threshold
@@ -287,11 +287,13 @@ def excess_report(cfg: Configuration) -> ExcessReport:
     radial_excess integrates the squared radial derivative
     (Re <grad_mu phi, nu>)^2 over Omega with nu = phi/|phi|; eta is the
     radial excess section (|phi| - threshold) nu on Omega, measured in the
-    plain-difference L^{1,2} norm.
+    plain-difference L^{1,2} norm. grad and phi2, when held, must be
+    covariant_diff(cfg) and _evaluate(cfg).phi2, which give bit-equal
+    reports: the descent loop passes those of the evaluation it holds.
     """
     lat = cfg.lattice
     tau = max(0.0, -float(np.min(cfg.scalar_curvature)))
-    absphi = fiber_norm(cfg.phi)
+    absphi = fiber_norm(cfg.phi) if phi2 is None else np.sqrt(phi2)
     omega = (absphi > tau) & (absphi > 1e-12 * tau)
     h4 = lat.spacing**4
     measure = h4 * float(np.count_nonzero(omega))
@@ -299,7 +301,7 @@ def excess_report(cfg: Configuration) -> ExcessReport:
         return ExcessReport(tau, 0.0, 0.0, 0.0)
     safe = np.where(omega, absphi, 1.0)
     nu = np.where(omega[..., None], cfg.phi / safe[..., None], 0.0)
-    grad = covariant_diff(cfg)
+    grad = covariant_diff(cfg) if grad is None else grad
     radial = np.einsum("...mc,...c->...m", grad, np.conj(nu)).real
     radial_excess = h4 * float(np.sum(np.where(omega[..., None], radial, 0.0) ** 2))
     eta = np.where(omega, absphi - tau, 0.0)[..., None] * nu

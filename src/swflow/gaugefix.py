@@ -76,6 +76,12 @@ def _round_ties_toward_zero(x: float) -> int:
     return int(math.copysign(math.ceil(abs(x) - 0.5), x))
 
 
+def _winding(lat, harmonic) -> tuple[int, int, int, int]:
+    """The integer parts k_mu of the harmonic means h_mu = (2 pi / L_mu)(k_mu + r_mu)."""
+    return tuple(_round_ties_toward_zero(h * length / (2.0 * np.pi))
+                 for h, length in zip(harmonic, lat.lengths))
+
+
 def component_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
     """Shift the constant part of a_mu into [-pi/L_mu, pi/L_mu) by winding.
 
@@ -85,11 +91,7 @@ def component_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
     constant to a, so the Coulomb residual is preserved.
     """
     lat = cfg.lattice
-    a = cfg.gauge.a
-    k = tuple(
-        _round_ties_toward_zero(float(a[..., mu].mean()) * lat.lengths[mu] / (2.0 * np.pi))
-        for mu in range(4)
-    )
+    k = _winding(lat, (float(cfg.gauge.a[..., mu].mean()) for mu in range(4)))
     undo = GaugeTransform(np.zeros(lat.shape), tuple(-ki for ki in k))
     fixed = apply_gauge(undo, cfg)
     return fixed, _report(fixed, np.zeros(lat.shape), k)
@@ -101,8 +103,12 @@ def full_gauge_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
     The result satisfies codiff1(a) ~ 0 (to solver accuracy) with the
     harmonic part in the fundamental domain, and obeys the Sobolev bound
     ||a||_{1,2} <= C ||d1 a|| + C' with constants from hodge_constants.
+    Skips the component fix when the winding it would remove is (0, 0, 0, 0),
+    where it is the identity up to the sign of exact zeros.
     """
     fixed, coulomb = coulomb_fix(cfg)
+    if not any(_winding(cfg.lattice, coulomb.harmonic)):
+        return fixed, coulomb
     fixed, component = component_fix(fixed)
     return fixed, replace(component, zeta=coulomb.zeta)
 

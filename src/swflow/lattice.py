@@ -24,6 +24,16 @@ def require_int(value, what: str) -> int:
     return int(value)
 
 
+def require_real(value, what: str) -> float:
+    """value as a float; reals pass, bools, strings and ints no double holds do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a real number a double holds") from None
+
+
 def worst_of(*values) -> float:
     """The largest of values, or NaN if any is NaN (max(0.0, nan) drops it)."""
     return float(np.max(values))
@@ -40,7 +50,7 @@ class Lattice:
         dims = tuple(require_int(n, "dims entry") for n in self.dims)
         if len(dims) != 4 or any(n < 2 for n in dims):
             raise ValueError(f"dims must be four integers >= 2, got {self.dims}")
-        if not 0 < self.spacing < np.inf:
+        if not 0 < require_real(self.spacing, "spacing") < np.inf:
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", float(self.spacing))

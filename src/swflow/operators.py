@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import (
-    CliffordTable,
-    clifford_mult,
-    clifford_mult_adjoint,
-    standard_table,
-)
+from .clifford import CliffordTable, standard_table
 from .fields import Configuration, _flux_background
 from .lattice import PLANES, d1, selfdual_project, shift
 
@@ -75,13 +70,11 @@ def dirac(
     phi: np.ndarray | None = None,
     table: CliffordTable | None = None,
 ) -> np.ndarray:
-    """Dirac operator D phi = sum_mu sigma_mu (grad_mu phi), lands in W^-."""
+    """Dirac operator D phi = sum_mu sigma_mu (grad_mu phi), lands in W^-;
+    one product over (mu, b): (D phi)_a = sum sigma_mu[a, b] (grad_mu phi)_b."""
     tbl = standard_table() if table is None else table
-    grad = covariant_diff(cfg, phi)
-    out = np.zeros(cfg.lattice.dims + (2,), dtype=complex)
-    for mu in range(4):
-        out += clifford_mult(tbl, mu, grad[..., mu, :])
-    return out
+    grad = covariant_diff(cfg, phi).reshape(-1, 8)
+    return (grad @ tbl.sigma.transpose(0, 2, 1).reshape(8, 2)).reshape(cfg.lattice.dims + (2,))
 
 
 def dirac_adjoint(
@@ -89,15 +82,14 @@ def dirac_adjoint(
     psi: np.ndarray,
     table: CliffordTable | None = None,
 ) -> np.ndarray:
-    """Exact adjoint of dirac: D* psi = grad* (sigma_mu^dag psi per direction)."""
+    """Exact adjoint of dirac: D* psi = grad* (sigma_mu^dag psi per direction),
+    the directions in one product: (sigma_mu^dag psi)_a = sum_b conj(sigma_mu[b, a]) psi_b."""
     tbl = standard_table() if table is None else table
     lat = cfg.lattice
     if psi.shape != lat.dims + (2,):
         raise ValueError(f"expected shape {lat.dims + (2,)}, got {psi.shape}")
-    G = np.empty(lat.dims + (4, 2), dtype=complex)
-    for mu in range(4):
-        G[..., mu, :] = clifford_mult_adjoint(tbl, mu, psi)
-    return covariant_diff_adjoint(cfg, G)
+    G = psi.reshape(-1, 2) @ np.conj(tbl.sigma).transpose(1, 0, 2).reshape(2, 8)
+    return covariant_diff_adjoint(cfg, G.reshape(lat.dims + (4, 2)))
 
 
 def curvature(cfg: Configuration) -> np.ndarray:

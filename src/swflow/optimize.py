@@ -10,11 +10,13 @@ gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
 
 Each line search sums the step polynomial of the energy without |grad phi|^2
-from the F+ the loop holds (the first search builds it) and skips, unbuilt,
-each trial whose polynomial less a rounding margin exceeds e0 + c t <g, d>:
-its computed energy would too, so trajectories are bit-identical to full
-evaluation (derived in functional). The loop keeps the last recorded
-iterate's normal form for the next record.
+from the F+ of the evaluation the loop holds (the start's included), which it
+then drops, and skips, unbuilt, each trial whose polynomial less a rounding
+margin exceeds e0 + c t <g, d>: its computed energy would too, so trajectories
+are bit-identical to full evaluation (derived in functional). Each record reads
+grad phi and |phi|^2 from that evaluation instead of rebuilding them (only the
+record after a line-search failure rebuilds), and the loop keeps the last
+recorded iterate's normal form for the next record.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .fields import Configuration
 from .functional import Gradient, _evaluate, _line_floor, energy_weitzenbock, excess_report, gradient
 from .gaugefix import _normal_form_distance, full_gauge_fix
-from .lattice import l2_inner, linf_norm, require_int
+from .lattice import l2_inner, linf_norm, require_int, require_real
 
 MAX_BACKTRACKS = 60
 
@@ -56,12 +58,7 @@ class MinimizeParams:
         # real numbers only: a string, or an int no double holds, fails here and not mid-run
         bounds = {"grad_tol": np.inf, "armijo_c": 1, "backtrack": 1, "initial_step": np.inf}
         for name, high in bounds.items():
-            value = getattr(self, name)
-            real = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
-            try:
-                value = float(value) if real else np.nan
-            except OverflowError:
-                value = np.nan
+            value = require_real(getattr(self, name), name)
             if not 0 < value < high:
                 raise ValueError(f"{name} must be a number in (0, {high})")
             object.__setattr__(self, name, value)
@@ -125,14 +122,14 @@ def line_search(
     params: MinimizeParams,
     g: Gradient | None = None,
     e0: float | None = None,
-    fplus: np.ndarray | None = None,
+    floor=None,
 ) -> LineStep:
     """Backtrack from initial_step until the Armijo inequality holds.
 
     Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>.
-    g, e0 and fplus, when the caller already holds them, must be gradient(cfg),
-    energy_weitzenbock(cfg) and the F+ of cfg's evaluation; they are computed
-    here otherwise.
+    g, e0 and floor, when the caller already holds them, must be gradient(cfg),
+    energy_weitzenbock(cfg) and _line_floor(cfg, direction, F+ of cfg's
+    evaluation); they are computed here otherwise.
     Raises NonDescentDirectionError if <g, d> >= 0 (zero direction included)
     and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
     """
@@ -146,7 +143,7 @@ def line_search(
     # False for nan/inf energies and bounds, so the step backtracks and an
     # accepted trial is finite without being validated
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = _line_floor(cfg, direction, fplus)
+        floor = _line_floor(cfg, direction) if floor is None else floor
         for _ in range(MAX_BACKTRACKS + 1):
             thr = e0 + params.armijo_c * t * pair
             if not floor(t) > thr:
@@ -158,25 +155,16 @@ def line_search(
     raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
 
 
-def _record(
-    it: int, cfg: Configuration, energy: float, grad_norm: float, prev_fixed: Configuration | None
-) -> tuple[TrajectoryRecord, Configuration]:
-    """The record of iterate it and cfg's normal form; prev_fixed is the normal
-    form of the previous recorded iterate, so each record fixes one iterate."""
-    rep = excess_report(cfg)
+def _record(it: int, cfg: Configuration, energy: float, grad_norm: float, rep,
+            prev_fixed: Configuration | None) -> tuple[TrajectoryRecord, Configuration]:
+    """The record of iterate it, whose ExcessReport is rep, and cfg's normal form;
+    prev_fixed is the normal form of the previous recorded iterate, so each
+    record fixes one iterate."""
     fixed, _ = full_gauge_fix(cfg)
     dist = 0.0 if prev_fixed is None else _normal_form_distance(prev_fixed, fixed)
-    return TrajectoryRecord(
-        iter=it,
-        energy=energy,
-        grad_norm=grad_norm,
-        phi_linf=linf_norm(cfg.lattice, cfg.phi),
-        threshold=rep.threshold,
-        excess_measure=rep.excess_measure,
-        radial_excess=rep.radial_excess,
-        eta_norm=rep.eta_norm,
-        gauge_step_distance=dist,
-    ), fixed
+    # rep carries the threshold, excess_measure, radial_excess and eta_norm fields
+    return TrajectoryRecord(iter=it, energy=energy, grad_norm=grad_norm, **vars(rep),
+                            phi_linf=linf_norm(cfg.lattice, cfg.phi), gauge_step_distance=dist), fixed
 
 
 def _refix_gauge(cfg: Configuration, before: float):
@@ -197,21 +185,29 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     inside the normal-form slice without touching the energy. Deterministic.
     Iterate 0 and the final iterate are always recorded.
     """
-    cfg = cfg0
+    cfg, records, prev_fixed, it = cfg0, [], None, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        energy, g, fplus = energy_weitzenbock(cfg), gradient(cfg), None
-        grad_norm = g.norm()
+        g = gradient(cfg)
+        held = _evaluate(cfg)  # its pieces feed record 0 and the first line search
+        energy, grad_norm = held.energy, g.norm()
     if not (np.isfinite(energy) and np.isfinite(grad_norm)):
         raise ValueError(f"starting energy {energy!r} or gradient norm {grad_norm!r} is not finite")
-    record, prev_fixed = _record(0, cfg, energy, grad_norm, None)
-    records = [record]
-    last_recorded_iter = 0
-    reason = "converged" if grad_norm <= params.grad_tol else "max_iters"
-    it = 0
     direction: Gradient | None = None
     prev_g: Gradient | None = None
 
-    while grad_norm > params.grad_tol and it < params.max_iters:
+    while True:
+        fplus, done = held.fplus, grad_norm <= params.grad_tol or it >= params.max_iters
+        if done or it % params.record_every == 0:
+            grad, phi2, held = held.grad, held.phi2, None  # U must not outlive into the record
+            rep = excess_report(cfg, grad, phi2)
+            grad = phi2 = None  # nor grad phi into the record's gauge fix
+            record, prev_fixed = _record(it, cfg, energy, grad_norm, rep, prev_fixed)
+            records.append(record)
+        held = None  # held pieces but F+ must not outlive this iterate into the next search
+        if done:
+            reason = "converged" if grad_norm <= params.grad_tol else "max_iters"
+            break
+
         if params.method == "conjugate" and direction is not None:
             denom = prev_g.norm() ** 2
             beta = max(0.0, descent_pairing(g, Gradient(
@@ -226,34 +222,28 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         else:
             direction = g.scaled(-1.0)
 
+        with np.errstate(over="ignore", invalid="ignore"):
+            floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials
         try:
-            held = line_search(cfg, direction, params, g, energy, fplus).evaluation
+            held = line_search(cfg, direction, params, g, energy, floor).evaluation
         except LineSearchFailure:
             reason = "line_search_failure"
+            if it % params.record_every:  # the final iterate's evaluation is gone: rebuild
+                records.append(_record(it, cfg, energy, grad_norm, excess_report(cfg), prev_fixed)[0])
             break
         cfg, energy = held.cfg, held.energy
         it += 1
 
         if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
-            held = fplus = None  # else the pre-refix iterate and its pieces outlive the refix
+            held = None  # else the pre-refix iterate and its pieces outlive the refix
             held = _refix_gauge(cfg, energy)
             cfg, energy = held.cfg, held.energy
             direction = None  # conjugate memory is stale off the old slice
 
         prev_g = g if direction is not None else None  # stale off the old slice too
-        g, fplus = held.gradient(), held.fplus
-        held = None  # held pieces but F+ must not outlive this iterate into the next search
+        g = held.gradient()
         grad_norm = g.norm()
-        if it % params.record_every == 0:
-            record, prev_fixed = _record(it, cfg, energy, grad_norm, prev_fixed)
-            records.append(record)
-            last_recorded_iter = it
-        if grad_norm <= params.grad_tol:
-            reason = "converged"
-            break
 
-    if last_recorded_iter != it:
-        records.append(_record(it, cfg, energy, grad_norm, prev_fixed)[0])
     return Trajectory(tuple(records), cfg, reason)
 
 

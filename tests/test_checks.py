@@ -38,3 +38,9 @@ def test_registry_fails_on_broken_operators(monkeypatch):
     broken = [checks.adjoint_defect("adjoint_d0_codiff1", lat, 1, 3), checks.flux_quantization(cfg)]
     for result in broken:
         assert not result.passed, result.line()
+
+
+def test_hodge_sobolev_bound_holds_at_12():
+    # out of `swflow check --level full`, whose run time the benchmark measures
+    result = checks.hodge_sobolev_bound(Lattice((12, 12, 12, 12), 0.5), 400, 10)
+    assert result.passed, result.line()

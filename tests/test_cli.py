@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,14 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
         # a step no double holds used to fail mid-run as a solver failure
         dict(minimize={"max_iters": 3, "initial_step": 10**400}),
         dict(minimize={"max_iters": 3, "grad_tol": "1e-4"}),
+        # nor are numeric strings or bools a spacing or an amplitude
+        dict(spacing="1.5"),
+        dict(spacing=True),
+        dict(amplitudes="1.5"),
+        dict(amplitudes={"a": "0.3", "phi": "1"}),
+        dict(amplitudes={"a": 0.3, "phi": "1"}),
+        dict(amplitudes={"a": False, "phi": 1.0}),
+        dict(scalar_curvature="bump:1,1e-200"),
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):
@@ -208,6 +217,22 @@ def test_parse_scalar_curvature_forms():
     for bad in ("bump:3.0", "bump:1,0", "profile:x", True):
         with pytest.raises(ValueError):
             parse_scalar_curvature(bad, lat)
+
+
+def test_bump_radius_whose_square_underflows_is_a_bad_radius(tmp_path, capsys):
+    lat = Lattice((2, 2, 2, 2), 1.0)  # a site sits at the box centre
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning, no NaN
+        with pytest.raises(ValueError, match="bump radius .*1e-200"):
+            parse_scalar_curvature("bump:1,1e-200", lat)
+        cfg_path = tmp_path / "exp.json"
+        write_config(cfg_path, dims=[2, 2, 2, 2], scalar_curvature="bump:1,1e-200")
+        assert main(["run", str(cfg_path)]) == 2
+        # the smallest radii still accepted keep their profile: v at the centre, 0 elsewhere
+        tiny = parse_scalar_curvature("bump:1,1e-150", lat)
+    err = capsys.readouterr().err
+    assert "bad config" in err and "1e-200" in err
+    assert tiny[1, 1, 1, 1] == 1.0 and np.count_nonzero(tiny) == 1
 
 
 def test_check_fast_passes_and_prints_one_line_per_check(capsys):

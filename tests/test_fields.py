@@ -337,9 +337,11 @@ def test_load_rejects_bad_documents(tmp_path):
     with pytest.raises(ValueError, match="missing"):
         load_configuration(bad)
 
-    # dims and seed are integers; they are never truncated on the way in
+    # dims and seed are integers; they are never truncated on the way in, and
+    # the spacing is a number, not a numeric string
     for key, value in (("dims", [2, 2, 2, 2.9]), ("dims", [2, 2, "2", 2]), ("dims", 16),
-                       ("seed", 1.5), ("seed", "7"), ("seed", True)):
+                       ("seed", 1.5), ("seed", "7"), ("seed", True),
+                       ("spacing", "1.0"), ("spacing", True)):
         bad.write_text(json.dumps(dict(doc, **{key: value})))
         with pytest.raises(ValueError, match=key):
             load_configuration(bad)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from swflow.clifford import standard_table, two_form_action
+from swflow.clifford import (
+    CliffordTable,
+    clifford_mult,
+    clifford_mult_adjoint,
+    standard_table,
+    two_form_action,
+)
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -153,6 +159,25 @@ def test_dirac_adjoint_dense_oracle():
     M = dense_complex_matrix(lambda u: dirac(cfg, phi=u), shape)
     Madj = dense_complex_matrix(lambda u: dirac_adjoint(cfg, u), shape)
     assert np.allclose(Madj, M.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_dirac_pair_equals_the_per_direction_clifford_sums(corrupted):
+    sigma = standard_table().sigma.copy()
+    if corrupted:  # the broken table of test_check_fails_on_corrupted_clifford_table
+        sigma[1, 0, 0] += 0.05
+    tbl = CliffordTable(sigma)
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    cfg = random_cfg(lat, flux=flux_matrix(f01=1, f13=2, f23=-1))
+    grad = covariant_diff(cfg)
+    want = sum(clifford_mult(tbl, mu, grad[..., mu, :]) for mu in range(4))
+    got = dirac(cfg, table=tbl)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    psi = random_spinor_field(lat)
+    G = np.stack([clifford_mult_adjoint(tbl, mu, psi) for mu in range(4)], axis=-2)
+    want = covariant_diff_adjoint(cfg, G)
+    got = dirac_adjoint(cfg, psi, tbl)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_dirac_adjointness_random_pairs():

@@ -6,6 +6,7 @@ import pytest
 import swflow.checks
 import swflow.fields
 import swflow.functional
+import swflow.operators
 import swflow.optimize
 from swflow.cli import parse_scalar_curvature
 from swflow.fields import (
@@ -141,11 +142,13 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
     g = gradient(cfg)
     direction = g.scaled(-1.0)
     fresh = line_search(cfg, direction, MinimizeParams())
-    held = line_search(cfg, direction, MinimizeParams(), g, energy_weitzenbock(cfg))
-    assert held[0] == fresh[0]
-    assert np.array_equal(held[1].gauge.a, fresh[1].gauge.a)
-    assert np.array_equal(held[1].phi, fresh[1].phi)
-    assert held.energy == fresh.energy == energy_weitzenbock(held[1])
+    floor = swflow.functional._line_floor(cfg, direction, swflow.functional._evaluate(cfg).fplus)
+    for held in (line_search(cfg, direction, MinimizeParams(), g, energy_weitzenbock(cfg)),
+                 line_search(cfg, direction, MinimizeParams(), g, energy_weitzenbock(cfg), floor)):
+        assert held[0] == fresh[0]
+        assert np.array_equal(held[1].gauge.a, fresh[1].gauge.a)
+        assert np.array_equal(held[1].phi, fresh[1].phi)
+        assert held.energy == fresh.energy == energy_weitzenbock(held[1])
 
 
 def mixed_flux_cfg():
@@ -233,6 +236,29 @@ def test_recorded_steps_are_gauge_distances_with_one_fix_per_record(monkeypatch)
     assert [r.gauge_step_distance for r in traj.records[1:]] == [
         gauge_distance(prev, cur) for prev, cur in zip(iterates, iterates[1:])]
     assert len(fixes) == 5 + 2  # one per record (iterates 0-4), one per refix (2, 4)
+
+
+def test_minimize_builds_grad_phi_only_inside_evaluations(monkeypatch):
+    counts = {"evaluate": 0, "covariant_diff": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    evaluate = counted("evaluate", swflow.functional._evaluate)
+    diff = counted("covariant_diff", swflow.functional.covariant_diff)
+    for module in (swflow.functional, swflow.optimize):
+        monkeypatch.setattr(module, "_evaluate", evaluate)
+    monkeypatch.setattr(swflow.functional, "covariant_diff", diff)
+    monkeypatch.setattr(swflow.operators, "covariant_diff", diff)
+    params = MinimizeParams(max_iters=9, grad_tol=1e-14, method="conjugate", gaugefix_every=4,
+                            record_every=2)
+    traj = minimize(mixed_flux_cfg(), params)
+    assert [r.iter for r in traj.records] == [0, 2, 4, 6, 8, 9]  # the final record too
+    # records read the held grad phi and |phi|^2 instead of rebuilding them
+    assert counts["covariant_diff"] == counts["evaluate"] > 0
 
 
 def test_minimize_rejects_a_non_finite_start():

@@ -5,8 +5,11 @@ background is never handed out for mutation; the invariant registry's
 adjointness, gauge-invariance and flux-quantization measures hold at their
 own tolerances over drawn shapes, spacings, flux sectors and windings; and the
 line search's polynomial floor skips a trial only when its computed energy
-fails the same threshold; and `swflow run` exits 0, or 2 with "bad config",
-on fuzzed configs, never with a traceback."""
+fails the same threshold; excess_report fed from a held evaluation, and
+full_gauge_fix without its identity winding step, equal the rebuilt and
+unskipped forms; and `swflow run` exits 0, or 2 with "bad config", on fuzzed
+configs (always 2 for a string or bool spacing or amplitude), never with a
+traceback."""
 
 import contextlib
 import io
@@ -21,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from swflow import checks  # noqa: E402
 from swflow.cli import main  # noqa: E402
-from swflow.functional import Gradient, _evaluate, _line_floor  # noqa: E402
+from swflow.functional import Gradient, _evaluate, _line_floor, excess_report  # noqa: E402
 from swflow.fields import (  # noqa: E402
     Configuration,
     GaugeField,
@@ -33,6 +36,7 @@ from swflow.fields import (  # noqa: E402
     random_configuration,
     save_configuration,
 )
+from swflow.gaugefix import component_fix, coulomb_fix, full_gauge_fix  # noqa: E402
 from swflow.lattice import PLANES, Lattice, shift  # noqa: E402
 from swflow.optimize import descent_pairing  # noqa: E402
 
@@ -221,11 +225,45 @@ def test_line_floor_skips_only_trials_the_energy_rejects(
         assert not floor > full.energy
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=DIMS,
+    spacing=st.floats(0.3, 2.0),
+    flux=flux_matrices(),
+    s_kind=st.sampled_from(["constant", "random", "bump"]),
+    s_height=st.floats(-3.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp_phi=st.sampled_from([0.9, 2.5]),
+    winding=st.tuples(*[st.integers(-3, 3)] * 4).filter(any),
+)
+def test_held_pieces_and_the_skipped_identity_winding_change_nothing(
+    dims, spacing, flux, s_kind, s_height, seed, amp_phi, winding,
+):
+    lat = Lattice(dims, spacing)
+    s = _scalar_curvature(s_kind, lat, np.random.default_rng(seed), s_height)
+    cfg = random_configuration(lat, seed, (0.6, amp_phi), flux=flux, scalar_curvature=s)
+    held = _evaluate(cfg)
+    assert excess_report(cfg, held.grad, held.phi2) == excess_report(cfg)
+    # cfg's harmonic part is mostly inside the fundamental domain (zero winding);
+    # the winding transform pushes it outside
+    for start in (cfg, apply_gauge(GaugeTransform(np.zeros(dims), winding), cfg)):
+        fixed, report = full_gauge_fix(start)
+        coulomb, coulomb_report = coulomb_fix(start)
+        want, want_report = component_fix(coulomb)
+        assert np.array_equal(fixed.gauge.a, want.gauge.a)
+        assert np.array_equal(fixed.phi, want.phi)
+        assert np.array_equal(report.zeta, coulomb_report.zeta)
+        assert (report.winding, report.residual, report.harmonic) == (
+            want_report.winding, want_report.residual, want_report.harmonic)
+
+
 # values of the wrong kind for any config key; none is a string, so a drawn
 # output_dir cannot write outside its temporary directory
 WRONG = (st.none() | st.booleans() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -1])
          | st.lists(st.integers(-3, 3), max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 WRONG_OR_TEXT = WRONG | st.text(max_size=6)
+# a number written as a string is not a number either
+NUMERIC_TEXT = st.floats(0.5, 2.0).map(str) | st.sampled_from(["1", "0.3", "1e-1"])
 
 
 @st.composite
@@ -273,10 +311,10 @@ VALID_RUN = st.fixed_dictionaries(
 BAD_VALUES = {
     "dims": WRONG_OR_TEXT | st.lists(st.sampled_from([1, -1, 2.5, "3", 3]), min_size=4, max_size=4)
     | st.lists(st.integers(2, 3), max_size=6).filter(lambda dims: len(dims) != 4),
-    "spacing": WRONG_OR_TEXT | st.just(0),
+    "spacing": WRONG_OR_TEXT | st.just(0) | NUMERIC_TEXT,
     "seed": WRONG_OR_TEXT | st.just(1.5),
     "amplitudes": WRONG_OR_TEXT | st.fixed_dictionaries(
-        {}, optional={"a": WRONG_OR_TEXT | st.just(-0.1), "phi": WRONG_OR_TEXT}),
+        {}, optional={"a": WRONG_OR_TEXT | st.just(-0.1) | NUMERIC_TEXT, "phi": WRONG_OR_TEXT | NUMERIC_TEXT}),
     "flux": bad_flux() | WRONG_OR_TEXT,
     "scalar_curvature": WRONG_OR_TEXT | st.sampled_from([
         "bump:", "bump:1", "bump:1,2,3", "bump:,", "blob:1", "bump:nan,1", "bump:inf,1", "bump:1,0",
@@ -317,3 +355,8 @@ def test_run_config_fuzz_exits_cleanly(tmp_path_factory, config):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert "bad config" in err.getvalue()
+    if isinstance(config, dict):
+        amplitudes = config.get("amplitudes")
+        numbers = [config["spacing"], *(amplitudes.values() if isinstance(amplitudes, dict) else ())]
+        if any(isinstance(v, (str, bool)) for v in numbers):
+            assert code == 2
