@@ -249,25 +249,18 @@ def fd_gradient_check(
     for _ in range(n_directions):
         kind = int(rng.integers(0, 3))
         site = tuple(int(rng.integers(0, n)) for n in lat.dims)
+        idx = site + (int(rng.integers(0, 4 if kind == 0 else 2)),)
+        unit = (1.0, 1.0, 1j)[kind]
         if kind == 0:
-            mu = int(rng.integers(0, 4))
-            pair = h4 * float(grad.da[site + (mu,)])
-
-            def bump(eps, site=site, mu=mu):
-                a2 = cfg.gauge.a.copy()
-                a2[site + (mu,)] += eps
-                return cfg.replace(a=a2)
-
+            pair = h4 * float(grad.da[idx])
         else:
-            comp = int(rng.integers(0, 2))
-            unit = 1.0 if kind == 1 else 1.0j
-            val = grad.dphi[site + (comp,)]
+            val = grad.dphi[idx]
             pair = 2.0 * h4 * float(val.real if kind == 1 else val.imag)
 
-            def bump(eps, site=site, comp=comp, unit=unit):
-                p2 = cfg.phi.copy()
-                p2[site + (comp,)] += eps * unit
-                return cfg.replace(phi=p2)
+        def bump(eps):
+            a2, p2 = cfg.gauge.a.copy(), cfg.phi.copy()
+            (a2 if kind == 0 else p2)[idx] += eps * unit
+            return cfg.replace(a=a2, phi=p2)
 
         fd = (energy_weitzenbock(bump(step)) - energy_weitzenbock(bump(-step))) / (
             2.0 * step

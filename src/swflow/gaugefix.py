@@ -10,15 +10,14 @@ orbits, gauge_distance.
 
 The Sobolev bound ||a||_{1,2} <= C ||d1 a|| + C' for normalized a uses
 per-lattice constants from the spectral gap of the discrete Hodge Laplacian
-on 1-forms (hodge_constants), read off its Fourier symbol in closed form;
-they are cached per lattice, never hard-coded.
+on 1-forms (hodge_constants), read off its Fourier symbol in closed form,
+never hard-coded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -128,7 +127,6 @@ class HodgeConstants:
     harmonic_radius: float
 
 
-@lru_cache(maxsize=None)
 def hodge_constants(lat: Lattice) -> HodgeConstants:
     """Sobolev-bound constants from the closed-form 1-form Hodge spectrum.
 
@@ -136,8 +134,8 @@ def hodge_constants(lat: Lattice) -> HodgeConstants:
     d0 codiff1 + codiff2 d1 acts on each a_mu by the scalar Fourier symbol
     sum_mu (2 - 2 cos(2 pi k_mu / N_mu)) / h^2. Its smallest nonzero value is
     the lowest mode along the longest direction, positive since N_mu >= 2.
-    Cached per lattice. Derivation of the bound: split a into its constant
-    part abar and fluctuation at. For codiff1(a) = 0 the identity
+    Derivation of the bound: split a into its constant part abar and
+    fluctuation at. For codiff1(a) = 0 the identity
     sum_mu ||d0 a_mu||^2 = ||d1 a||^2 + ||codiff1 a||^2 gives
     ||grad at|| = ||d1 a||, the spectral gap gives
     ||at||^2 <= ||d1 a||^2 / lambda_1, and the fundamental domain bounds

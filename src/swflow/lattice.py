@@ -73,29 +73,9 @@ class Lattice:
         return self.nsites * self.spacing**4
 
 
-def _check_site_axes(lat: Lattice, u: np.ndarray, kind: str):
-    if u.shape[:4] != lat.dims:
-        raise ValueError(
-            f"{kind} has site axes {u.shape[:4]}, lattice is {lat.dims}"
-        )
-
-
-def check_scalar(lat: Lattice, f: np.ndarray):
-    _check_site_axes(lat, f, "scalar field")
-    if f.shape != lat.dims:
-        raise ValueError(f"scalar field has trailing axes {f.shape[4:]}")
-
-
-def check_oneform(lat: Lattice, a: np.ndarray):
-    _check_site_axes(lat, a, "1-form")
-    if a.shape != lat.dims + (4,):
-        raise ValueError(f"1-form must have shape {lat.dims + (4,)}, got {a.shape}")
-
-
-def check_twoform(lat: Lattice, F: np.ndarray):
-    _check_site_axes(lat, F, "2-form")
-    if F.shape != lat.dims + (6,):
-        raise ValueError(f"2-form must have shape {lat.dims + (6,)}, got {F.shape}")
+def _check_form(lat: Lattice, u: np.ndarray, fiber: tuple, kind: str):
+    if u.shape != lat.dims + fiber:
+        raise ValueError(f"{kind} must have shape {lat.dims + fiber}, got {u.shape}")
 
 
 def shift(u: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
@@ -116,7 +96,7 @@ def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
     (d0 f)(x, mu) = (f(x + e_mu) - f(x)) / h, periodic wrap in every
     direction. Output shape dims + (4,).
     """
-    check_scalar(lat, f)
+    _check_form(lat, f, (), "scalar field")
     out = np.empty(lat.dims + (4,), dtype=f.dtype)
     for mu in range(4):
         out[..., mu] = (shift(f, mu) - f) / lat.spacing
@@ -129,7 +109,7 @@ def d1(lat: Lattice, a: np.ndarray) -> np.ndarray:
     (d1 a)(x, mu nu) = (a(x + e_mu, nu) - a(x, nu) - a(x + e_nu, mu)
     + a(x, mu)) / h for each ordered plane mu < nu.
     """
-    check_oneform(lat, a)
+    _check_form(lat, a, (4,), "1-form")
     out = np.empty(lat.dims + (6,), dtype=a.dtype)
     for i, (mu, nu) in enumerate(PLANES):
         out[..., i] = (
@@ -143,7 +123,7 @@ def codiff1(lat: Lattice, a: np.ndarray) -> np.ndarray:
 
     (codiff1 a)(x) = -sum_mu (a(x, mu) - a(x - e_mu, mu)) / h.
     """
-    check_oneform(lat, a)
+    _check_form(lat, a, (4,), "1-form")
     out = np.zeros(lat.dims, dtype=a.dtype)
     for mu in range(4):
         out -= (a[..., mu] - shift(a[..., mu], mu, -1)) / lat.spacing
@@ -157,7 +137,7 @@ def codiff2(lat: Lattice, F: np.ndarray) -> np.ndarray:
     rho sigma)) / h with Ft the antisymmetric extension of the stored
     mu < nu components.
     """
-    check_twoform(lat, F)
+    _check_form(lat, F, (6,), "2-form")
     out = np.zeros(lat.dims + (4,), dtype=F.dtype)
     for i, (mu, nu) in enumerate(PLANES):
         g = F[..., i]
@@ -166,19 +146,16 @@ def codiff2(lat: Lattice, F: np.ndarray) -> np.ndarray:
     return out
 
 
-# Hodge star on 2-forms: plane pairings (12)<->(34), (13)<->-(24), (14)<->(23)
-_STAR_PERM = (5, 4, 3, 2, 1, 0)
-_STAR_SIGN = (1.0, -1.0, 1.0, 1.0, -1.0, 1.0)
+# Hodge star on 2-forms: plane pairings (12)<->(34), (13)<->-(24), (14)<->(23),
+# so in the PLANES order component i pairs with component 5 - i
+_STAR_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 
 def hodge_star2(F: np.ndarray) -> np.ndarray:
     """Hodge star on 2-form fibers; involution, isometry."""
     if F.shape[-1] != 6:
         raise ValueError(f"2-form fiber must have 6 components, got {F.shape[-1]}")
-    out = np.empty_like(F)
-    for i in range(6):
-        out[..., i] = _STAR_SIGN[i] * F[..., _STAR_PERM[i]]
-    return out
+    return F[..., ::-1] * _STAR_SIGN
 
 
 def selfdual_project(F: np.ndarray) -> np.ndarray:
@@ -188,7 +165,7 @@ def selfdual_project(F: np.ndarray) -> np.ndarray:
 
 def l2_inner(lat: Lattice, u: np.ndarray, v: np.ndarray):
     """h^4-weighted inner product, conjugate on the second argument."""
-    _check_site_axes(lat, u, "field")
+    _check_form(lat, u, u.shape[4:], "field")
     if u.shape != v.shape:
         raise ValueError(f"mismatched field shapes {u.shape} vs {v.shape}")
     val = np.sum(u * np.conj(v)) * lat.spacing**4
@@ -198,7 +175,7 @@ def l2_inner(lat: Lattice, u: np.ndarray, v: np.ndarray):
 
 
 def l2_norm(lat: Lattice, u: np.ndarray) -> float:
-    _check_site_axes(lat, u, "field")
+    _check_form(lat, u, u.shape[4:], "field")
     return float(np.sqrt(np.sum(np.abs(u) ** 2) * lat.spacing**4))
 
 
@@ -209,18 +186,18 @@ def fiber_norm(u: np.ndarray) -> np.ndarray:
 
 
 def l4_norm(lat: Lattice, u: np.ndarray) -> float:
-    _check_site_axes(lat, u, "field")
+    _check_form(lat, u, u.shape[4:], "field")
     return float((np.sum(fiber_norm(u) ** 4) * lat.spacing**4) ** 0.25)
 
 
 def linf_norm(lat: Lattice, u: np.ndarray) -> float:
-    _check_site_axes(lat, u, "field")
+    _check_form(lat, u, u.shape[4:], "field")
     return float(np.max(fiber_norm(u)))
 
 
 def sobolev12_norm(lat: Lattice, u: np.ndarray) -> float:
     """Discrete L^{1,2} norm: (||u||^2 + ||grad u||^2)^(1/2), plain differences."""
-    _check_site_axes(lat, u, "field")
+    _check_form(lat, u, u.shape[4:], "field")
     g = np.empty((4,) + u.shape, dtype=u.dtype)
     for mu in range(4):
         g[mu] = (shift(u, mu) - u) / lat.spacing
@@ -251,18 +228,17 @@ def poisson_solve(lat: Lattice, rho: np.ndarray, tol: float = 1e-10) -> np.ndarr
     a nonzero mean (no solution exists) and RuntimeError when the verified
     residual exceeds tol * ||rho||.
     """
-    check_scalar(lat, rho)
+    _check_form(lat, rho, (), "scalar field")
     nrm = l2_norm(lat, rho)
     if nrm == 0.0:
         return np.zeros(lat.dims)
-    mean = float(np.mean(rho.real)) if np.iscomplexobj(rho) else float(np.mean(rho))
-    if abs(mean) > 1e-10 * nrm:
+    mean = abs(complex(np.mean(rho)))
+    if mean > 1e-10 * nrm:
         raise ValueError(f"source must have zero mean, got mean {mean:.3e}")
     lam = _laplacian0_symbol(lat)
+    lam[0, 0, 0, 0] = 1.0
     rho_hat = np.fft.fftn(rho, axes=(0, 1, 2, 3))
-    lam_safe = lam.copy()
-    lam_safe[0, 0, 0, 0] = 1.0
-    f_hat = rho_hat / lam_safe
+    f_hat = rho_hat / lam
     f_hat[0, 0, 0, 0] = 0.0
     f = np.fft.ifftn(f_hat, axes=(0, 1, 2, 3))
     f = f.real if not np.iscomplexobj(rho) else f

@@ -53,8 +53,13 @@ class MinimizeParams:
     record_every: int = 1
 
     def __post_init__(self):
-        for name in ("max_iters", "gaugefix_every", "record_every"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        # gaugefix_every 0 disables the periodic refix
+        floors = {"max_iters": 0, "gaugefix_every": 0, "record_every": 1}
+        for name, low in floors.items():
+            value = require_int(getattr(self, name), name)
+            if value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+            object.__setattr__(self, name, value)
         # real numbers only: a string, or an int no double holds, fails here and not mid-run
         bounds = {"grad_tol": np.inf, "armijo_c": 1, "backtrack": 1, "initial_step": np.inf}
         for name, high in bounds.items():
@@ -62,14 +67,8 @@ class MinimizeParams:
             if not 0 < value < high:
                 raise ValueError(f"{name} must be a number in (0, {high})")
             object.__setattr__(self, name, value)
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
         if self.method not in ("descent", "conjugate"):
             raise ValueError(f"method must be descent or conjugate, got {self.method!r}")
-        if self.gaugefix_every < 0:
-            raise ValueError("gaugefix_every must be nonnegative (0 disables)")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
 
 
 @dataclass(frozen=True)

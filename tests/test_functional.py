@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swflow import functional
+from swflow.checks import GRADIENT_TOL
 from swflow.clifford import CliffordTable, quadratic_form, standard_table
 from swflow.fields import (
     Configuration,
@@ -189,6 +190,25 @@ def test_fd_gradient_check_step_scaling():
     assert coarse >= 100.0 * fine
     with pytest.raises(ValueError):
         fd_gradient_check(cfg, step=0.0)
+
+
+@pytest.mark.parametrize("part", ["da", "re_dphi", "im_dphi"])
+def test_fd_gradient_check_sees_each_perturbation_kind(monkeypatch, part):
+    # a gradient wrong by 1% in one part only must fail the 50-draw check
+    lat = Lattice((3, 3, 3, 3), 0.7)
+    cfg = random_cfg(lat, flux=flux_matrix(f03=1))
+    exact = functional.gradient
+
+    def skewed(c):
+        g = exact(c)
+        if part == "da":
+            return functional.Gradient(g.lattice, 1.01 * g.da, g.dphi)
+        if part == "re_dphi":
+            return functional.Gradient(g.lattice, g.da, 1.01 * g.dphi.real + 1j * g.dphi.imag)
+        return functional.Gradient(g.lattice, g.da, g.dphi.real + 1.01j * g.dphi.imag)
+
+    monkeypatch.setattr(functional, "gradient", skewed)
+    assert fd_gradient_check(cfg, step=1e-5, n_directions=50, seed=5) > GRADIENT_TOL
 
 
 def test_fd_gradient_check_deterministic():

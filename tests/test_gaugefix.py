@@ -220,7 +220,7 @@ def test_hodge_constants_gap_matches_dense_oracle(dims, h):
     assert hodge_constants(lat).spectral_gap == pytest.approx(nonzero[0], rel=1e-10)
 
 
-def test_hodge_constants_gap_and_caching():
+def test_hodge_constants_closed_form():
     lat = Lattice((4, 4, 3, 2), 0.7)
     consts = hodge_constants(lat)
     gap_expected = (2.0 - 2.0 * np.cos(2.0 * np.pi / max(lat.dims))) / lat.spacing**2
@@ -228,7 +228,7 @@ def test_hodge_constants_gap_and_caching():
     assert consts.curl_factor == pytest.approx(np.sqrt(1.0 + 1.0 / gap_expected), rel=1e-12)
     radius = np.sqrt(lat.volume * sum((np.pi / L) ** 2 for L in lat.lengths))
     assert consts.harmonic_radius == pytest.approx(radius, rel=1e-12)
-    assert hodge_constants(Lattice((4, 4, 3, 2), 0.7)) is consts
+    assert hodge_constants(Lattice((4, 4, 3, 2), 0.7)) == consts
 
 
 def test_sobolev_bound_after_full_fix():

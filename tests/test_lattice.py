@@ -166,6 +166,7 @@ def test_hodge_star_component_pairing():
     F[..., 1] = 1.0
     out = hodge_star2(F)
     assert np.allclose(out[..., 4], -1.0)
+    assert out.flags.c_contiguous  # a strided result costs memory in selfdual_project
     F = np.zeros((2, 2, 2, 2, 6))
     F[..., 2] = 1.0
     assert np.allclose(hodge_star2(F)[..., 3], 1.0)
@@ -257,6 +258,12 @@ def test_poisson_solve_rejects_nonzero_mean():
     lat = small_lattice()
     with pytest.raises(ValueError):
         poisson_solve(lat, np.ones(lat.dims))
+    # a complex source whose imaginary part alone has a nonzero mean
+    lat = Lattice((3, 3, 3, 3), 1.0)
+    r = random_scalar(lat)
+    r -= np.mean(r)
+    with pytest.raises(ValueError, match="zero mean"):
+        poisson_solve(lat, r + 0.5j)
 
 
 def test_poisson_solve_complex_source():
@@ -286,3 +293,12 @@ def test_shape_validation_errors():
         codiff2(lat, np.zeros(lat.dims + (4,)))
     with pytest.raises(ValueError):
         hodge_star2(np.zeros(lat.dims + (4,)))
+    with pytest.raises(ValueError):
+        codiff1(lat, np.zeros(lat.dims + (6,)))
+    with pytest.raises(ValueError):
+        poisson_solve(lat, np.zeros(lat.dims + (4,)))
+    wrong_sites = np.zeros((3, 2, 2, 3, 2))
+    with pytest.raises(ValueError):
+        l2_norm(lat, wrong_sites)
+    with pytest.raises(ValueError):
+        sobolev12_norm(lat, wrong_sites)

@@ -17,7 +17,7 @@ from swflow.fields import (
     random_configuration,
 )
 from swflow.functional import energy_lower_bound, energy_weitzenbock, gradient
-from swflow.gaugefix import gauge_distance
+from swflow.gaugefix import full_gauge_fix, gauge_distance
 from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
 from swflow.optimize import (
     MAX_BACKTRACKS,
@@ -415,3 +415,30 @@ def test_numerical_gates_hold_at_n16():
     held = swflow.optimize._refix_gauge(cfg, before)
     assert abs(held.energy - before) <= 1e-10 * abs(before)
     assert not np.array_equal(held.cfg.gauge.a, cfg.gauge.a)  # the fix did move the field
+
+
+def test_descent_and_conjugate_reach_the_same_bump_minimizer():
+    # zero flux, s = bump:-4,2 - 0.5 on a box of side 6: the minimizer sits
+    # above the floor, so agreement here is not the trivial |phi|^2 = -s
+    lat = Lattice((4, 4, 4, 4), 1.5)
+    s = parse_scalar_curvature("bump:-4,2", lat) - 0.5
+    cfg0 = random_configuration(lat, 5, (0.6, 0.9), scalar_curvature=s)
+    finals = []
+    for method in ("descent", "conjugate"):
+        params = MinimizeParams(max_iters=2000, grad_tol=1e-6, method=method,
+                                gaugefix_every=10, record_every=10000)
+        traj = minimize(cfg0, params)
+        assert traj.reason == "converged"
+        finals.append(traj.final)
+    e1, e2 = (energy_weitzenbock(c) for c in finals)
+    assert abs(e1 - e2) <= 1e-10 * abs(e1)
+    rho1, rho2 = (np.sum(np.abs(c.phi) ** 2, axis=-1) for c in finals)
+    assert np.max(np.abs(rho1 - rho2)) <= 1e-6 * np.max(rho1)
+    # F+ = 0 here, which leaves a global SU(2) rotation of phi that the U(1)
+    # normal form does not remove (gauge_distance between the finals reads
+    # about 1.5), so phi is compared after the best constant U(2) alignment
+    fixed1, fixed2 = (full_gauge_fix(c)[0] for c in finals)
+    assert np.max(np.abs(fixed1.gauge.a - fixed2.gauge.a)) <= 1e-6
+    p1, p2 = fixed1.phi.reshape(-1, 2), fixed2.phi.reshape(-1, 2)
+    u, _, vh = np.linalg.svd(p2.conj().T @ p1)
+    assert np.linalg.norm(p1 - p2 @ (u @ vh)) <= 1e-6 * np.linalg.norm(p1)
