@@ -40,7 +40,7 @@ print(f"second pass moves a by    = {drift:.3e} (winding {rep2.winding})")
 ### a pure-gauge connection collapses to a = 0 exactly
 rng = np.random.default_rng(77)
 zero = random_configuration(lat, seed=6, amplitudes=(0.0, 0.8))
-pure = apply_gauge(GaugeTransform(rng.standard_normal(lat.shape), (1, -2, 0, 3)), zero)
+pure = apply_gauge(GaugeTransform(rng.standard_normal(lat.dims), (1, -2, 0, 3)), zero)
 reduced, _ = full_gauge_fix(pure)
 print(f"pure gauge reduces to     = {float(np.max(np.abs(reduced.gauge.a))):.3e}")
 

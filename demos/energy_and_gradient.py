@@ -20,7 +20,7 @@ lat = Lattice((3, 3, 3, 3), 0.8)
 rng = np.random.default_rng(7)
 cfg = random_configuration(
     lat, seed=7, amplitudes=(0.6, 0.9),
-    scalar_curvature=-1.0 + 0.4 * rng.standard_normal(lat.shape),
+    scalar_curvature=-1.0 + 0.4 * rng.standard_normal(lat.dims),
 )
 
 e2 = energy_weitzenbock(cfg)

@@ -32,7 +32,7 @@ rng = np.random.default_rng(34)
 worst = 0.0
 for trial in range(20):
     g = GaugeTransform(
-        rng.standard_normal(lat.shape),
+        rng.standard_normal(lat.dims),
         tuple(int(k) for k in rng.integers(-2, 3, size=4)),
     )
     moved = apply_gauge(g, cfg)

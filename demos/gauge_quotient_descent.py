@@ -19,12 +19,12 @@ from swflow import (
 lat = Lattice((3, 3, 3, 3), 1.5)
 base = random_configuration(
     lat, seed=99, amplitudes=(0.4, 1.1),
-    scalar_curvature=np.full(lat.shape, -1.0),
+    scalar_curvature=np.full(lat.dims, -1.0),
 )
 cfg = base.replace(phi=base.phi * (2.0 / linf_norm(lat, base.phi)))
 
 rng = np.random.default_rng(6)
-moved = apply_gauge(GaugeTransform(0.7 * rng.standard_normal(lat.shape), (2, -1, 0, 1)), cfg)
+moved = apply_gauge(GaugeTransform(0.7 * rng.standard_normal(lat.dims), (2, -1, 0, 1)), cfg)
 print(f"initial gauge distance between the two starts: {gauge_distance(cfg, moved):.3e}")
 
 params = MinimizeParams(max_iters=4000, grad_tol=1e-5, gaugefix_every=1)

@@ -16,7 +16,7 @@ from swflow import (
 lat = Lattice((4, 4, 4, 4), 1.0)
 cfg = random_configuration(
     lat, seed=42, amplitudes=(0.4, 1.0),
-    scalar_curvature=np.full(lat.shape, -1.0),
+    scalar_curvature=np.full(lat.dims, -1.0),
 )
 ### inflate the spinor to three times the maximum-principle ceiling
 cfg = cfg.replace(phi=cfg.phi * (3.0 / linf_norm(lat, cfg.phi)))

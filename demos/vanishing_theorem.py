@@ -9,7 +9,7 @@ from swflow import Lattice, MinimizeParams, minimize, random_configuration
 lat = Lattice((4, 4, 4, 4), 1.0)
 cfg = random_configuration(
     lat, seed=88, amplitudes=(0.2, 0.4),
-    scalar_curvature=np.full(lat.shape, 1.0),
+    scalar_curvature=np.full(lat.dims, 1.0),
 )
 
 traj = minimize(

@@ -52,7 +52,6 @@ from .operators import (
     curvature_at_sites,
     dirac,
     dirac_adjoint,
-    fplus_at_sites,
     link_phases,
 )
 from .functional import (

@@ -38,14 +38,6 @@ GAUGE_TOL = 1e-10  # gauge invariance and flux plane sums, accumulated over the 
 GRADIENT_TOL = 1e-5  # analytic gradient against central differences, relative
 COULOMB_TOL = 1e-8  # Coulomb gauge residual
 
-# operator/adjoint pairs measured by adjoint_defect, in a fixed order
-ADJOINT_PAIRS = (
-    "adjoint_d0_codiff1",
-    "adjoint_d1_codiff2",
-    "adjoint_covariant_diff",
-    "adjoint_dirac",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -97,13 +89,13 @@ def exterior_derivative_squares_to_zero(lat: Lattice, seed: int, draws: int) -> 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
-        f = rng.standard_normal(lat.shape)
+        f = rng.standard_normal(lat.dims)
         worst = worst_of(worst, l2_norm(lat, d1(lat, d0(lat, f))) / l2_norm(lat, f))
     return CheckResult("exterior_derivative_squares_to_zero", worst, IDENTITY_TOL)
 
 
 def _adjoint_pairs(lat: Lattice, problem, table) -> dict:
-    """Name -> (operator, adjoint, fiber of u, fiber of v, complex fields) for ADJOINT_PAIRS."""
+    """Name -> (operator, adjoint, fiber of u, fiber of v, complex fields), looked up per call."""
     return {
         "adjoint_d0_codiff1": (partial(d0, lat), partial(codiff1, lat), (), (4,), False),
         "adjoint_d1_codiff2": (partial(d1, lat), partial(codiff2, lat), (4,), (6,), False),
@@ -124,6 +116,10 @@ def _adjoint_pairs(lat: Lattice, problem, table) -> dict:
     }
 
 
+# operator/adjoint pairs measured by adjoint_defect, in a fixed order
+ADJOINT_PAIRS = tuple(_adjoint_pairs(None, None, None))
+
+
 def adjoint_defect(
     name: str, problem, seed: int, draws: int, table: CliffordTable | None = None
 ) -> CheckResult:
@@ -137,9 +133,9 @@ def adjoint_defect(
     rng = np.random.default_rng(seed)
 
     def draw(fiber):
-        u = rng.standard_normal(lat.shape + fiber)
+        u = rng.standard_normal(lat.dims + fiber)
         if complex_fields:
-            u = u + 1j * rng.standard_normal(lat.shape + fiber)
+            u = u + 1j * rng.standard_normal(lat.dims + fiber)
         return u
 
     worst = 0.0
@@ -164,7 +160,7 @@ def energy_gauge_invariance(
     before = [energy(cfg) for energy in energies]
     worst = 0.0
     for k in range(draws):
-        phase = rng.standard_normal(cfg.lattice.shape)
+        phase = rng.standard_normal(cfg.lattice.dims)
         if windings is None:
             winding = tuple(int(n) for n in rng.integers(-2, 3, size=4))
         else:
@@ -187,7 +183,7 @@ def energy_lower_bound_margin(
     rng = np.random.default_rng(curvature_seed)
     worst = -np.inf
     for k in range(draws):
-        s = rng.standard_normal(lat.shape)
+        s = rng.standard_normal(lat.dims)
         cfg = random_configuration(lat, seed + k, (0.5, 1.2), scalar_curvature=s)
         worst = worst_of(worst, energy_lower_bound(lat, cfg.scalar_curvature) - energy_weitzenbock(cfg))
     return CheckResult("energy_lower_bound_margin", worst, 0.0)
@@ -237,15 +233,15 @@ def smooth_configuration(n: int) -> Configuration:
     axes = [np.arange(m) / m for m in lat.dims]
     x0, x1, x2, x3 = np.meshgrid(*axes, indexing="ij")
     tp = 2.0 * np.pi
-    a = np.zeros(lat.shape + (4,))
+    a = np.zeros(lat.dims + (4,))
     a[..., 0] = 0.3 * np.sin(tp * x1)
     a[..., 1] = 0.2 * np.cos(tp * x2)
     a[..., 2] = 0.25 * np.sin(tp * x3)
     a[..., 3] = 0.15 * np.cos(tp * x0)
-    phi = np.zeros(lat.shape + (2,), dtype=complex)
+    phi = np.zeros(lat.dims + (2,), dtype=complex)
     phi[..., 0] = 0.8 + 0.3 * np.exp(1j * tp * x0)
     phi[..., 1] = 0.2 + 0.4 * np.exp(-1j * tp * x2)
-    s = -0.5 * np.ones(lat.shape)
+    s = -0.5 * np.ones(lat.dims)
     return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, s)
 
 

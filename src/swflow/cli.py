@@ -53,11 +53,11 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
     with periodic distance.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value) * np.ones(lat.shape)
+        return float(value) * np.ones(lat.dims)
     if not isinstance(value, str):
         raise ValueError(f"scalar_curvature must be a number or profile string, got {value!r}")
     if value.startswith("constant:"):
-        return float(value[len("constant:"):]) * np.ones(lat.shape)
+        return float(value[len("constant:"):]) * np.ones(lat.dims)
     if value.startswith("bump:"):
         try:
             height_s, radius_s = value[len("bump:"):].split(",")
@@ -66,7 +66,7 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
             raise ValueError(f"bump profile needs 'bump:<v>,<radius>', got {value!r}")
         if not (radius > 0 and radius**2 > 0):  # a square that underflows would divide by 0
             raise ValueError(f"bump radius must be positive with a nonzero square, got {radius_s!r}")
-        dist2 = np.zeros(lat.shape)
+        dist2 = np.zeros(lat.dims)
         for mu, (n, length) in enumerate(zip(lat.dims, lat.lengths)):
             x = np.arange(n) * lat.spacing
             delta = np.abs(x - length / 2.0)
@@ -183,18 +183,18 @@ def cmd_gaugefix(args) -> int:
     except ValueError as exc:
         print(f"swflow gaugefix: cannot read configuration: {exc}", file=sys.stderr)
         return 2
-    before = energy_weitzenbock(cfg)
-    fixed, report = full_gauge_fix(cfg)
-    after = energy_weitzenbock(fixed)
     try:
+        before = energy_weitzenbock(cfg)
+        fixed, report = full_gauge_fix(cfg)
+        after = energy_weitzenbock(fixed)
         save_configuration(fixed, args.output)
         write_json(args.output + ".report.json", {
             "residual": report.residual,
             "winding": list(report.winding),
             "harmonic": list(report.harmonic),
         })
-    except OSError as exc:
-        print(f"swflow gaugefix: cannot write outputs: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, OverflowError) as exc:
+        print(f"swflow gaugefix: cannot fix or write: {exc}", file=sys.stderr)
         return 1
     drift = abs(after - before)
     rel = drift / abs(before) if before != 0.0 else drift

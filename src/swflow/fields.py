@@ -37,6 +37,7 @@ def check_flux_matrix(flux) -> np.ndarray:
     """Validate and return the 4x4 antisymmetric integer flux matrix."""
     f = np.asarray(flux)
     _require(f.shape == (4, 4), f"flux must be 4x4, got {f.shape}")
+    _require(f.dtype.kind in "biufc", f"flux entries must be numbers, got dtype {f.dtype}")
     _require(np.all(np.isfinite(f)), "flux entries must be finite")
     _require(
         not np.iscomplexobj(f) and np.all(f == np.round(f)) and np.all(np.abs(f) < 2.0**63),
@@ -293,7 +294,7 @@ def _unflatten_site_major(vals, shape) -> np.ndarray:
     arr = np.asarray(vals, dtype=float)
     expect = int(np.prod(shape))
     if arr.shape != (expect,):
-        raise ValueError(f"expected {expect} values, got {arr.shape}")
+        raise ValueError(f"field length mismatch: expected {expect} values, got {arr.shape}")
     n1, n2, n3, n4 = shape[:4]
     return arr.reshape(n4, n3, n2, n1, -1).transpose(3, 2, 1, 0, 4).reshape(shape).copy()
 
@@ -336,14 +337,11 @@ def load_configuration(path) -> Configuration:
             raise ValueError(f"dims must be a list, got {dims!r}")
         lat = Lattice(tuple(dims), doc["spacing"])
         seed = None if seed is None else require_int(seed, "seed")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    try:
         a = _unflatten_site_major(doc["a"], lat.dims + (4,))
         # set the parts directly: re + 1j * im would turn an imaginary -0.0 into +0.0
         phi = _unflatten_site_major(doc["phi_re"], lat.dims + (2,)).astype(complex)
         phi.imag = _unflatten_site_major(doc["phi_im"], lat.dims + (2,))
         s = _unflatten_site_major(doc["s"], lat.dims)
-    except ValueError as exc:
-        raise ValueError(f"{path}: field length mismatch ({exc})") from None
-    return Configuration(lat, GaugeField(a, doc["flux"]), phi, s, seed=seed)
+        return Configuration(lat, GaugeField(a, doc["flux"]), phi, s, seed=seed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -68,8 +68,8 @@ from .operators import (
     covariant_diff,
     covariant_diff_adjoint,
     curvature,
+    curvature_at_sites,
     dirac,
-    fplus_at_sites,
     link_phases,
 )
 
@@ -197,7 +197,8 @@ def sw_equation_residual(
     tbl = standard_table() if table is None else table
     h4 = cfg.lattice.spacing**4
     r_dirac = h4 * float(np.sum(np.abs(dirac(cfg, table=tbl)) ** 2))
-    r_curv = h4 * float(np.sum((fplus_at_sites(cfg) - quadratic_form(tbl, cfg.phi)) ** 2))
+    r_curv = h4 * float(np.sum((selfdual_project(curvature_at_sites(cfg))
+                                - quadratic_form(tbl, cfg.phi)) ** 2))
     return (r_dirac, r_curv)
 
 

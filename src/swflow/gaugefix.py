@@ -91,9 +91,9 @@ def component_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
     """
     lat = cfg.lattice
     k = _winding(lat, (float(cfg.gauge.a[..., mu].mean()) for mu in range(4)))
-    undo = GaugeTransform(np.zeros(lat.shape), tuple(-ki for ki in k))
+    undo = GaugeTransform(np.zeros(lat.dims), tuple(-ki for ki in k))
     fixed = apply_gauge(undo, cfg)
-    return fixed, _report(fixed, np.zeros(lat.shape), k)
+    return fixed, _report(fixed, np.zeros(lat.dims), k)
 
 
 def full_gauge_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:

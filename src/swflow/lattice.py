@@ -56,10 +56,6 @@ class Lattice:
         object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.dims
-
-    @property
     def nsites(self) -> int:
         return int(np.prod(self.dims))
 
@@ -221,12 +217,12 @@ def _laplacian0_symbol(lat: Lattice) -> np.ndarray:
     return lam
 
 
-def poisson_solve(lat: Lattice, rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     """Solve laplacian0(f) = rho for zero-mean rho; returns the zero-mean f.
 
     Spectral solve over the periodic lattice. Raises ValueError when rho has
     a nonzero mean (no solution exists) and RuntimeError when the verified
-    residual exceeds tol * ||rho||.
+    residual is not at most 1e-10 * ||rho||, which a NaN or inf in rho makes.
     """
     _check_form(lat, rho, (), "scalar field")
     nrm = l2_norm(lat, rho)
@@ -243,8 +239,8 @@ def poisson_solve(lat: Lattice, rho: np.ndarray, tol: float = 1e-10) -> np.ndarr
     f = np.fft.ifftn(f_hat, axes=(0, 1, 2, 3))
     f = f.real if not np.iscomplexobj(rho) else f
     residual = l2_norm(lat, laplacian0(lat, f) - rho)
-    if residual > tol * nrm:
+    if not residual <= 1e-10 * nrm:
         raise RuntimeError(
-            f"poisson solve residual {residual:.3e} exceeds {tol:.1e} * ||rho||"
+            f"poisson solve residual {residual:.3e} is not within 1e-10 * ||rho||"
         )
     return f

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import CliffordTable, standard_table
 from .fields import Configuration, _flux_background
-from .lattice import PLANES, d1, selfdual_project, shift
+from .lattice import PLANES, d1, shift
 
 
 def link_phases(cfg: Configuration) -> np.ndarray:
@@ -117,8 +117,3 @@ def curvature_at_sites(cfg: Configuration) -> np.ndarray:
             + shift(shift(f, mu, -1), nu, -1)
         )
     return out
-
-
-def fplus_at_sites(cfg: Configuration) -> np.ndarray:
-    """Self-dual part of the site-averaged curvature."""
-    return selfdual_project(curvature_at_sites(cfg))

@@ -25,7 +25,7 @@ from swflow.optimize import MinimizeParams, minimize, ps_diagnostics
 
 
 def constant_s(cfg, value):
-    s = value * np.ones(cfg.lattice.shape)
+    s = value * np.ones(cfg.lattice.dims)
     return Configuration(cfg.lattice, cfg.gauge, cfg.phi, s, cfg.seed)
 
 
@@ -40,7 +40,7 @@ def test_01_algebraic_identities_exact():
     results = [
         checks.clifford_relation_defect(tbl),
         checks.exterior_derivative_squares_to_zero(lat, 20260410, 100),
-        checks.quadratic_form_norm_identity(tbl, lat.shape, 20260410, 100),
+        checks.quadratic_form_norm_identity(tbl, lat.dims, 20260410, 100),
     ]
     for i, name in enumerate(checks.ADJOINT_PAIRS):
         results.append(checks.adjoint_defect(name, cfg, 200 + i, 100))
@@ -56,7 +56,7 @@ def test_02_energy_gauge_invariance():
 def test_03_gradient_matches_finite_differences():
     lat = Lattice((3, 3, 3, 3), 0.8)
     rng = np.random.default_rng(20260412)
-    s = -1.0 + 0.5 * rng.standard_normal(lat.shape)
+    s = -1.0 + 0.5 * rng.standard_normal(lat.dims)
     cfg = mixed_flux_configuration(lat, 31, scalar_curvature=s)
     assert_holds(checks.gradient_matches_finite_differences(cfg, 32, 50))
 
@@ -83,7 +83,7 @@ def test_04_gauge_normal_form():
     # a pure-gauge connection must come back as a = 0 exactly
     rng = np.random.default_rng(20260413)
     zero = random_configuration(lat, 42, (0.0, 0.8))
-    pure = apply_gauge(GaugeTransform(1.3 * rng.standard_normal(lat.shape), (1, 0, -2, 0)), zero)
+    pure = apply_gauge(GaugeTransform(1.3 * rng.standard_normal(lat.dims), (1, 0, -2, 0)), zero)
     reduced, _ = full_gauge_fix(pure)
     assert float(np.max(np.abs(reduced.gauge.a))) <= checks.GAUGE_TOL
 
@@ -138,7 +138,7 @@ def test_09_gauge_equivalent_runs_converge_together():
     phi = base.phi * (2.0 / linf_norm(lat, base.phi))
     cfg = constant_s(base.replace(phi=phi), -1.0)
     rng = np.random.default_rng(20260414)
-    g = GaugeTransform(0.7 * rng.standard_normal(lat.shape), (2, -1, 0, 1))
+    g = GaugeTransform(0.7 * rng.standard_normal(lat.dims), (2, -1, 0, 1))
 
     params = MinimizeParams(max_iters=4000, grad_tol=1e-5, gaugefix_every=1)
     runs = [minimize(cfg, params), minimize(apply_gauge(g, cfg), params)]

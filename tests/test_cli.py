@@ -341,6 +341,36 @@ def test_gaugefix_missing_or_garbled_input(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a", {}),
+    ("a", [{}] * 64),  # as many entries as a 2^4 connection has
+    ("flux", [[None] * 4] * 4),
+    ("flux", [["0"] * 4] * 4),
+], ids=["a-dict", "a-dicts", "flux-nulls", "flux-strings"])
+def test_gaugefix_malformed_input_exits_2(tmp_path, capsys, key, value):
+    path = tmp_path / "in.json"
+    save_configuration(random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)), path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+    assert main(["gaugefix", str(path), str(tmp_path / "o.json")]) == 2
+    assert "cannot read configuration" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("a", [
+    np.full((2, 2, 2, 2, 4), 1.7e308),  # the winding of the harmonic part overflows
+    1e307 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4)),  # the Poisson gate trips
+], ids=["winding-overflow", "poisson-gate"])
+def test_gaugefix_failure_on_a_loadable_configuration_exits_1(tmp_path, capsys, a):
+    cfg = random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)).replace(a=a)
+    save_configuration(cfg, tmp_path / "in.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["gaugefix", str(tmp_path / "in.json"), str(tmp_path / "o.json")])
+    assert code == 1
+    assert "cannot fix or write" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_console_script_entry_point():
     # pyproject.toml must map the `swflow` script to cli.main
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

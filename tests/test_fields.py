@@ -72,6 +72,15 @@ def test_flux_matrix_validation():
         check_flux_matrix(infinite)
 
 
+def test_flux_entries_must_be_numbers():
+    a = np.zeros((2, 2, 2, 2, 4))
+    for entry in (None, "0", {}):
+        with pytest.raises(ValueError, match="numbers"):
+            GaugeField(a, [[entry] * 4] * 4)
+        with pytest.raises(ValueError, match="numbers"):
+            check_flux_matrix([[entry] * 4] * 4)
+
+
 def test_configuration_shape_and_finiteness_validation():
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = random_cfg(lat)
@@ -348,6 +357,19 @@ def test_load_rejects_bad_documents(tmp_path):
     bad.write_text(json.dumps(dict(doc, spacing=[1.0])))
     with pytest.raises(ValueError):
         load_configuration(bad)
+
+
+def test_load_maps_every_malformed_field_to_one_value_error(tmp_path):
+    cfg = random_cfg(Lattice((2, 2, 2, 2), 1.0))
+    save_configuration(cfg, tmp_path / "good.json")
+    doc = json.loads((tmp_path / "good.json").read_text())
+    bad = tmp_path / "bad.json"
+    for key, value in (("a", {}), ("a", [{}] * len(doc["a"])), ("phi_im", None),
+                       ("s", [[1.0]] * len(doc["s"])), ("flux", [[None] * 4] * 4),
+                       ("flux", [["0"] * 4] * 4), ("flux", [[2**70] * 4] * 4)):
+        bad.write_text(json.dumps(dict(doc, **{key: value})))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_configuration(bad)
 
 
 def test_windings_and_seeds_must_be_integers():

@@ -26,7 +26,9 @@ from swflow.functional import (
     sw_equation_residual,
 )
 from swflow.lattice import Lattice, codiff2, l2_norm, l4_norm, selfdual_project
-from swflow.operators import covariant_diff, covariant_diff_adjoint, curvature, fplus_at_sites
+from swflow.operators import (
+    covariant_diff, covariant_diff_adjoint, curvature, curvature_at_sites,
+)
 
 rng = np.random.default_rng(20260405)
 
@@ -117,7 +119,7 @@ def test_flat_weitzenbock_cross_check_against_norms():
 def test_first_order_energy_with_zero_phi():
     lat = Lattice((3, 4, 2, 3), 0.9)
     cfg = random_cfg(lat, flux=flux_matrix(f23=2), amp=(0.5, 0.0))
-    want = l2_norm(lat, fplus_at_sites(cfg)) ** 2
+    want = l2_norm(lat, selfdual_project(curvature_at_sites(cfg))) ** 2
     assert energy_first_order(cfg) == pytest.approx(want, rel=1e-13)
 
 
@@ -246,7 +248,8 @@ def test_sw_equation_residual_pieces():
     no_phi = random_cfg(lat, flux=flux, amp=(0.4, 0.0))
     r1, r2 = sw_equation_residual(no_phi)
     assert r1 == 0.0
-    assert r2 == pytest.approx(l2_norm(lat, fplus_at_sites(no_phi)) ** 2, rel=1e-13)
+    fplus = selfdual_project(curvature_at_sites(no_phi))
+    assert r2 == pytest.approx(l2_norm(lat, fplus) ** 2, rel=1e-13)
     cfg = random_cfg(lat, flux=flux)
     r1, r2 = sw_equation_residual(cfg)
     assert r1 + r2 == pytest.approx(energy_first_order(cfg), rel=1e-13)

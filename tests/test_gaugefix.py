@@ -51,9 +51,9 @@ def random_cfg(lat, seed, flux=None):
 def coulomb_cfg(lat, seed):
     """Configuration whose a is a codiff2 image: divergence- and mean-free."""
     gen = np.random.default_rng(seed)
-    a = codiff2(lat, gen.standard_normal(lat.shape + (6,)))
-    phi = gen.standard_normal(lat.shape + (2,)) + 1j * gen.standard_normal(lat.shape + (2,))
-    return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, np.zeros(lat.shape))
+    a = codiff2(lat, gen.standard_normal(lat.dims + (6,)))
+    phi = gen.standard_normal(lat.dims + (2,)) + 1j * gen.standard_normal(lat.dims + (2,))
+    return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, np.zeros(lat.dims))
 
 
 def test_coulomb_fix_leaves_divergence_free_field_alone():
@@ -68,10 +68,10 @@ def test_coulomb_fix_leaves_divergence_free_field_alone():
 
 def test_coulomb_fix_removes_pure_gauge_exactly():
     lat = Lattice((4, 3, 4, 3), 0.7)
-    xi = rng.standard_normal(lat.shape)
-    phi = rng.standard_normal(lat.shape + (2,)) + 1j * rng.standard_normal(lat.shape + (2,))
+    xi = rng.standard_normal(lat.dims)
+    phi = rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(lat.dims + (2,))
     cfg = Configuration(
-        lat, GaugeField(d0(lat, xi), np.zeros((4, 4), int)), phi, np.zeros(lat.shape)
+        lat, GaugeField(d0(lat, xi), np.zeros((4, 4), int)), phi, np.zeros(lat.dims)
     )
     fixed, report = coulomb_fix(cfg)
     assert linf_norm(lat, fixed.gauge.a) <= 1e-10
@@ -98,7 +98,7 @@ def test_coulomb_fix_residual_and_curvature_on_random_field():
 def test_fixing_operations_preserve_energy():
     lat = Lattice((3, 3, 3, 3), 0.8)
     cfg = random_cfg(lat, 31, flux=flux_matrix(f12=1))
-    cfg = Configuration(cfg.lattice, cfg.gauge, cfg.phi, -np.ones(lat.shape), cfg.seed)
+    cfg = Configuration(cfg.lattice, cfg.gauge, cfg.phi, -np.ones(lat.dims), cfg.seed)
     for op in (coulomb_fix, component_fix, full_gauge_fix):
         fixed, _ = op(cfg)
         for energy in (energy_weitzenbock, energy_first_order):
@@ -108,10 +108,10 @@ def test_fixing_operations_preserve_energy():
 
 def test_component_fix_removes_integer_harmonic_exactly():
     lat = Lattice((4, 4, 4, 4), 0.5)
-    a = np.zeros(lat.shape + (4,))
+    a = np.zeros(lat.dims + (4,))
     a[..., 1] = 2.0 * np.pi / lat.lengths[1]
     cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.shape + (2,)), np.zeros(lat.shape)
+        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
     )
     fixed, report = component_fix(cfg)
     assert report.winding == (0, 1, 0, 0)
@@ -121,10 +121,10 @@ def test_component_fix_removes_integer_harmonic_exactly():
 def test_component_fix_reduces_to_fundamental_domain():
     lat = Lattice((4, 3, 3, 2), 0.5)
     unit = 2.0 * np.pi / lat.lengths[1]
-    a = np.zeros(lat.shape + (4,))
+    a = np.zeros(lat.dims + (4,))
     a[..., 1] = 3.7 * unit
     cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.shape + (2,)), np.zeros(lat.shape)
+        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
     )
     fixed, report = component_fix(cfg)
     assert report.winding == (0, 4, 0, 0)
@@ -146,10 +146,10 @@ def test_winding_rounds_ties_toward_zero(multiple, expected):
 @pytest.mark.parametrize("multiple,expected", [(2.6, 3), (-1.4, -1), (0.3, 0)])
 def test_component_fix_winding_on_generic_multiples(multiple, expected):
     lat = Lattice((3, 3, 3, 3), 1.0)
-    a = np.zeros(lat.shape + (4,))
+    a = np.zeros(lat.dims + (4,))
     a[..., 2] = multiple * 2.0 * np.pi / lat.lengths[2]
     cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.shape + (2,)), np.zeros(lat.shape)
+        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
     )
     _, report = component_fix(cfg)
     assert report.winding == (0, 0, expected, 0)
@@ -159,9 +159,9 @@ def test_full_gauge_fix_zero_configuration():
     lat = Lattice((3, 3, 2, 2), 1.0)
     cfg = Configuration(
         lat,
-        GaugeField(np.zeros(lat.shape + (4,)), np.zeros((4, 4), int)),
-        np.zeros(lat.shape + (2,)),
-        np.zeros(lat.shape),
+        GaugeField(np.zeros(lat.dims + (4,)), np.zeros((4, 4), int)),
+        np.zeros(lat.dims + (2,)),
+        np.zeros(lat.dims),
     )
     fixed, report = full_gauge_fix(cfg)
     assert np.array_equal(fixed.gauge.a, cfg.gauge.a)
@@ -192,7 +192,7 @@ def _hodge1_matrix(lat):
     """Dense matrix of d0 codiff1 + codiff2 d1 on 1-forms, one column per basis form."""
     n = 4 * lat.nsites
     mat = np.empty((n, n))
-    basis = np.zeros(lat.shape + (4,))
+    basis = np.zeros(lat.dims + (4,))
     for j in range(n):
         basis.flat[j] = 1.0
         image = d0(lat, codiff1(lat, basis)) + codiff2(lat, d1(lat, basis))
@@ -248,7 +248,7 @@ def test_sobolev_bound_after_full_fix():
 def test_gauge_distance_vanishes_on_orbits():
     lat = Lattice((3, 3, 3, 3), 0.8)
     cfg = random_cfg(lat, 51, flux=flux_matrix(f12=1))
-    g = GaugeTransform(0.9 * rng.standard_normal(lat.shape), (1, -2, 0, 3))
+    g = GaugeTransform(0.9 * rng.standard_normal(lat.dims), (1, -2, 0, 3))
     moved = apply_gauge(g, cfg)
     assert gauge_distance(cfg, moved) <= 1e-8
     # identical inputs: zero up to roundoff in the phase alignment

@@ -266,6 +266,16 @@ def test_poisson_solve_rejects_nonzero_mean():
         poisson_solve(lat, r + 0.5j)
 
 
+def test_poisson_solve_raises_on_non_finite_source():
+    # a NaN residual compares False against the gate; it must still raise
+    lat = Lattice((3, 3, 3, 3), 1.0)
+    for entries in ((np.inf, -np.inf), (np.nan,)):
+        rho = np.zeros(lat.dims)
+        rho.flat[: len(entries)] = entries
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="residual"):
+            poisson_solve(lat, rho)
+
+
 def test_poisson_solve_complex_source():
     lat = Lattice((3, 4, 2, 3), 1.1)
     rho = random_scalar(lat, complex_=True)

@@ -19,7 +19,7 @@ from swflow.fields import (
     random_configuration,
     transform_angle,
 )
-from swflow.lattice import PLANES, Lattice, d0, l2_inner, l2_norm
+from swflow.lattice import PLANES, Lattice, d0, l2_inner, l2_norm, selfdual_project
 from swflow.operators import (
     covariant_diff,
     covariant_diff_adjoint,
@@ -27,7 +27,6 @@ from swflow.operators import (
     curvature_at_sites,
     dirac,
     dirac_adjoint,
-    fplus_at_sites,
     link_phases,
 )
 
@@ -267,12 +266,12 @@ def test_curvature_at_sites_matches_direct_average():
             assert Fs[x + (i,)] == pytest.approx(np.mean(corners))
 
 
-def test_fplus_at_sites_is_selfdual():
+def test_selfdual_part_of_site_curvature_is_selfdual():
     from swflow.lattice import hodge_star2
 
     lat = Lattice((3, 3, 2, 2), 0.7)
     cfg = random_cfg(lat)
-    P = fplus_at_sites(cfg)
+    P = selfdual_project(curvature_at_sites(cfg))
     assert np.allclose(hodge_star2(P), P)
 
 

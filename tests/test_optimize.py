@@ -36,16 +36,16 @@ rng = np.random.default_rng(20260407)
 
 
 def with_constant_s(cfg, value):
-    s = value * np.ones(cfg.lattice.shape)
+    s = value * np.ones(cfg.lattice.dims)
     return Configuration(cfg.lattice, cfg.gauge, cfg.phi, s, cfg.seed)
 
 
 def zero_cfg(lat, s_value=0.0):
     return Configuration(
         lat,
-        GaugeField(np.zeros(lat.shape + (4,)), np.zeros((4, 4), int)),
-        np.zeros(lat.shape + (2,)),
-        s_value * np.ones(lat.shape),
+        GaugeField(np.zeros(lat.dims + (4,)), np.zeros((4, 4), int)),
+        np.zeros(lat.dims + (2,)),
+        s_value * np.ones(lat.dims),
     )
 
 
@@ -329,7 +329,7 @@ def test_minimize_obeys_maximum_principle_for_negative_curvature(negative_curvat
 def test_minimize_descends_the_gauge_quotient(negative_curvature_run):
     cfg, _ = negative_curvature_run
     lat = cfg.lattice
-    g = GaugeTransform(0.8 * rng.standard_normal(lat.shape), (1, 0, -1, 0))
+    g = GaugeTransform(0.8 * rng.standard_normal(lat.dims), (1, 0, -1, 0))
     params = MinimizeParams(max_iters=40, grad_tol=1e-5, gaugefix_every=1)
     plain = minimize(cfg, params)
     moved = minimize(apply_gauge(g, cfg), params)

@@ -7,9 +7,11 @@ own tolerances over drawn shapes, spacings, flux sectors and windings; and the
 line search's polynomial floor skips a trial only when its computed energy
 fails the same threshold; excess_report fed from a held evaluation, and
 full_gauge_fix without its identity winding step, equal the rebuilt and
-unskipped forms; and `swflow run` exits 0, or 2 with "bad config", on fuzzed
+unskipped forms; `swflow run` exits 0, or 2 with "bad config", on fuzzed
 configs (always 2 for a string or bool spacing or amplitude), never with a
-traceback."""
+traceback; and `swflow gaugefix` exits 0, 1, or 2 with "cannot read
+configuration", on saved configurations with one key replaced by a wrong
+value, never with a traceback."""
 
 import contextlib
 import io
@@ -360,3 +362,34 @@ def test_run_config_fuzz_exits_cleanly(tmp_path_factory, config):
         numbers = [config["spacing"], *(amplitudes.values() if isinstance(amplitudes, dict) else ())]
         if any(isinstance(v, (str, bool)) for v in numbers):
             assert code == 2
+
+
+# wrong values for one key of a saved configuration: a list value is either
+# short or, with its entries repeated, as long as the list it replaces
+WRONG_ENTRY = (st.none() | st.booleans() | st.text(max_size=3)
+               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+               | st.lists(st.floats(-1.0, 1.0), max_size=2) | st.sampled_from([2**64, 10**400]))
+WRONG_SAVED = WRONG_ENTRY | st.tuples(st.lists(WRONG_ENTRY, min_size=1, max_size=3), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(["version", "dims", "spacing", "flux", "a", "phi_re", "phi_im", "s", "seed"]),
+       wrong=WRONG_SAVED)
+def test_gaugefix_on_malformed_saved_configuration_exits_cleanly(tmp_path_factory, key, wrong):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    save_configuration(random_configuration(Lattice((2, 2, 2, 2), 1.0), 4, (0.4, 0.8)),
+                       workdir / "valid.json")
+    doc = json.loads((workdir / "valid.json").read_text())
+    if isinstance(wrong, tuple):
+        entries, full_length = wrong
+        n = len(doc[key]) if full_length and isinstance(doc[key], list) else len(entries)
+        wrong = (entries * n)[:n]
+    doc[key] = wrong
+    (workdir / "in.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main(["gaugefix", str(workdir / "in.json"), str(workdir / "out.json")])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert "cannot read configuration" in err.getvalue()
