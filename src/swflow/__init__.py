@@ -18,7 +18,6 @@ from .lattice import (
     hodge_star2,
     l2_inner,
     l2_norm,
-    l4_norm,
     laplacian0,
     linf_norm,
     poisson_solve,
@@ -27,20 +26,15 @@ from .lattice import (
 )
 from .clifford import (
     CliffordTable,
-    clifford_mult,
-    clifford_mult_adjoint,
     quadratic_form,
     relation_defect,
     standard_table,
-    two_form_action,
 )
 from .fields import (
     Configuration,
     GaugeField,
     GaugeTransform,
     apply_gauge,
-    background_curvature,
-    build_flux_background,
     load_configuration,
     random_configuration,
     save_configuration,

@@ -255,11 +255,11 @@ def weitzenbock_gap_contraction() -> CheckResult:
     return CheckResult("weitzenbock_gap_contraction", ratio, 1.5, op=">=")
 
 
-def run_checks(level: str = "fast", table: CliffordTable | None = None) -> list[CheckResult]:
-    """Run the invariant suite; `table` overrides the Clifford table under test."""
+def run_checks(level: str = "fast") -> list[CheckResult]:
+    """Run the invariant suite on the standard Clifford table."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be fast or full, got {level!r}")
-    tbl = standard_table() if table is None else table
+    tbl = standard_table()
 
     def cube(spacing):
         return Lattice((3, 3, 3, 3), spacing)

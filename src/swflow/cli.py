@@ -174,6 +174,8 @@ def cmd_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
+# the finiteness gates and write_json turn NaN and inf into the command's own error
+@np.errstate(all="ignore")
 def cmd_gaugefix(args) -> int:
     if not os.path.isfile(args.input):
         print(f"swflow gaugefix: file not found: {args.input}", file=sys.stderr)

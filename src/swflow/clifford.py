@@ -1,11 +1,11 @@
-"""Spin^c fiber algebra: Clifford multiplication and bivector actions.
+"""Spin^c fiber algebra: the Clifford table and the quadratic form sigma(phi).
 
 Spinors carry two complex components on the trailing axis. The four unitary
-generators sigma_mu map the positive spinor bundle to the negative one; the
-bivectors B_{mu nu} = -sigma_mu^dag sigma_nu act on the positive bundle, are
-skew-Hermitian, and form a self-dual matrix-valued 2-form for the table built
-by standard_table. All operations are pure and fiberwise, broadcasting over
-any leading site axes.
+generators sigma_mu, which the Dirac operator applies, map the positive
+spinor bundle to the negative one; the bivectors B_{mu nu} = -sigma_mu^dag
+sigma_nu act on the positive bundle, are skew-Hermitian, and form a
+self-dual matrix-valued 2-form for the table built by standard_table.
+quadratic_form is fiberwise, broadcasting over any leading site axes.
 """
 
 from __future__ import annotations
@@ -80,27 +80,6 @@ def relation_defect(tbl: CliffordTable) -> float:
     return worst
 
 
-def _check_spinor(phi: np.ndarray):
-    if phi.shape[-1] != 2:
-        raise ValueError(f"spinor fiber must have 2 components, got {phi.shape[-1]}")
-
-
-def clifford_mult(tbl: CliffordTable, mu: int, phi: np.ndarray) -> np.ndarray:
-    """Apply sigma_mu fiberwise (positive spinors to negative spinors)."""
-    if not 0 <= mu < 4:
-        raise ValueError(f"direction must be in 0..3, got {mu}")
-    _check_spinor(phi)
-    return np.einsum("ab,...b->...a", tbl.sigma[mu], phi)
-
-
-def clifford_mult_adjoint(tbl: CliffordTable, mu: int, psi: np.ndarray) -> np.ndarray:
-    """Apply sigma_mu^dag fiberwise (negative spinors back to positive)."""
-    if not 0 <= mu < 4:
-        raise ValueError(f"direction must be in 0..3, got {mu}")
-    _check_spinor(psi)
-    return np.einsum("ba,...b->...a", np.conj(tbl.sigma[mu]), psi)
-
-
 def quadratic_form(tbl: CliffordTable, phi: np.ndarray) -> np.ndarray:
     """Quadratic spinor-to-2-form map sigma(phi).
 
@@ -110,19 +89,9 @@ def quadratic_form(tbl: CliffordTable, phi: np.ndarray) -> np.ndarray:
     dropped), and for the standard table the output fiber is self-dual with
     |sigma(phi)|^2 = |phi|^4 / 8.
     """
-    _check_spinor(phi)
+    if phi.shape[-1] != 2:
+        raise ValueError(f"spinor fiber must have 2 components, got {phi.shape[-1]}")
     outer = (np.conj(phi)[..., :, None] * phi[..., None, :]).reshape(-1, 4)
     val = outer @ tbl.bivectors.reshape(6, 4).T
     return -0.25 * val.imag.reshape(phi.shape[:-1] + (6,))
 
-
-def two_form_action(tbl: CliffordTable, omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Clifford action of a real 2-form fiber, sum omega_{mu nu} B_{mu nu} phi.
-
-    Takes the full 2-form; anti-self-dual input acts as zero because the
-    bivectors themselves are self-dual.
-    """
-    _check_spinor(phi)
-    if omega.shape[-1] != 6:
-        raise ValueError(f"2-form fiber must have 6 components, got {omega.shape[-1]}")
-    return np.einsum("...i,iab,...b->...a", omega, tbl.bivectors, phi)

@@ -2,9 +2,12 @@
 
 The gauge field is stored non-compactly: a real link 1-form a (the
 fluctuation around the flux background, units 1/length) plus an integer
-antisymmetric flux matrix selecting the bundle sector. Gauge transforms
-carry a periodic real angle zeta plus four winding integers; windings are
-never baked into zeta, which keeps branch cuts out of the fields entirely.
+antisymmetric flux matrix selecting the bundle sector. The sector's
+background (link angles with plaquette holonomy 2 pi n / (N_mu N_nu) on each
+plane (mu, nu), and the constant curvature) is built once per lattice and
+flux and shared read-only. Gauge transforms carry a periodic real angle zeta
+plus four winding integers; windings are never baked into zeta, which keeps
+branch cuts out of the fields entirely.
 
 Every file swflow writes goes through write_atomic, which replaces the target
 in one rename, so a reader or a failed write never sees half a file. JSON
@@ -37,7 +40,7 @@ def check_flux_matrix(flux) -> np.ndarray:
     """Validate and return the 4x4 antisymmetric integer flux matrix."""
     f = np.asarray(flux)
     _require(f.shape == (4, 4), f"flux must be 4x4, got {f.shape}")
-    _require(f.dtype.kind in "biufc", f"flux entries must be numbers, got dtype {f.dtype}")
+    _require(f.dtype.kind in "iufc", f"flux entries must be numbers, got dtype {f.dtype}")
     _require(np.all(np.isfinite(f)), "flux entries must be finite")
     _require(
         not np.iscomplexobj(f) and np.all(f == np.round(f)) and np.all(np.abs(f) < 2.0**63),
@@ -78,16 +81,6 @@ class GaugeTransform:
         _require(len(k) == 4, "winding needs four integers")
         object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "winding", k)
-
-    def inverse(self) -> "GaugeTransform":
-        return GaugeTransform(-self.zeta, tuple(-k for k in self.winding))
-
-    def compose(self, other: "GaugeTransform") -> "GaugeTransform":
-        """Pointwise product of the two U(1) maps."""
-        return GaugeTransform(
-            self.zeta + other.zeta,
-            tuple(a + b for a, b in zip(self.winding, other.winding)),
-        )
 
 
 @dataclass(frozen=True)
@@ -203,28 +196,6 @@ def _cached_background(lat: Lattice, key: tuple) -> tuple[np.ndarray, np.ndarray
     return theta, F
 
 
-def build_flux_background(lat: Lattice, flux) -> np.ndarray:
-    """Link angles for the determinant line in the given flux sector.
-
-    For each plane (mu, nu) with n = flux[mu, nu] != 0 the plaquette holonomy
-    angle is the constant 2 pi n / (N_mu N_nu), so the angles over a full
-    coordinate plane sum to exactly 2 pi n. The real-valued curl of the
-    returned angles equals that constant except at one corner plaquette per
-    plane, where it differs by the invisible 2 pi n. Returns a fresh array.
-    """
-    return _flux_background(lat, check_flux_matrix(flux))[0].copy()
-
-
-def background_curvature(lat: Lattice, flux) -> np.ndarray:
-    """Constant determinant-line curvature 2-form of the flux sector.
-
-    Component on plane (mu, nu) is 2 pi n_{mu nu} / (N_mu N_nu h^2)
-    everywhere (a fresh array); its h^2-weighted sum over a coordinate plane is 2 pi n.
-    """
-    F = _flux_background(lat, check_flux_matrix(flux))[1]
-    return np.broadcast_to(F, lat.dims + (6,)).copy()
-
-
 def random_configuration(
     lat: Lattice,
     seed: int,
@@ -326,7 +297,7 @@ def load_configuration(path) -> Configuration:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be an object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
     missing = {"dims", "spacing", "flux", "a", "phi_re", "phi_im", "s"} - set(doc)
     if missing:

@@ -181,11 +181,6 @@ def fiber_norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))
 
 
-def l4_norm(lat: Lattice, u: np.ndarray) -> float:
-    _check_form(lat, u, u.shape[4:], "field")
-    return float((np.sum(fiber_norm(u) ** 4) * lat.spacing**4) ** 0.25)
-
-
 def linf_norm(lat: Lattice, u: np.ndarray) -> float:
     _check_form(lat, u, u.shape[4:], "field")
     return float(np.max(fiber_norm(u)))
@@ -222,7 +217,8 @@ def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
 
     Spectral solve over the periodic lattice. Raises ValueError when rho has
     a nonzero mean (no solution exists) and RuntimeError when the verified
-    residual is not at most 1e-10 * ||rho||, which a NaN or inf in rho makes.
+    residual is not at most 1e-10 * ||rho|| < inf, which a NaN or inf in rho
+    makes, as do entries whose squares overflow ||rho||.
     """
     _check_form(lat, rho, (), "scalar field")
     nrm = l2_norm(lat, rho)
@@ -239,8 +235,9 @@ def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     f = np.fft.ifftn(f_hat, axes=(0, 1, 2, 3))
     f = f.real if not np.iscomplexobj(rho) else f
     residual = l2_norm(lat, laplacian0(lat, f) - rho)
-    if not residual <= 1e-10 * nrm:
+    if not residual <= 1e-10 * nrm < np.inf:
         raise RuntimeError(
             f"poisson solve residual {residual:.3e} is not within 1e-10 * ||rho||"
+            f" < inf (||rho|| = {nrm:.3e})"
         )
     return f

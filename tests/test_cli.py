@@ -356,16 +356,16 @@ def test_gaugefix_malformed_input_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a", [
     np.full((2, 2, 2, 2, 4), 1.7e308),  # the winding of the harmonic part overflows
     1e307 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4)),  # the Poisson gate trips
-], ids=["winding-overflow", "poisson-gate"])
+    3e306 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4)),  # ||rho|| overflows
+], ids=["winding-overflow", "poisson-gate", "poisson-norm-overflow"])
 def test_gaugefix_failure_on_a_loadable_configuration_exits_1(tmp_path, capsys, a):
     cfg = random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)).replace(a=a)
     save_configuration(cfg, tmp_path / "in.json")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["gaugefix", str(tmp_path / "in.json"), str(tmp_path / "o.json")])
+    code = main(["gaugefix", str(tmp_path / "in.json"), str(tmp_path / "o.json")])
     assert code == 1
     assert "cannot fix or write" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import background_curvature, flux_matrix, l4_norm
 from swflow import functional
 from swflow.checks import GRADIENT_TOL
 from swflow.clifford import CliffordTable, quadratic_form, standard_table
@@ -11,7 +12,6 @@ from swflow.fields import (
     GaugeField,
     GaugeTransform,
     apply_gauge,
-    background_curvature,
     random_configuration,
     transform_angle,
 )
@@ -25,21 +25,12 @@ from swflow.functional import (
     gradient,
     sw_equation_residual,
 )
-from swflow.lattice import Lattice, codiff2, l2_norm, l4_norm, selfdual_project
+from swflow.lattice import Lattice, codiff2, l2_norm, selfdual_project
 from swflow.operators import (
     covariant_diff, covariant_diff_adjoint, curvature, curvature_at_sites,
 )
 
 rng = np.random.default_rng(20260405)
-
-
-def flux_matrix(**planes):
-    n = np.zeros((4, 4), dtype=int)
-    for key, val in planes.items():
-        mu, nu = int(key[1]), int(key[2])
-        n[mu, nu] = val
-        n[nu, mu] = -val
-    return n
 
 
 def random_cfg(lat, seed=9, flux=None, amp=(0.6, 0.9), s=None):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import flux_matrix
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -32,16 +33,6 @@ from swflow.lattice import (
 from swflow.operators import curvature
 
 rng = np.random.default_rng(20260406)
-
-
-def flux_matrix(**planes):
-    """flux_matrix(f01=2, f13=-1) -> antisymmetric integer matrix."""
-    flux = np.zeros((4, 4), dtype=int)
-    for key, n in planes.items():
-        mu, nu = int(key[1]), int(key[2])
-        flux[mu, nu] = n
-        flux[nu, mu] = -n
-    return flux
 
 
 def random_cfg(lat, seed, flux=None):

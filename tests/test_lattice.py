@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import l4_norm
 from swflow.lattice import (
     PLANES,
     Lattice,
@@ -14,7 +15,6 @@ from swflow.lattice import (
     hodge_star2,
     l2_inner,
     l2_norm,
-    l4_norm,
     laplacian0,
     linf_norm,
     poisson_solve,
@@ -267,9 +267,10 @@ def test_poisson_solve_rejects_nonzero_mean():
 
 
 def test_poisson_solve_raises_on_non_finite_source():
-    # a NaN residual compares False against the gate; it must still raise
+    # a NaN residual compares False against the gate, and a ||rho|| that
+    # overflows to inf (finite entries +-1e200) would pass any residual
     lat = Lattice((3, 3, 3, 3), 1.0)
-    for entries in ((np.inf, -np.inf), (np.nan,)):
+    for entries in ((np.inf, -np.inf), (np.nan,), (1e200, -1e200)):
         rho = np.zeros(lat.dims)
         rho.flat[: len(entries)] = entries
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="residual"):

@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from swflow.clifford import (
-    CliffordTable,
-    clifford_mult,
-    clifford_mult_adjoint,
-    standard_table,
-    two_form_action,
+from oracles import (
+    background_curvature, clifford_mult, clifford_mult_adjoint, flux_matrix, two_form_action,
 )
+from swflow.clifford import CliffordTable, standard_table
 from swflow.fields import (
     Configuration,
     GaugeField,
     GaugeTransform,
     apply_gauge,
-    background_curvature,
     random_configuration,
     transform_angle,
 )
@@ -36,15 +32,6 @@ rng = np.random.default_rng(20260404)
 def covariant_laplacian(cfg, phi=None):
     """Connection Laplacian Delta_A phi = -grad* grad phi (negative semidefinite)."""
     return -covariant_diff_adjoint(cfg, covariant_diff(cfg, phi))
-
-
-def flux_matrix(**planes):
-    n = np.zeros((4, 4), dtype=int)
-    for key, val in planes.items():
-        mu, nu = int(key[1]), int(key[2])
-        n[mu, nu] = val
-        n[nu, mu] = -val
-    return n
 
 
 def random_cfg(lat, seed=3, flux=None, amp=(0.7, 1.0)):

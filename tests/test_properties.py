@@ -31,15 +31,15 @@ from swflow.fields import (  # noqa: E402
     Configuration,
     GaugeField,
     GaugeTransform,
+    _flux_background,
     apply_gauge,
-    background_curvature,
-    build_flux_background,
     load_configuration,
     random_configuration,
     save_configuration,
 )
 from swflow.gaugefix import component_fix, coulomb_fix, full_gauge_fix  # noqa: E402
 from swflow.lattice import PLANES, Lattice, shift  # noqa: E402
+from swflow.operators import curvature, link_phases  # noqa: E402
 from swflow.optimize import descent_pairing  # noqa: E402
 
 # doubles a lossy writer or reader would change: see tests/test_fields.py
@@ -122,12 +122,16 @@ def test_shift_is_the_roll_permutation(dims, trailing, is_complex, mu, steps, se
 @given(dims=DIMS, spacing=st.floats(0.2, 3.0), flux=flux_matrices())
 def test_flux_background_copies_are_independent_of_the_cache(dims, spacing, flux):
     lat = Lattice(dims, spacing)
-    for build in (build_flux_background, background_curvature):
-        first = build(lat, flux)
+    zero = random_configuration(lat, 0, (0.0, 0.0), flux=flux)
+    cached = _flux_background(lat, zero.gauge.flux)
+    assert not any(c.flags.writeable for c in cached)
+    for build in (link_phases, curvature):
+        first = build(zero)
         want = first.copy()
         assert first.flags.writeable
+        assert not any(np.shares_memory(first, c) for c in cached)
         first += 1.0
-        assert np.array_equal(build(lat, flux), want)
+        assert np.array_equal(build(zero), want)
 
 
 @settings(max_examples=15, deadline=None)
