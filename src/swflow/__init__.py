@@ -24,12 +24,7 @@ from .lattice import (
     selfdual_project,
     sobolev12_norm,
 )
-from .clifford import (
-    CliffordTable,
-    quadratic_form,
-    relation_defect,
-    standard_table,
-)
+from .clifford import BIVECTORS, SIGMA, quadratic_form, relation_defect
 from .fields import (
     Configuration,
     GaugeField,

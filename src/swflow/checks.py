@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .clifford import CliffordTable, quadratic_form, relation_defect, standard_table
+from .clifford import SIGMA, quadratic_form, relation_defect
 from .fields import Configuration, GaugeField, GaugeTransform, apply_gauge, random_configuration
 from .functional import (
     energy_first_order,
@@ -67,19 +67,17 @@ def mixed_flux_configuration(lat: Lattice, seed: int, scalar_curvature=None) -> 
     return random_configuration(lat, seed, (0.6, 0.9), flux=flux, scalar_curvature=scalar_curvature)
 
 
-def clifford_relation_defect(table: CliffordTable) -> CheckResult:
-    return CheckResult("clifford_relation_defect", relation_defect(table), IDENTITY_TOL)
+def clifford_relation_defect() -> CheckResult:
+    return CheckResult("clifford_relation_defect", relation_defect(SIGMA), IDENTITY_TOL)
 
 
-def quadratic_form_norm_identity(
-    table: CliffordTable, sites: tuple, seed: int, draws: int
-) -> CheckResult:
+def quadratic_form_norm_identity(sites: tuple, seed: int, draws: int) -> CheckResult:
     """Worst relative defect of |sigma(phi)|^2 = |phi|^4 / 8 over spinors on site shape `sites`."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
         phi = rng.standard_normal(sites + (2,)) + 1j * rng.standard_normal(sites + (2,))
-        lhs = np.sum(quadratic_form(table, phi) ** 2, axis=-1)
+        lhs = np.sum(quadratic_form(phi) ** 2, axis=-1)
         rhs = np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 8.0
         worst = worst_of(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
     return CheckResult("quadratic_form_norm_identity", worst, IDENTITY_TOL)
@@ -94,42 +92,29 @@ def exterior_derivative_squares_to_zero(lat: Lattice, seed: int, draws: int) -> 
     return CheckResult("exterior_derivative_squares_to_zero", worst, IDENTITY_TOL)
 
 
-def _adjoint_pairs(lat: Lattice, problem, table) -> dict:
+def _adjoint_pairs(lat: Lattice, problem) -> dict:
     """Name -> (operator, adjoint, fiber of u, fiber of v, complex fields), looked up per call."""
     return {
         "adjoint_d0_codiff1": (partial(d0, lat), partial(codiff1, lat), (), (4,), False),
         "adjoint_d1_codiff2": (partial(d1, lat), partial(codiff2, lat), (4,), (6,), False),
-        "adjoint_covariant_diff": (
-            partial(covariant_diff, problem),
-            partial(covariant_diff_adjoint, problem),
-            (2,),
-            (4, 2),
-            True,
-        ),
-        "adjoint_dirac": (
-            partial(dirac, problem, table=table),
-            partial(dirac_adjoint, problem, table=table),
-            (2,),
-            (2,),
-            True,
-        ),
+        "adjoint_covariant_diff": (partial(covariant_diff, problem),
+                                   partial(covariant_diff_adjoint, problem), (2,), (4, 2), True),
+        "adjoint_dirac": (partial(dirac, problem), partial(dirac_adjoint, problem), (2,), (2,), True),
     }
 
 
 # operator/adjoint pairs measured by adjoint_defect, in a fixed order
-ADJOINT_PAIRS = tuple(_adjoint_pairs(None, None, None))
+ADJOINT_PAIRS = tuple(_adjoint_pairs(None, None))
 
 
-def adjoint_defect(
-    name: str, problem, seed: int, draws: int, table: CliffordTable | None = None
-) -> CheckResult:
+def adjoint_defect(name: str, problem, seed: int, draws: int) -> CheckResult:
     """Worst |<op u, v> - <u, adj v>| / (|u| |v|) for the pair `name` on random fields.
 
     `problem` is a Lattice for the two exterior derivatives and a
     Configuration (whose links the operator uses) for all four pairs.
     """
     lat = getattr(problem, "lattice", problem)
-    op, adj, fiber_u, fiber_v, complex_fields = _adjoint_pairs(lat, problem, table)[name]
+    op, adj, fiber_u, fiber_v, complex_fields = _adjoint_pairs(lat, problem)[name]
     rng = np.random.default_rng(seed)
 
     def draw(fiber):
@@ -146,9 +131,7 @@ def adjoint_defect(
     return CheckResult(name, worst, IDENTITY_TOL)
 
 
-def energy_gauge_invariance(
-    cfg: Configuration, seed: int, draws: int, table: CliffordTable | None = None, windings=None
-) -> CheckResult:
+def energy_gauge_invariance(cfg: Configuration, seed: int, draws: int, windings=None) -> CheckResult:
     """Worst relative change of both energy forms under random gauge transforms.
 
     Each draw takes its phase field from the seeded stream and its winding
@@ -156,7 +139,7 @@ def energy_gauge_invariance(
     stream in -2..2.
     """
     rng = np.random.default_rng(seed)
-    energies = (energy_weitzenbock, lambda c: energy_first_order(c, table=table))
+    energies = (energy_weitzenbock, energy_first_order)
     before = [energy(cfg) for energy in energies]
     worst = 0.0
     for k in range(draws):
@@ -199,12 +182,12 @@ def coulomb_residual(lat: Lattice, seed: int, draws: int) -> CheckResult:
     return CheckResult("coulomb_residual", worst, COULOMB_TOL)
 
 
-def hodge_sobolev_bound(lat: Lattice, seed: int, draws: int, amplitudes=(0.8, 0.5)) -> CheckResult:
+def hodge_sobolev_bound(lat: Lattice, seed: int, draws: int) -> CheckResult:
     """Worst |a|_(1,2) / (C |d1 a| + C') over gauge-fixed flux-free configurations."""
     consts = hodge_constants(lat)
     worst = 0.0
     for k in range(draws):
-        fixed, _ = full_gauge_fix(random_configuration(lat, seed + k, amplitudes))
+        fixed, _ = full_gauge_fix(random_configuration(lat, seed + k, (0.8, 0.5)))
         lhs = sobolev12_norm(lat, fixed.gauge.a)
         rhs = consts.curl_factor * l2_norm(lat, d1(lat, fixed.gauge.a)) + consts.harmonic_radius
         worst = worst_of(worst, lhs / rhs)
@@ -256,10 +239,9 @@ def weitzenbock_gap_contraction() -> CheckResult:
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
-    """Run the invariant suite on the standard Clifford table."""
+    """Run the invariant suite at the command's sizes; level "full" adds the slow studies."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be fast or full, got {level!r}")
-    tbl = standard_table()
 
     def cube(spacing):
         return Lattice((3, 3, 3, 3), spacing)
@@ -268,20 +250,15 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     one_flux = np.zeros((4, 4), dtype=int)
     one_flux[0, 1], one_flux[1, 0] = 1, -1
     results = [
-        clifford_relation_defect(tbl),
-        quadratic_form_norm_identity(tbl, (), 101, 25),
+        clifford_relation_defect(),
+        quadratic_form_norm_identity((), 101, 25),
         exterior_derivative_squares_to_zero(cube(0.7), 102, 10),
         adjoint_defect("adjoint_d0_codiff1", cube(0.6), 103, 25),
         adjoint_defect("adjoint_d1_codiff2", cube(0.6), 104, 25),
         adjoint_defect("adjoint_covariant_diff", mixed_flux_configuration(cube(0.8), 105), 106, 25),
-        adjoint_defect("adjoint_dirac", mixed_flux_configuration(cube(0.8), 107), 108, 25, tbl),
-        energy_gauge_invariance(
-            mixed_flux_configuration(cube(0.9), 109, scalar_curvature=s),
-            110,
-            10,
-            tbl,
-            windings=[(k % 3 - 1, 0, 1, -2) for k in range(10)],
-        ),
+        adjoint_defect("adjoint_dirac", mixed_flux_configuration(cube(0.8), 107), 108, 25),
+        energy_gauge_invariance(mixed_flux_configuration(cube(0.9), 109, scalar_curvature=s), 110, 10,
+                                windings=[(k % 3 - 1, 0, 1, -2) for k in range(10)]),
         gradient_matches_finite_differences(
             mixed_flux_configuration(cube(0.7), 111, scalar_curvature=s), 112, 10
         ),

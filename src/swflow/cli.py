@@ -33,6 +33,8 @@ from .gaugefix import full_gauge_fix
 from .lattice import Lattice
 from .optimize import MinimizeParams, Trajectory, minimize
 
+RUN_KEYS = ("dims", "spacing", "flux", "scalar_curvature", "seed", "amplitudes", "minimize", "output_dir")
+
 HISTORY_COLUMNS = (
     "iter",
     "energy",
@@ -82,9 +84,20 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _require_keys(obj, known: tuple, where: str):
+    """Refuse a non-object or a key outside known, so a misspelt key is not silently ignored."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; expected some of {', '.join(known)}")
+
+
 def _build_run(config: dict):
+    _require_keys(config, RUN_KEYS, "config")
     lat = Lattice(tuple(config["dims"]), config["spacing"])
     amplitudes = config.get("amplitudes", {"a": 0.0, "phi": 0.0})
+    _require_keys(amplitudes, ("a", "phi"), "amplitudes")
     cfg = random_configuration(
         lat,
         config.get("seed", 0),
@@ -189,6 +202,8 @@ def cmd_gaugefix(args) -> int:
         before = energy_weitzenbock(cfg)
         fixed, report = full_gauge_fix(cfg)
         after = energy_weitzenbock(fixed)
+        if not (np.isfinite(before) and np.isfinite(after)):
+            raise ValueError(f"energy is not finite: {before} before, {after} after the fix")
         save_configuration(fixed, args.output)
         write_json(args.output + ".report.json", {
             "residual": report.residual,

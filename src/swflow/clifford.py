@@ -1,20 +1,19 @@
-"""Spin^c fiber algebra: the Clifford table and the quadratic form sigma(phi).
+"""Spin^c fiber algebra: the Clifford generators and the quadratic form sigma(phi).
 
 Spinors carry two complex components on the trailing axis. The four unitary
-generators sigma_mu, which the Dirac operator applies, map the positive
-spinor bundle to the negative one; the bivectors B_{mu nu} = -sigma_mu^dag
-sigma_nu act on the positive bundle, are skew-Hermitian, and form a
-self-dual matrix-valued 2-form for the table built by standard_table.
+generators SIGMA[mu], which the Dirac operator applies, map the positive
+spinor bundle to the negative one; the bivectors BIVECTORS over PLANES,
+B_{mu nu} = -sigma_mu^dag sigma_nu, act on the positive bundle, are
+skew-Hermitian, and form a self-dual matrix-valued 2-form. Every choice of
+generators is unitarily equivalent, so both arrays are fixed and read-only.
 quadratic_form is fiberwise, broadcasting over any leading site axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .lattice import PLANES, worst_of
+from .lattice import PLANES
 
 # standard Hermitian spin matrices, tau1 tau2 = i tau3
 _TAU = np.array(
@@ -26,72 +25,42 @@ _TAU = np.array(
     dtype=complex,
 )
 
+# sigma_4 = Id, sigma_k = -i tau_k. The -i sign on the spatial generators makes
+# the bivectors self-dual for the plane ordering and Hodge star used here (+i
+# would land them in the anti-self-dual fibers and kill the quadratic form's
+# pairing with F+).
+SIGMA = np.empty((4, 2, 2), dtype=complex)
+SIGMA[:3] = -1j * _TAU
+SIGMA[3] = np.eye(2)
+SIGMA.flags.writeable = False
 
-@dataclass(frozen=True)
-class CliffordTable:
-    """Four 2x2 generators sigma_mu plus the derived plane bivectors.
-
-    The constructor only checks shape; use relation_defect to verify the
-    Clifford relations, so deliberately broken tables can still be built
-    for negative controls.
-    """
-
-    sigma: np.ndarray
-    bivectors: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=complex)
-        if sig.shape != (4, 2, 2):
-            raise ValueError(f"sigma must have shape (4, 2, 2), got {sig.shape}")
-        biv = np.empty((6, 2, 2), dtype=complex)
-        for i, (mu, nu) in enumerate(PLANES):
-            biv[i] = -sig[mu].conj().T @ sig[nu]
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "bivectors", biv)
+BIVECTORS = np.array([-SIGMA[mu].conj().T @ SIGMA[nu] for mu, nu in PLANES])
+BIVECTORS.flags.writeable = False
 
 
-def standard_table() -> CliffordTable:
-    """Reference table: sigma_4 = Id, sigma_k = -i tau_k.
-
-    The -i sign on the spatial generators makes the bivectors self-dual for
-    the plane ordering and Hodge star used here (+i would land them in the
-    anti-self-dual fibers and kill the quadratic form's pairing with F+).
-    """
-    sig = np.empty((4, 2, 2), dtype=complex)
-    sig[:3] = -1j * _TAU
-    sig[3] = np.eye(2)
-    return CliffordTable(sig)
-
-
-def relation_defect(tbl: CliffordTable) -> float:
-    """Worst violation of unitarity and both Clifford anticommutators."""
-    sig = tbl.sigma
-    eye = np.eye(2)
-    worst = 0.0
-    for mu in range(4):
-        dag = sig[mu].conj().T
-        worst = worst_of(worst, float(np.max(np.abs(dag @ sig[mu] - eye))))
-        for nu in range(4):
-            want = 2.0 * eye if mu == nu else np.zeros((2, 2))
-            lhs = dag @ sig[nu] + sig[nu].conj().T @ sig[mu]
-            worst = worst_of(worst, float(np.max(np.abs(lhs - want))))
-            lhs = sig[mu] @ sig[nu].conj().T + sig[nu] @ dag
-            worst = worst_of(worst, float(np.max(np.abs(lhs - want))))
-    return worst
+def relation_defect(sigma: np.ndarray) -> float:
+    """Worst violation of unitarity and both Clifford anticommutators by sigma, shape (4, 2, 2)."""
+    dag = np.conj(sigma).transpose(0, 2, 1)
+    want = 2.0 * np.eye(4)[:, :, None, None] * np.eye(2)  # 2 delta_{mu nu} Id at [mu, nu]
+    defects = (
+        dag @ sigma - np.eye(2),
+        dag[:, None] @ sigma[None] + dag[None] @ sigma[:, None] - want,
+        sigma[:, None] @ dag[None] + sigma[None] @ dag[:, None] - want,
+    )
+    # np.max, unlike the builtin, propagates a NaN entry into the result
+    return float(np.max([np.max(np.abs(d)) for d in defects]))
 
 
-def quadratic_form(tbl: CliffordTable, phi: np.ndarray) -> np.ndarray:
+def quadratic_form(phi: np.ndarray) -> np.ndarray:
     """Quadratic spinor-to-2-form map sigma(phi).
 
     Components (i/4) <B_{mu nu} phi, phi> on the ordered planes, one product
     of the per-site outer products conj(phi_a) phi_b with the bivectors. Each
     i B is Hermitian, so the values are real (the float imaginary dust is
-    dropped), and for the standard table the output fiber is self-dual with
-    |sigma(phi)|^2 = |phi|^4 / 8.
+    dropped), and the output fiber is self-dual with |sigma(phi)|^2 = |phi|^4 / 8.
     """
     if phi.shape[-1] != 2:
         raise ValueError(f"spinor fiber must have 2 components, got {phi.shape[-1]}")
     outer = (np.conj(phi)[..., :, None] * phi[..., None, :]).reshape(-1, 4)
-    val = outer @ tbl.bivectors.reshape(6, 4).T
+    val = outer @ BIVECTORS.reshape(6, 4).T
     return -0.25 * val.imag.reshape(phi.shape[:-1] + (6,))
-

@@ -41,6 +41,10 @@ def check_flux_matrix(flux) -> np.ndarray:
     f = np.asarray(flux)
     _require(f.shape == (4, 4), f"flux must be 4x4, got {f.shape}")
     _require(f.dtype.kind in "iufc", f"flux entries must be numbers, got dtype {f.dtype}")
+    # a list that mixes booleans with numbers gets a number dtype; an array cannot hide one
+    _require(isinstance(flux, np.ndarray) or not any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(flux, dtype=object).flat),
+        "flux entries must be numbers, not booleans")
     _require(np.all(np.isfinite(f)), "flux entries must be finite")
     _require(
         not np.iscomplexobj(f) and np.all(f == np.round(f)) and np.all(np.abs(f) < 2.0**63),

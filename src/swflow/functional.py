@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordTable, quadratic_form, standard_table
+from .clifford import quadratic_form
 from .fields import Configuration, _flux_background
 from .lattice import (
     Lattice,
@@ -179,26 +179,21 @@ def energy_weitzenbock(cfg: Configuration) -> float:
     return _evaluate(cfg).energy
 
 
-def energy_first_order(
-    cfg: Configuration, table: CliffordTable | None = None
-) -> float:
+def energy_first_order(cfg: Configuration) -> float:
     """h^4 sum of |D phi|^2 + |F+ at sites - sigma(phi)|^2; nonnegative.
 
     Zero exactly when the first-order equations D phi = 0 and
     F+ = sigma(phi) hold at every site; the sum of sw_equation_residual.
     """
-    return sum(sw_equation_residual(cfg, table))
+    return sum(sw_equation_residual(cfg))
 
 
-def sw_equation_residual(
-    cfg: Configuration, table: CliffordTable | None = None
-) -> tuple[float, float]:
+def sw_equation_residual(cfg: Configuration) -> tuple[float, float]:
     """(|D phi|^2, |F+ - sigma(phi)|^2) as separate L^2 quantities, h^4 sum each."""
-    tbl = standard_table() if table is None else table
     h4 = cfg.lattice.spacing**4
-    r_dirac = h4 * float(np.sum(np.abs(dirac(cfg, table=tbl)) ** 2))
+    r_dirac = h4 * float(np.sum(np.abs(dirac(cfg)) ** 2))
     r_curv = h4 * float(np.sum((selfdual_project(curvature_at_sites(cfg))
-                                - quadratic_form(tbl, cfg.phi)) ** 2))
+                                - quadratic_form(cfg.phi)) ** 2))
     return (r_dirac, r_curv)
 
 

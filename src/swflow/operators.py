@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import CliffordTable, standard_table
+from .clifford import SIGMA
 from .fields import Configuration, _flux_background
 from .lattice import PLANES, d1, shift
 
@@ -65,30 +65,20 @@ def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndar
     return out
 
 
-def dirac(
-    cfg: Configuration,
-    phi: np.ndarray | None = None,
-    table: CliffordTable | None = None,
-) -> np.ndarray:
+def dirac(cfg: Configuration, phi: np.ndarray | None = None) -> np.ndarray:
     """Dirac operator D phi = sum_mu sigma_mu (grad_mu phi), lands in W^-;
     one product over (mu, b): (D phi)_a = sum sigma_mu[a, b] (grad_mu phi)_b."""
-    tbl = standard_table() if table is None else table
     grad = covariant_diff(cfg, phi).reshape(-1, 8)
-    return (grad @ tbl.sigma.transpose(0, 2, 1).reshape(8, 2)).reshape(cfg.lattice.dims + (2,))
+    return (grad @ SIGMA.transpose(0, 2, 1).reshape(8, 2)).reshape(cfg.lattice.dims + (2,))
 
 
-def dirac_adjoint(
-    cfg: Configuration,
-    psi: np.ndarray,
-    table: CliffordTable | None = None,
-) -> np.ndarray:
+def dirac_adjoint(cfg: Configuration, psi: np.ndarray) -> np.ndarray:
     """Exact adjoint of dirac: D* psi = grad* (sigma_mu^dag psi per direction),
     the directions in one product: (sigma_mu^dag psi)_a = sum_b conj(sigma_mu[b, a]) psi_b."""
-    tbl = standard_table() if table is None else table
     lat = cfg.lattice
     if psi.shape != lat.dims + (2,):
         raise ValueError(f"expected shape {lat.dims + (2,)}, got {psi.shape}")
-    G = psi.reshape(-1, 2) @ np.conj(tbl.sigma).transpose(1, 0, 2).reshape(2, 8)
+    G = psi.reshape(-1, 2) @ np.conj(SIGMA).transpose(1, 0, 2).reshape(2, 8)
     return covariant_diff_adjoint(cfg, G.reshape(lat.dims + (4, 2)))
 
 

@@ -6,6 +6,7 @@ rather than in the package.
 
 import numpy as np
 
+from swflow.clifford import BIVECTORS
 from swflow.fields import GaugeTransform
 from swflow.lattice import PLANES, fiber_norm
 
@@ -20,19 +21,19 @@ def flux_matrix(**planes):
     return n
 
 
-def clifford_mult(tbl, mu, phi):
+def clifford_mult(sigma, mu, phi):
     """sigma_mu phi fiberwise (positive spinors to negative spinors)."""
-    return np.einsum("ab,...b->...a", tbl.sigma[mu], phi)
+    return np.einsum("ab,...b->...a", sigma[mu], phi)
 
 
-def clifford_mult_adjoint(tbl, mu, psi):
+def clifford_mult_adjoint(sigma, mu, psi):
     """sigma_mu^dag psi fiberwise (negative spinors back to positive)."""
-    return np.einsum("ba,...b->...a", np.conj(tbl.sigma[mu]), psi)
+    return np.einsum("ba,...b->...a", np.conj(sigma[mu]), psi)
 
 
-def two_form_action(tbl, omega, phi):
+def two_form_action(omega, phi):
     """Clifford action sum omega_{mu nu} B_{mu nu} phi of a real 2-form fiber."""
-    return np.einsum("...i,iab,...b->...a", omega, tbl.bivectors, phi)
+    return np.einsum("...i,iab,...b->...a", omega, BIVECTORS, phi)
 
 
 def l4_norm(lat, u):

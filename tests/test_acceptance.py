@@ -17,7 +17,6 @@ import numpy as np
 
 from swflow import checks
 from swflow.checks import mixed_flux_configuration
-from swflow.clifford import standard_table
 from swflow.fields import Configuration, GaugeTransform, apply_gauge, random_configuration
 from swflow.gaugefix import full_gauge_fix, gauge_distance
 from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
@@ -34,13 +33,12 @@ def assert_holds(result):
 
 
 def test_01_algebraic_identities_exact():
-    tbl = standard_table()
     lat = Lattice((3, 3, 3, 3), 0.7)
     cfg = mixed_flux_configuration(lat, 11)
     results = [
-        checks.clifford_relation_defect(tbl),
+        checks.clifford_relation_defect(),
         checks.exterior_derivative_squares_to_zero(lat, 20260410, 100),
-        checks.quadratic_form_norm_identity(tbl, lat.dims, 20260410, 100),
+        checks.quadratic_form_norm_identity(lat.dims, 20260410, 100),
     ]
     for i, name in enumerate(checks.ADJOINT_PAIRS):
         results.append(checks.adjoint_defect(name, cfg, 200 + i, 100))
@@ -90,7 +88,7 @@ def test_04_gauge_normal_form():
 
 def test_05_sobolev_bound_from_spectral_constants():
     for dims, spacing in [((3, 3, 3, 3), 1.0 / 3.0), ((4, 4, 4, 4), 0.5)]:
-        assert_holds(checks.hodge_sobolev_bound(Lattice(dims, spacing), 5000, 100, (0.8, 0.7)))
+        assert_holds(checks.hodge_sobolev_bound(Lattice(dims, spacing), 5000, 100))
 
 
 def test_06_energy_forms_agree_under_refinement():

@@ -16,7 +16,7 @@ import pytest
 import swflow.checks
 import swflow.cli
 from swflow.cli import main, parse_scalar_curvature
-from swflow.clifford import CliffordTable, standard_table
+from swflow.clifford import SIGMA
 from swflow.fields import load_configuration, random_configuration, save_configuration
 from swflow.functional import energy_weitzenbock
 from swflow.lattice import Lattice, codiff1, l2_norm
@@ -114,6 +114,11 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
         dict(amplitudes={"a": 0.3, "phi": "1"}),
         dict(amplitudes={"a": False, "phi": 1.0}),
         dict(scalar_curvature="bump:1,1e-200"),
+        # a JSON boolean among the numbers is not a flux integer either
+        dict(flux=[[0, True, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        # a misspelt key is refused rather than silently left at its default
+        dict(scalar_curvatur=-1.0),
+        dict(amplitudes={"a": 0.3, "phi": 1.0, "psi": 0.5}),
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):
@@ -271,18 +276,18 @@ def test_check_json_reports_failures_and_non_finite_measurements(monkeypatch, ca
 
 
 def test_check_fails_on_corrupted_clifford_table(monkeypatch, capsys):
-    sigma = standard_table().sigma.copy()
+    sigma = SIGMA.copy()
     sigma[1, 0, 0] += 0.05
-    monkeypatch.setattr(swflow.checks, "standard_table", lambda: CliffordTable(sigma))
+    monkeypatch.setattr(swflow.checks, "SIGMA", sigma)
     assert main(["check", "--level", "fast"]) == 1
     out = capsys.readouterr().out
     assert "FAIL clifford_relation_defect" in out
 
 
 def test_check_fails_on_a_nan_clifford_entry(monkeypatch, capsys):
-    sigma = standard_table().sigma.copy()
+    sigma = SIGMA.copy()
     sigma[2, 0, 0] = np.nan
-    monkeypatch.setattr(swflow.checks, "standard_table", lambda: CliffordTable(sigma))
+    monkeypatch.setattr(swflow.checks, "SIGMA", sigma)
     assert main(["check", "--level", "fast"]) == 1
     assert "FAIL clifford_relation_defect: measured nan" in capsys.readouterr().out.splitlines()[0]
     assert main(["check", "--level", "fast", "--json"]) == 1
@@ -346,7 +351,8 @@ def test_gaugefix_missing_or_garbled_input(tmp_path, capsys):
     ("a", [{}] * 64),  # as many entries as a 2^4 connection has
     ("flux", [[None] * 4] * 4),
     ("flux", [["0"] * 4] * 4),
-], ids=["a-dict", "a-dicts", "flux-nulls", "flux-strings"])
+    ("flux", [[0, True, 0, 0], [-1, 0, 0, 0], [0] * 4, [0] * 4]),
+], ids=["a-dict", "a-dicts", "flux-nulls", "flux-strings", "flux-mixed-bool"])
 def test_gaugefix_malformed_input_exits_2(tmp_path, capsys, key, value):
     path = tmp_path / "in.json"
     save_configuration(random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)), path)
@@ -357,18 +363,20 @@ def test_gaugefix_malformed_input_exits_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a", [
-    np.full((2, 2, 2, 2, 4), 1.7e308),  # the winding of the harmonic part overflows
-    1e307 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4)),  # the Poisson gate trips
-    3e306 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4)),  # ||rho|| overflows
-], ids=["winding-overflow", "poisson-gate", "poisson-norm-overflow"])
-def test_gaugefix_failure_on_a_loadable_configuration_exits_1(tmp_path, capsys, a):
-    cfg = random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)).replace(a=a)
+@pytest.mark.parametrize("fields", [
+    dict(a=np.full((2, 2, 2, 2, 4), 1.7e308)),  # the winding of the harmonic part overflows
+    dict(a=1e307 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4))),  # the Poisson gate trips
+    dict(a=3e306 * np.random.default_rng(1).standard_normal((2, 2, 2, 2, 4))),  # ||rho|| overflows
+    dict(phi=1e100 * np.ones((2, 2, 2, 2, 2))),  # |phi|^4 overflows, so the drift is nan
+], ids=["winding-overflow", "poisson-gate", "poisson-norm-overflow", "phi-overflow"])
+def test_gaugefix_failure_on_a_loadable_configuration_exits_1(tmp_path, capsys, fields):
+    cfg = random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)).replace(**fields)
     save_configuration(cfg, tmp_path / "in.json")
     code = main(["gaugefix", str(tmp_path / "in.json"), str(tmp_path / "o.json")])
     assert code == 1
     assert "cannot fix or write" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+    assert not (tmp_path / "o.json.report.json").exists()
 
 
 def test_console_script_entry_point():

@@ -6,7 +6,6 @@ import pytest
 from oracles import background_curvature, flux_matrix, l4_norm
 from swflow import functional
 from swflow.checks import GRADIENT_TOL
-from swflow.clifford import CliffordTable, quadratic_form, standard_table
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -305,24 +304,6 @@ def test_excess_report_zero_threshold():
     rep = excess_report(cfg)
     assert rep.threshold == 0.0
     assert rep.excess_measure == pytest.approx(lat.volume)  # generic phi never 0
-
-
-def test_alternate_clifford_table_gives_same_energy():
-    def unitary():
-        q, r = np.linalg.qr(
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        )
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    lat = Lattice((3, 2, 3, 2), 0.8)
-    cfg = random_cfg(lat, flux=flux_matrix(f01=1))
-    w, v = unitary(), unitary()
-    tbl = standard_table()
-    tbl2 = CliffordTable(np.einsum("ab,mbc,cd->mad", w, tbl.sigma, v))
-    rotated = cfg.replace(phi=np.einsum("ab,...b->...a", v, cfg.phi))
-    assert energy_first_order(cfg, table=tbl2) == pytest.approx(
-        energy_first_order(rotated, table=tbl), rel=1e-12
-    )
 
 
 def test_gradient_is_bit_identical_to_separate_operator_traversals():

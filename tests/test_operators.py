@@ -6,7 +6,8 @@ import pytest
 from oracles import (
     background_curvature, clifford_mult, clifford_mult_adjoint, flux_matrix, two_form_action,
 )
-from swflow.clifford import CliffordTable, standard_table
+import swflow.operators
+from swflow.clifford import SIGMA
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -148,21 +149,22 @@ def test_dirac_adjoint_dense_oracle():
 
 
 @pytest.mark.parametrize("corrupted", [False, True])
-def test_dirac_pair_equals_the_per_direction_clifford_sums(corrupted):
-    sigma = standard_table().sigma.copy()
+def test_dirac_pair_equals_the_per_direction_clifford_sums(monkeypatch, corrupted):
+    sigma = SIGMA.copy()
     if corrupted:  # the broken table of test_check_fails_on_corrupted_clifford_table
         sigma[1, 0, 0] += 0.05
-    tbl = CliffordTable(sigma)
+    # an asymmetric table pins the index layout of the fused products
+    monkeypatch.setattr(swflow.operators, "SIGMA", sigma)
     lat = Lattice((3, 4, 2, 5), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f01=1, f13=2, f23=-1))
     grad = covariant_diff(cfg)
-    want = sum(clifford_mult(tbl, mu, grad[..., mu, :]) for mu in range(4))
-    got = dirac(cfg, table=tbl)
+    want = sum(clifford_mult(sigma, mu, grad[..., mu, :]) for mu in range(4))
+    got = dirac(cfg)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     psi = random_spinor_field(lat)
-    G = np.stack([clifford_mult_adjoint(tbl, mu, psi) for mu in range(4)], axis=-2)
+    G = np.stack([clifford_mult_adjoint(sigma, mu, psi) for mu in range(4)], axis=-2)
     want = covariant_diff_adjoint(cfg, G)
-    got = dirac_adjoint(cfg, psi, tbl)
+    got = dirac_adjoint(cfg, psi)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -279,15 +281,12 @@ def test_flat_dirac_norm_identity_under_refinement():
 def test_weitzenbock_identity_under_refinement():
     # D*D phi vs -Delta_A phi + (i/2) F.phi with the site-averaged curvature;
     # the n=4 grid is at Nyquist for the (1,2) mode, so start the ladder at 8
-    tbl = standard_table()
     resid = []
     for n in (8, 16, 32):
         cfg = smooth_test_fields(n)
         lat = cfg.lattice
         lhs = dirac_adjoint(cfg, dirac(cfg))
-        rhs = -covariant_laplacian(cfg) + 0.5j * two_form_action(
-            tbl, curvature_at_sites(cfg), cfg.phi
-        )
+        rhs = -covariant_laplacian(cfg) + 0.5j * two_form_action(curvature_at_sites(cfg), cfg.phi)
         resid.append(l2_norm(lat, lhs - rhs) / l2_norm(lat, cfg.phi))
     assert resid[0] / resid[1] >= 1.5
     assert resid[1] / resid[2] >= 1.5
