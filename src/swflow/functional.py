@@ -119,11 +119,11 @@ class _Evaluation:
 
     def gradient(self) -> Gradient:
         cfg, lat = self.cfg, self.cfg.lattice
+        da = 4.0 * codiff2(lat, self.fplus)  # first: the einsum's temporaries go before dphi
+        da += 2.0 * np.einsum("...mc,...c->...m", self.grad, np.conj(cfg.phi)).imag
         # -Delta_A phi = grad* grad phi, from the covariant difference held
         dphi = covariant_diff_adjoint(cfg, self.grad, self.U) + 0.25 * (
             cfg.scalar_curvature + self.phi2)[..., None] * cfg.phi
-        da = 4.0 * codiff2(lat, self.fplus)
-        da += 2.0 * np.einsum("...mc,...c->...m", self.grad, np.conj(cfg.phi)).imag
         return Gradient(lat, da, dphi)
 
 

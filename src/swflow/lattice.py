@@ -189,10 +189,10 @@ def linf_norm(lat: Lattice, u: np.ndarray) -> float:
 def sobolev12_norm(lat: Lattice, u: np.ndarray) -> float:
     """Discrete L^{1,2} norm: (||u||^2 + ||grad u||^2)^(1/2), plain differences."""
     _check_form(lat, u, u.shape[4:], "field")
-    g = np.empty((4,) + u.shape, dtype=u.dtype)
+    g = np.empty((4,) + u.shape)  # |forward difference| per direction, squared in place
     for mu in range(4):
-        g[mu] = (shift(u, mu) - u) / lat.spacing
-    n2 = np.sum(np.abs(u) ** 2) + np.sum(np.abs(g) ** 2)
+        np.abs((shift(u, mu) - u) / lat.spacing, out=g[mu])
+    n2 = np.sum(np.abs(u) ** 2) + np.sum(np.square(g, out=g))
     return float(np.sqrt(n2 * lat.spacing**4))
 
 

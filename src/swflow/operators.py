@@ -100,10 +100,6 @@ def curvature_at_sites(cfg: Configuration) -> np.ndarray:
     out = np.empty_like(F)
     for i, (mu, nu) in enumerate(PLANES):
         f = F[..., i]
-        out[..., i] = 0.25 * (
-            f
-            + shift(f, mu, -1)
-            + shift(f, nu, -1)
-            + shift(shift(f, mu, -1), nu, -1)
-        )
+        back = shift(f, mu, -1)  # also the diagonal neighbour's source
+        out[..., i] = 0.25 * (f + back + shift(f, nu, -1) + shift(back, nu, -1))
     return out

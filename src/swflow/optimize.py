@@ -220,6 +220,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
                 direction = g.scaled(-1.0)
         else:
             direction = g.scaled(-1.0)
+        candidate = prev_g = None  # both dead until the next gradient: not into the search
 
         with np.errstate(over="ignore", invalid="ignore"):
             floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials

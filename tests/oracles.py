@@ -1,8 +1,11 @@
-"""Reference formulas the tests hold swflow to, written from their definitions.
+"""Reference formulas the tests hold swflow to, written from their definitions,
+and the tracemalloc measure the memory tests read.
 
 None validates its arguments; no program path needs them, so they live here
 rather than in the package.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -39,6 +42,31 @@ def two_form_action(omega, phi):
 def l4_norm(lat, u):
     """(h^4 sum_x |u(x)|^4)^(1/4) with the fiber norm at each site."""
     return float((np.sum(fiber_norm(u) ** 4) * lat.spacing**4) ** 0.25)
+
+
+def sobolev12_norm(lat, u):
+    """(||u||^2 + ||grad u||^2)^(1/2) with the forward differences held in one
+    (4,) + u.shape buffer of u's dtype, the formula swflow first shipped."""
+    g = np.empty((4,) + u.shape, dtype=u.dtype)
+    for mu in range(4):
+        g[mu] = (np.roll(u, -1, axis=mu) - u) / lat.spacing
+    n2 = np.sum(np.abs(u) ** 2) + np.sum(np.abs(g) ** 2)
+    return float(np.sqrt(n2 * lat.spacing**4))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc traces while fn(*args) runs, above those live at the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def background_curvature(lat, flux):

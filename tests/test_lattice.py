@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import l4_norm
+from oracles import l4_norm, traced_peak
+from oracles import sobolev12_norm as shipped_sobolev12_norm
 from swflow.lattice import (
     PLANES,
     Lattice,
@@ -217,6 +218,26 @@ def test_sobolev_norm_direct_sum():
     assert sobolev12_norm(lat, u) == pytest.approx(
         np.sqrt(total * lat.spacing**4)
     )
+
+
+@pytest.mark.parametrize("dims, fiber, complex_", [
+    ((2, 3, 2, 3), (4,), False),  # a real 1-form
+    ((3, 4, 2, 5), (2,), True),  # a complex spinor on an odd, anisotropic lattice
+    ((5, 5, 5, 5), (), True),
+])
+def test_sobolev_norm_is_bit_equal_to_the_complex_buffer_formula(dims, fiber, complex_):
+    lat = Lattice(dims, 0.6)
+    u = rng.standard_normal(dims + fiber)
+    if complex_:
+        u = u + 1j * rng.standard_normal(dims + fiber)
+    assert sobolev12_norm(lat, u) == shipped_sobolev12_norm(lat, u)
+
+
+def test_sobolev_norm_peak_memory_on_a_spinor():
+    lat = Lattice((8, 8, 8, 8), 0.75)
+    phi = rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(lat.dims + (2,))
+    # the differences sit in one real buffer: 4 phi.nbytes with the complex temporaries
+    assert traced_peak(sobolev12_norm, lat, phi) <= 5 * phi.nbytes
 
 
 def test_laplacian0_spectrum_closed_form():

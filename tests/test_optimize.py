@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import traced_peak
 import swflow.checks
 import swflow.fields
 import swflow.functional
@@ -259,6 +260,16 @@ def test_minimize_builds_grad_phi_only_inside_evaluations(monkeypatch):
     assert [r.iter for r in traj.records] == [0, 2, 4, 6, 8, 9]  # the final record too
     # records read the held grad phi and |phi|^2 instead of rebuilding them
     assert counts["covariant_diff"] == counts["evaluate"] > 0
+
+
+def test_conjugate_minimize_peak_memory_on_a_mixed_flux_8_4():
+    lat = Lattice((8, 8, 8, 8), 0.75)
+    cfg = swflow.checks.mixed_flux_configuration(lat, 13, scalar_curvature=-np.ones(lat.dims))
+    params = MinimizeParams(max_iters=6, grad_tol=1e-12, method="conjugate", gaugefix_every=3,
+                            record_every=3)
+    minimize(cfg, params)  # untraced: it caches the flux background and imports numpy.fft
+    # no old gradient in the line searches, no complex difference buffer in the records
+    assert traced_peak(minimize, cfg, params) <= 11.6 * (cfg.gauge.a.nbytes + cfg.phi.nbytes)
 
 
 def test_minimize_rejects_a_non_finite_start():
