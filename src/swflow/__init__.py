@@ -57,8 +57,6 @@ from .functional import (
 from .gaugefix import (
     GaugeFixReport,
     HodgeConstants,
-    component_fix,
-    coulomb_fix,
     full_gauge_fix,
     gauge_distance,
     hodge_constants,

@@ -146,11 +146,12 @@ class Configuration:
 
 def transform_angle(lat: Lattice, g: GaugeTransform) -> np.ndarray:
     """Unwrapped angle theta(x) = zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu."""
-    x = np.indices(lat.dims)
     theta = g.zeta.copy()
-    for mu in range(4):
-        if g.winding[mu]:
-            theta += 2.0 * np.pi * g.winding[mu] * x[mu] / lat.dims[mu]
+    if any(g.winding):  # no coordinate grid for the Coulomb step's pure phase
+        x = np.indices(lat.dims)
+        for mu in range(4):
+            if g.winding[mu]:
+                theta += 2.0 * np.pi * g.winding[mu] * x[mu] / lat.dims[mu]
     return theta
 
 

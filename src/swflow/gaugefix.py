@@ -1,12 +1,12 @@
 """Gauge normalization and orbit distance.
 
-The normal form has two parts: Coulomb fixing (a divergence-free connection,
-obtained by solving a Poisson equation for the gauge phase) and component
-fixing (a winding transform shifting the constant harmonic part of each a_mu
-into the fundamental domain [-pi/L_mu, pi/L_mu) of the torus of flat
-connections). Configurations in normal form differ within a gauge orbit only
-by a global constant phase, so aligning that phase yields a pseudometric on
-orbits, gauge_distance.
+full_gauge_fix computes the normal form in two steps: a Coulomb step (a
+divergence-free connection, obtained by solving a Poisson equation for the
+gauge phase), then a winding step (a winding transform shifting the constant
+harmonic part of each a_mu into the fundamental domain [-pi/L_mu, pi/L_mu) of
+the torus of flat connections). Configurations in normal form differ within a
+gauge orbit only by a global constant phase, so aligning that phase yields a
+pseudometric on orbits, gauge_distance.
 
 The Sobolev bound ||a||_{1,2} <= C ||d1 a|| + C' for normalized a uses
 per-lattice constants from the spectral gap of the discrete Hodge Laplacian
@@ -17,7 +17,7 @@ never hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .lattice import Lattice, codiff1, l2_inner, l2_norm, poisson_solve, sobolev
 
 @dataclass(frozen=True)
 class GaugeFixReport:
-    """What a gauge-fixing step did.
+    """What full_gauge_fix did.
 
-    zeta: the zero-mean phase solving the Coulomb equation (zero for a pure
-        component fix). winding: the integer harmonic multiples detected and
-        removed (the applied transform carries the opposite sign). residual:
-        ||codiff1(a')|| of the returned configuration. harmonic: the mean of
-        a'_mu per direction; after component fixing it lies in
-        [-pi/L_mu, pi/L_mu).
+    zeta: the zero-mean phase solving the Coulomb equation. winding: the
+        integer harmonic multiples detected and removed (the applied
+        transform carries the opposite sign). residual: ||codiff1(a')|| of
+        the returned configuration. harmonic: the mean of a'_mu per
+        direction, in [-pi/L_mu, pi/L_mu) up to the rounding of the mean.
     """
 
     zeta: np.ndarray
@@ -43,21 +42,26 @@ class GaugeFixReport:
     harmonic: tuple[float, float, float, float]
 
 
-def _report(cfg: Configuration, zeta, winding) -> GaugeFixReport:
-    lat = cfg.lattice
-    a = cfg.gauge.a
-    residual = l2_norm(lat, codiff1(lat, a))
-    harmonic = tuple(float(a[..., mu].mean()) for mu in range(4))
-    return GaugeFixReport(zeta=zeta, winding=winding, residual=residual, harmonic=harmonic)
+def _round_half_up(x: float) -> int:
+    # floor(x + 1/2), so x - k lies in [-1/2, 1/2); x - floor(x) is exact where it
+    # meets 1/2, whereas x + 0.5 would round the non-tie 0.5 - 2**-54 up to 1
+    k = math.floor(x)
+    return k + (x - k >= 0.5)
 
 
-def coulomb_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
-    """Gauge-transform cfg so that codiff1(a) = 0.
+def full_gauge_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
+    """Bring cfg to normal form: a Coulomb step, then a winding step.
 
-    Solves laplacian0(zeta) = -codiff1(a), which is always solvable on the
+    The Coulomb step solves laplacian0(zeta) = -codiff1(a), solvable on the
     periodic lattice because codiff1 output sums to zero, and applies the
-    zero-mean phase zeta with no winding. The constant harmonic part of a is
-    untouched (d0 of a periodic scalar has zero mean in every direction).
+    zero-mean phase zeta, which leaves the harmonic means
+    h_mu = (2 pi / L_mu)(k_mu + r_mu) of a untouched (integer k_mu, r_mu in
+    [-1/2, 1/2)). The winding step removes k exactly by a winding transform
+    by -k, a constant added to a; it is skipped when k = (0, 0, 0, 0), where
+    it is the identity up to the sign of exact zeros. The result has
+    codiff1(a) ~ 0 (to solver accuracy), its harmonic part in
+    [-pi/L_mu, pi/L_mu) up to the rounding of the mean, and obeys
+    ||a||_{1,2} <= C ||d1 a|| + C' with constants from hodge_constants.
     """
     lat = cfg.lattice
     rho = -codiff1(lat, cfg.gauge.a)
@@ -66,50 +70,14 @@ def coulomb_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
     rho = rho - rho.mean()
     zeta = poisson_solve(lat, rho)
     fixed = apply_gauge(GaugeTransform(zeta), cfg)
-    return fixed, _report(fixed, zeta, (0, 0, 0, 0))
-
-
-def _round_ties_toward_zero(x: float) -> int:
-    # round(2.5) must give 2: ties go toward zero so the reduced harmonic
-    # part stays inside the half-open fundamental domain on the negative side.
-    return int(math.copysign(math.ceil(abs(x) - 0.5), x))
-
-
-def _winding(lat, harmonic) -> tuple[int, int, int, int]:
-    """The integer parts k_mu of the harmonic means h_mu = (2 pi / L_mu)(k_mu + r_mu)."""
-    return tuple(_round_ties_toward_zero(h * length / (2.0 * np.pi))
-                 for h, length in zip(harmonic, lat.lengths))
-
-
-def component_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
-    """Shift the constant part of a_mu into [-pi/L_mu, pi/L_mu) by winding.
-
-    The mean of a_mu is h_mu = (2 pi / L_mu) * (k_mu + r_mu) with integer
-    k_mu and r_mu in [-1/2, 1/2); a winding transform by -k_mu removes the
-    integer part exactly. The report records k. Winding transforms add a
-    constant to a, so the Coulomb residual is preserved.
-    """
-    lat = cfg.lattice
-    k = _winding(lat, (float(cfg.gauge.a[..., mu].mean()) for mu in range(4)))
-    undo = GaugeTransform(np.zeros(lat.dims), tuple(-ki for ki in k))
-    fixed = apply_gauge(undo, cfg)
-    return fixed, _report(fixed, np.zeros(lat.dims), k)
-
-
-def full_gauge_fix(cfg: Configuration) -> tuple[Configuration, GaugeFixReport]:
-    """Coulomb fix followed by component fix.
-
-    The result satisfies codiff1(a) ~ 0 (to solver accuracy) with the
-    harmonic part in the fundamental domain, and obeys the Sobolev bound
-    ||a||_{1,2} <= C ||d1 a|| + C' with constants from hodge_constants.
-    Skips the component fix when the winding it would remove is (0, 0, 0, 0),
-    where it is the identity up to the sign of exact zeros.
-    """
-    fixed, coulomb = coulomb_fix(cfg)
-    if not any(_winding(cfg.lattice, coulomb.harmonic)):
-        return fixed, coulomb
-    fixed, component = component_fix(fixed)
-    return fixed, replace(component, zeta=coulomb.zeta)
+    k = tuple(_round_half_up(float(fixed.gauge.a[..., mu].mean()) * length / (2.0 * np.pi))
+              for mu, length in enumerate(lat.lengths))
+    if any(k):
+        fixed = apply_gauge(GaugeTransform(np.zeros(lat.dims), tuple(-ki for ki in k)), fixed)
+    a = fixed.gauge.a
+    residual = l2_norm(lat, codiff1(lat, a))
+    harmonic = tuple(float(a[..., mu].mean()) for mu in range(4))
+    return fixed, GaugeFixReport(zeta=zeta, winding=k, residual=residual, harmonic=harmonic)
 
 
 @dataclass(frozen=True)

@@ -208,9 +208,8 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             break
 
         if params.method == "conjugate" and direction is not None:
-            denom = prev_g.norm() ** 2
             beta = max(0.0, descent_pairing(g, Gradient(
-                g.lattice, g.da - prev_g.da, g.dphi - prev_g.dphi)) / denom)
+                g.lattice, g.da - prev_g.da, g.dphi - prev_g.dphi)) / prev_norm**2)
             candidate = Gradient(
                 g.lattice, -g.da + beta * direction.da, -g.dphi + beta * direction.dphi
             )
@@ -241,7 +240,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             direction = None  # conjugate memory is stale off the old slice
 
         prev_g = g if direction is not None else None  # stale off the old slice too
-        g = held.gradient()
+        g, prev_norm = held.gradient(), grad_norm
         grad_norm = g.norm()
 
     return Trajectory(tuple(records), cfg, reason)
@@ -266,9 +265,9 @@ class PSDiagnostics:
 
 
 def ps_diagnostics(traj: Trajectory) -> PSDiagnostics:
-    """Summarize step-distance decay along a trajectory (>= 3 records)."""
-    if len(traj.records) < 3:
-        raise ValueError("need at least 3 recorded iterates to diagnose")
+    """Summarize step-distance decay along a trajectory (>= 5 records, so no block is empty)."""
+    if len(traj.records) < 5:
+        raise ValueError("need at least 5 recorded iterates (4 steps) to diagnose")
     dists = np.array([r.gauge_step_distance for r in traj.records[1:]])
     sums = tuple(float(block.sum()) for block in np.array_split(dists, 4))
     summable = all(b <= a for a, b in zip(sums, sums[1:]))

@@ -1,17 +1,20 @@
 """Reference formulas the tests hold swflow to, written from their definitions,
-and the tracemalloc measure the memory tests read.
+the two-step gauge fix swflow first shipped, and the tracemalloc measure the
+memory tests read.
 
 None validates its arguments; no program path needs them, so they live here
 rather than in the package.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 
 from swflow.clifford import BIVECTORS
-from swflow.fields import GaugeTransform
-from swflow.lattice import PLANES, fiber_norm
+from swflow.fields import GaugeTransform, apply_gauge
+from swflow.gaugefix import GaugeFixReport
+from swflow.lattice import PLANES, codiff1, fiber_norm, l2_norm, poisson_solve
 
 
 def flux_matrix(**planes):
@@ -83,3 +86,40 @@ def inverse(g):
 def compose(g1, g2):
     """Pointwise product of the two U(1) maps."""
     return GaugeTransform(g1.zeta + g2.zeta, tuple(np.add(g1.winding, g2.winding)))
+
+
+# The gauge fix as two public steps with one report each, as swflow first
+# shipped it; full_gauge_fix must equal component_fix(coulomb_fix(cfg)[0]) bit
+# for bit, with coulomb_fix's zeta, except at exact ties of the winding rule,
+# which this version rounds toward zero.
+
+def _report(cfg, zeta, winding):
+    lat = cfg.lattice
+    a = cfg.gauge.a
+    residual = l2_norm(lat, codiff1(lat, a))
+    harmonic = tuple(float(a[..., mu].mean()) for mu in range(4))
+    return GaugeFixReport(zeta=zeta, winding=winding, residual=residual, harmonic=harmonic)
+
+
+def coulomb_fix(cfg):
+    """Gauge-transform cfg so that codiff1(a) = 0, with no winding."""
+    lat = cfg.lattice
+    rho = -codiff1(lat, cfg.gauge.a)
+    rho = rho - rho.mean()
+    zeta = poisson_solve(lat, rho)
+    fixed = apply_gauge(GaugeTransform(zeta), cfg)
+    return fixed, _report(fixed, zeta, (0, 0, 0, 0))
+
+
+def _round_ties_toward_zero(x):
+    return int(math.copysign(math.ceil(abs(x) - 0.5), x))
+
+
+def component_fix(cfg):
+    """Shift the constant part of a_mu into [-pi/L_mu, pi/L_mu) by winding."""
+    lat = cfg.lattice
+    k = tuple(_round_ties_toward_zero(float(cfg.gauge.a[..., mu].mean()) * length / (2.0 * np.pi))
+              for mu, length in enumerate(lat.lengths))
+    undo = GaugeTransform(np.zeros(lat.dims), tuple(-ki for ki in k))
+    fixed = apply_gauge(undo, cfg)
+    return fixed, _report(fixed, np.zeros(lat.dims), k)

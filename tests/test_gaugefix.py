@@ -1,4 +1,9 @@
-"""Gauge normalization: Coulomb fix, winding reduction, orbit distance."""
+"""Gauge normalization: Coulomb step, winding step, orbit distance.
+
+The Coulomb-step tests feed full_gauge_fix divergence-free or pure-gauge
+fields whose harmonic part is inside the fundamental domain, so its winding
+step is skipped; the winding-step tests feed constant fields, whose Poisson
+source is exactly zero, so its Coulomb step is the identity."""
 
 import numpy as np
 import pytest
@@ -13,9 +18,7 @@ from swflow.fields import (
 )
 from swflow.functional import energy_first_order, energy_weitzenbock
 from swflow.gaugefix import (
-    _round_ties_toward_zero,
-    component_fix,
-    coulomb_fix,
+    _round_half_up,
     full_gauge_fix,
     gauge_distance,
     hodge_constants,
@@ -50,7 +53,7 @@ def coulomb_cfg(lat, seed):
 def test_coulomb_fix_leaves_divergence_free_field_alone():
     lat = Lattice((4, 4, 3, 3), 0.5)
     cfg = coulomb_cfg(lat, 11)
-    fixed, report = coulomb_fix(cfg)
+    fixed, report = full_gauge_fix(cfg)
     assert l2_norm(lat, report.zeta) <= 1e-12
     assert np.allclose(fixed.gauge.a, cfg.gauge.a, atol=1e-12)
     assert np.allclose(fixed.phi, cfg.phi, atol=1e-12)
@@ -64,7 +67,8 @@ def test_coulomb_fix_removes_pure_gauge_exactly():
     cfg = Configuration(
         lat, GaugeField(d0(lat, xi), np.zeros((4, 4), int)), phi, np.zeros(lat.dims)
     )
-    fixed, report = coulomb_fix(cfg)
+    fixed, report = full_gauge_fix(cfg)
+    assert report.winding == (0, 0, 0, 0)
     assert linf_norm(lat, fixed.gauge.a) <= 1e-10
     # zeta = -(xi - mean xi), so phi picks up the zero-mean part of xi back
     expected_phi = np.exp(1j * (xi - xi.mean()))[..., None] * phi
@@ -75,7 +79,8 @@ def test_coulomb_fix_removes_pure_gauge_exactly():
 def test_coulomb_fix_residual_and_curvature_on_random_field():
     lat = Lattice((4, 4, 3, 2), 0.6)
     cfg = random_cfg(lat, 21, flux=flux_matrix(f01=1, f23=-2))
-    fixed, report = coulomb_fix(cfg)
+    fixed, report = full_gauge_fix(cfg)
+    assert report.winding == (0, 0, 0, 0)  # harmonic part already in the fundamental domain
     res = l2_norm(lat, codiff1(lat, fixed.gauge.a))
     assert res <= 1e-8 * (1.0 + sobolev12_norm(lat, cfg.gauge.a))
     assert report.residual == pytest.approx(res, rel=1e-12, abs=1e-300)
@@ -90,10 +95,12 @@ def test_fixing_operations_preserve_energy():
     lat = Lattice((3, 3, 3, 3), 0.8)
     cfg = random_cfg(lat, 31, flux=flux_matrix(f12=1))
     cfg = Configuration(cfg.lattice, cfg.gauge, cfg.phi, -np.ones(lat.dims), cfg.seed)
-    for op in (coulomb_fix, component_fix, full_gauge_fix):
-        fixed, _ = op(cfg)
+    moved = apply_gauge(GaugeTransform(np.zeros(lat.dims), (0, 2, -1, 0)), cfg)
+    for start in (cfg, moved):
+        fixed, report = full_gauge_fix(start)
+        assert report.winding == ((0, 0, 0, 0) if start is cfg else (0, 2, -1, 0))
         for energy in (energy_weitzenbock, energy_first_order):
-            before, after = energy(cfg), energy(fixed)
+            before, after = energy(start), energy(fixed)
             assert abs(after - before) <= 1e-10 * abs(before)
 
 
@@ -104,7 +111,8 @@ def test_component_fix_removes_integer_harmonic_exactly():
     cfg = Configuration(
         lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
     )
-    fixed, report = component_fix(cfg)
+    fixed, report = full_gauge_fix(cfg)
+    assert not report.zeta.any()
     assert report.winding == (0, 1, 0, 0)
     assert linf_norm(lat, fixed.gauge.a) <= 1e-14
 
@@ -117,7 +125,8 @@ def test_component_fix_reduces_to_fundamental_domain():
     cfg = Configuration(
         lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
     )
-    fixed, report = component_fix(cfg)
+    fixed, report = full_gauge_fix(cfg)
+    assert not report.zeta.any()
     assert report.winding == (0, 4, 0, 0)
     assert report.harmonic[1] == pytest.approx(-0.3 * unit, rel=1e-12)
     for mu in range(4):
@@ -126,12 +135,30 @@ def test_component_fix_reduces_to_fundamental_domain():
 
 @pytest.mark.parametrize(
     "multiple,expected",
-    [(0.5, 0), (-0.5, 0), (1.5, 1), (-1.5, -1), (2.5, 2), (-2.5, -2), (2.6, 3), (-1.4, -1), (0.49, 0)],
+    [(0.5, 1), (-0.5, 0), (1.5, 2), (-1.5, -1), (2.5, 3), (-2.5, -2), (2.6, 3), (-1.4, -1), (0.49, 0),
+     (0.5 - 2.0**-54, 0), (2.0**52 + 1.0, 2**52 + 1)],
 )
 def test_winding_rounds_ties_toward_zero(multiple, expected):
-    # exact half-integers are fed to the rounding rule directly; pushing them
-    # through the field mean perturbs the tie by an ulp and decides it arbitrarily
-    assert _round_ties_toward_zero(multiple) == expected
+    # ties round up, so the remainder lies in the half-open [-1/2, 1/2): toward
+    # zero below zero, away from it above. Exact half-integers are fed to the
+    # rounding rule directly; pushing them through the field mean perturbs the
+    # tie by an ulp and decides it arbitrarily. The last two are not ties, and
+    # floor(x + 0.5) in floating point rounds both up
+    assert _round_half_up(multiple) == expected
+
+
+@pytest.mark.parametrize("multiple", [0.5, -0.5, 1.5, 2.5])
+def test_harmonic_part_of_a_tie_is_in_the_domain_up_to_the_rounding_of_the_mean(multiple):
+    lat = Lattice((4, 4, 4, 4), 0.5)
+    half_width = np.pi / lat.lengths[1]
+    a = np.zeros(lat.dims + (4,))
+    a[..., 1] = multiple * 2.0 * half_width
+    cfg = Configuration(
+        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
+    )
+    _, report = full_gauge_fix(cfg)
+    # the mean of a tie is itself an ulp off, so h may leave [-pi/L, pi/L) by an ulp
+    assert abs(report.harmonic[1]) <= half_width * (1.0 + 8 * 2.0**-53)
 
 
 @pytest.mark.parametrize("multiple,expected", [(2.6, 3), (-1.4, -1), (0.3, 0)])
@@ -142,7 +169,7 @@ def test_component_fix_winding_on_generic_multiples(multiple, expected):
     cfg = Configuration(
         lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
     )
-    _, report = component_fix(cfg)
+    _, report = full_gauge_fix(cfg)
     assert report.winding == (0, 0, expected, 0)
 
 

@@ -387,8 +387,12 @@ def _handmade_trajectory(distances):
 
 
 def test_ps_diagnostics_requires_three_records():
-    with pytest.raises(ValueError):
-        ps_diagnostics(_handmade_trajectory([0.1]))
+    # now five records, four steps: fewer leave the last block empty, which
+    # read as perfect contraction (ratio inf), even for growing steps
+    for distances in ([0.1], [1.0, 5.0], [1.0, 2.0, 4.0]):
+        with pytest.raises(ValueError):
+            ps_diagnostics(_handmade_trajectory(distances))
+    assert ps_diagnostics(_handmade_trajectory([1.0, 5.0, 2.0, 0.5])).quartile_sums == (1.0, 5.0, 2.0, 0.5)
 
 
 def test_ps_diagnostics_constant_trajectory():

@@ -6,8 +6,8 @@ adjointness, gauge-invariance and flux-quantization measures hold at their
 own tolerances over drawn shapes, spacings, flux sectors and windings; and the
 line search's polynomial floor skips a trial only when its computed energy
 fails the same threshold; excess_report fed from a held evaluation, and
-full_gauge_fix without its identity winding step, equal the rebuilt and
-unskipped forms; `swflow run` exits 0, or 2 with "bad config", on fuzzed
+full_gauge_fix, with its identity winding step skipped, equal the rebuilt
+form and the two-step fix swflow first shipped; `swflow run` exits 0, or 2 with "bad config", on fuzzed
 configs (always 2 for a string or bool spacing or amplitude), never with a
 traceback; and `swflow gaugefix` exits 0, 1, or 2 with "cannot read
 configuration", on saved configurations with one key replaced by a wrong
@@ -24,6 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from swflow import checks  # noqa: E402
 from swflow.cli import main  # noqa: E402
 from swflow.functional import Gradient, _evaluate, _line_floor, excess_report  # noqa: E402
@@ -37,7 +38,7 @@ from swflow.fields import (  # noqa: E402
     random_configuration,
     save_configuration,
 )
-from swflow.gaugefix import component_fix, coulomb_fix, full_gauge_fix  # noqa: E402
+from swflow.gaugefix import full_gauge_fix  # noqa: E402
 from swflow.lattice import PLANES, Lattice, shift  # noqa: E402
 from swflow.operators import curvature, link_phases  # noqa: E402
 from swflow.optimize import descent_pairing  # noqa: E402
@@ -254,8 +255,8 @@ def test_held_pieces_and_the_skipped_identity_winding_change_nothing(
     # the winding transform pushes it outside
     for start in (cfg, apply_gauge(GaugeTransform(np.zeros(dims), winding), cfg)):
         fixed, report = full_gauge_fix(start)
-        coulomb, coulomb_report = coulomb_fix(start)
-        want, want_report = component_fix(coulomb)
+        coulomb, coulomb_report = oracles.coulomb_fix(start)
+        want, want_report = oracles.component_fix(coulomb)
         assert np.array_equal(fixed.gauge.a, want.gauge.a)
         assert np.array_equal(fixed.phi, want.phi)
         assert np.array_equal(report.zeta, coulomb_report.zeta)
