@@ -26,7 +26,7 @@ import numpy as np
 
 from .checks import run_checks
 from .fields import (
-    load_configuration, random_configuration, save_configuration, write_atomic, write_json,
+    json_text, load_configuration, random_configuration, save_configuration,
 )
 from .functional import energy_weitzenbock
 from .gaugefix import full_gauge_fix
@@ -118,8 +118,6 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
     writer = csv.writer(history)
     writer.writerow(HISTORY_COLUMNS)
     writer.writerows([getattr(rec, col) for col in HISTORY_COLUMNS] for rec in traj.records)
-    write_atomic(os.path.join(out_dir, "history.csv"), history.getvalue())
-    save_configuration(traj.final, os.path.join(out_dir, "final.json"))
     last = traj.records[-1]
     summary = {
         "reason": traj.reason,
@@ -136,7 +134,11 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
         },
         "config": config,
     }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    # all three texts exist before any file is touched; final.json is renamed last
+    save_configuration(traj.final, os.path.join(out_dir, "final.json"), {
+        os.path.join(out_dir, "history.csv"): history.getvalue(),
+        os.path.join(out_dir, "summary.json"): json_text(summary),
+    })
 
 
 def cmd_run(args) -> int:
@@ -187,7 +189,7 @@ def cmd_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
-# the finiteness gates and write_json turn NaN and inf into the command's own error
+# the finiteness gates and json_text turn NaN and inf into the command's own error
 @np.errstate(all="ignore")
 def cmd_gaugefix(args) -> int:
     if not os.path.isfile(args.input):
@@ -204,12 +206,12 @@ def cmd_gaugefix(args) -> int:
         after = energy_weitzenbock(fixed)
         if not (np.isfinite(before) and np.isfinite(after)):
             raise ValueError(f"energy is not finite: {before} before, {after} after the fix")
-        save_configuration(fixed, args.output)
-        write_json(args.output + ".report.json", {
+        # the report is renamed first: if that fails, neither target changes
+        save_configuration(fixed, args.output, {args.output + ".report.json": json_text({
             "residual": report.residual,
             "winding": list(report.winding),
             "harmonic": list(report.harmonic),
-        })
+        })})
     except (OSError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"swflow gaugefix: cannot fix or write: {exc}", file=sys.stderr)
         return 1

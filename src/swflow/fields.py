@@ -9,11 +9,11 @@ flux and shared read-only. Gauge transforms carry a periodic real angle zeta
 plus four winding integers; windings are never baked into zeta, which keeps
 branch cuts out of the fields entirely.
 
-Every file swflow writes goes through write_atomic, which replaces the target
-in one rename, so a reader or a failed write never sees half a file. JSON
-documents are standard JSON (write_json) whose floats are the shortest
-decimals that read back to the same doubles, so a saved configuration
-reloads bit for bit.
+Every file swflow writes goes through write_atomic, which writes all the
+files of one command before it renames any over its target, so a reader or a
+failed write never sees half a file. JSON documents are standard JSON
+(json_text) whose floats are the shortest decimals that read back to the same
+doubles, so a saved configuration reloads bit for bit.
 """
 
 from __future__ import annotations
@@ -229,35 +229,41 @@ def random_configuration(
     return Configuration(lat, GaugeField(a, flux), phi, scalar_curvature, seed=seed)
 
 
-def write_atomic(path, text: str):
-    """Replace the file at path with text, never leaving it half written.
+def write_atomic(texts: dict):
+    """Replace each file path -> text in texts, never leaving one half written.
 
-    The text goes to a new file beside the target (so it gets the usual umask
-    permissions), is synced, and is renamed over the target. On any error the
-    temp file is removed and the target keeps its old bytes.
+    Each text goes to a new file beside its target (so it gets the usual umask
+    permissions) and is synced; only when all are written are they renamed
+    over their targets, in the order of texts. On any error before the first
+    rename every temp file is removed and every target keeps its old bytes; a
+    failed rename after an earlier one leaves the earlier targets replaced.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    tmps = {}
     try:
-        with fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            with open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="") as fh:
+                tmps[path] = fh.name
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for path in texts:
+            os.replace(tmps[path], path)
+            del tmps[path]
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
-def write_json(path, doc):
-    """Atomically write doc as one line of standard JSON.
+def json_text(doc) -> str:
+    """doc as one line of standard JSON.
 
     Floats print as their repr, the shortest decimal that reads back to the
     same double; NaN and infinities raise ValueError instead of producing
     nonstandard JSON.
     """
-    write_atomic(path, json.dumps(doc, allow_nan=False) + "\n")
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def _flatten_site_major(u: np.ndarray) -> list:
@@ -275,10 +281,14 @@ def _unflatten_site_major(vals, shape) -> np.ndarray:
     return arr.reshape(n4, n3, n2, n1, -1).transpose(3, 2, 1, 0, 4).reshape(shape).copy()
 
 
-def save_configuration(cfg: Configuration, path):
-    """Write a configuration as a single JSON document (format version 1)."""
+def save_configuration(cfg: Configuration, path, others: dict | None = None):
+    """Write a configuration as a single JSON document (format version 1).
+
+    others maps further paths to texts, which write_atomic writes with it and
+    renames before it.
+    """
     lat = cfg.lattice
-    write_json(path, {
+    write_atomic({**(others or {}), path: json_text({
         "version": FORMAT_VERSION,
         "dims": list(lat.dims),
         "spacing": lat.spacing,
@@ -288,7 +298,7 @@ def save_configuration(cfg: Configuration, path):
         "phi_im": _flatten_site_major(cfg.phi.imag),
         "s": _flatten_site_major(cfg.scalar_curvature),
         "seed": cfg.seed,
-    })
+    })})
 
 
 def load_configuration(path) -> Configuration:

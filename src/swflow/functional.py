@@ -139,12 +139,11 @@ def _evaluate(cfg: Configuration) -> _Evaluation:
     return _Evaluation(cfg, float(h4 * np.sum(dens)), U, grad, fplus, phi2)
 
 
-def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray | None = None):
+def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     """t -> a lower bound (or NaN) of _evaluate's energy at cfg + t direction,
-    from the line polynomial; fplus, when held, is cfg's F+ from _evaluate."""
+    from the line polynomial; fplus is cfg's F+ from _evaluate."""
     lat, s = cfg.lattice, cfg.scalar_curvature
     n, h, h4 = lat.nsites, lat.spacing, lat.spacing**4
-    fplus = selfdual_project(curvature(cfg)) if fplus is None else fplus
     G = selfdual_project(2.0 * d1(lat, direction.da))
     x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (cfg.phi, direction.dphi))
     p, q, r, f, fg, gg = (np.einsum("...i,...i->...", v, w) for v, w in (
@@ -271,8 +270,7 @@ def fd_gradient_check(
 def excess_report(cfg: Configuration, grad=None, phi2=None) -> ExcessReport:
     """Threshold diagnostics for the truncation argument.
 
-    threshold = max(-min s, 0); Omega is the region |phi| > threshold
-    (degenerate sites with |phi| <= 1e-12 threshold never count);
+    threshold = max(-min s, 0); Omega is the region |phi| > threshold;
     radial_excess integrates the squared radial derivative
     (Re <grad_mu phi, nu>)^2 over Omega with nu = phi/|phi|; eta is the
     radial excess section (|phi| - threshold) nu on Omega, measured in the
@@ -283,7 +281,7 @@ def excess_report(cfg: Configuration, grad=None, phi2=None) -> ExcessReport:
     lat = cfg.lattice
     tau = max(0.0, -float(np.min(cfg.scalar_curvature)))
     absphi = fiber_norm(cfg.phi) if phi2 is None else np.sqrt(phi2)
-    omega = (absphi > tau) & (absphi > 1e-12 * tau)
+    omega = absphi > tau
     h4 = lat.spacing**4
     measure = h4 * float(np.count_nonzero(omega))
     if not np.any(omega):

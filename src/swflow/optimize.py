@@ -9,14 +9,17 @@ norm, sup|phi|, the excess diagnostics of the maximum principle, and the
 gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
 
-Each line search sums the step polynomial of the energy without |grad phi|^2
-from the F+ of the evaluation the loop holds (the start's included), which it
-then drops, and skips, unbuilt, each trial whose polynomial less a rounding
-margin exceeds e0 + c t <g, d>: its computed energy would too, so trajectories
-are bit-identical to full evaluation (derived in functional). Each record reads
-grad phi and |phi|^2 from that evaluation instead of rebuilding them (only the
-record after a line-search failure rebuilds), and the loop keeps the last
-recorded iterate's normal form for the next record.
+Each line search starts from (g, e0, floor) of its iterate, which the loop
+holds (a direct call builds all three from one evaluation). The floor sums the
+step polynomial of the energy without |grad phi|^2 from the F+ of that
+evaluation, which is then dropped, and the search skips, unbuilt, each trial
+whose polynomial less a rounding margin exceeds e0 + c t <g, d>: its computed
+energy would too, so trajectories are bit-identical to full evaluation (derived
+in functional). The search returns (t, evaluation) of the accepted trial; the
+next gradient and each record read grad phi and |phi|^2 from that evaluation
+instead of rebuilding them (only the record after a line-search failure
+rebuilds), and the loop keeps the last recorded iterate's normal form for the
+next record.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Configuration
-from .functional import Gradient, _evaluate, _line_floor, energy_weitzenbock, excess_report, gradient
+from .functional import Gradient, _evaluate, _line_floor, excess_report, gradient
 from .gaugefix import _normal_form_distance, full_gauge_fix
 from .lattice import l2_inner, linf_norm, require_int, require_real
 
@@ -105,50 +108,38 @@ def descent_pairing(g: Gradient, direction: Gradient) -> float:
     return float(np.real(pair_a) + 2.0 * np.real(pair_phi))
 
 
-class LineStep(tuple):
-    """An accepted Armijo step: unpacks as (t, trial); energy is energy(trial)
-    and evaluation holds the pieces of it that gradient(trial) reuses."""
-
-    def __new__(cls, t: float, evaluation):
-        step = super().__new__(cls, (t, evaluation.cfg))
-        step.energy, step.evaluation = evaluation.energy, evaluation
-        return step
-
-
-def line_search(
-    cfg: Configuration,
-    direction: Gradient,
-    params: MinimizeParams,
-    g: Gradient | None = None,
-    e0: float | None = None,
-    floor=None,
-) -> LineStep:
+def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams, start=None):
     """Backtrack from initial_step until the Armijo inequality holds.
 
-    Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>.
-    g, e0 and floor, when the caller already holds them, must be gradient(cfg),
-    energy_weitzenbock(cfg) and _line_floor(cfg, direction, F+ of cfg's
-    evaluation); they are computed here otherwise.
+    Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>
+    and returns (t, evaluation): evaluation.cfg is the trial, evaluation.energy
+    its energy, and evaluation.gradient() its gradient. start, when the caller
+    holds it, is (gradient(cfg), energy_weitzenbock(cfg), _line_floor(cfg,
+    direction, F+ of cfg's evaluation)); otherwise one evaluation of cfg gives all three.
     Raises NonDescentDirectionError if <g, d> >= 0 (zero direction included)
     and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
     """
-    pair = descent_pairing(gradient(cfg) if g is None else g, direction)
+    if start is None:
+        ev = _evaluate(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # as for the trials below
+            floor = _line_floor(cfg, direction, ev.fplus)
+        start = ev.gradient(), ev.energy, floor
+        del ev  # cfg's pieces must not outlive into the trials
+    g, e0, floor = start
+    pair = descent_pairing(g, direction)
     if not pair < 0.0:
         raise NonDescentDirectionError(f"direction pairing {pair:.3e} is not negative")
-    if e0 is None:
-        e0 = energy_weitzenbock(cfg)
     t = params.initial_step
     # wild trial steps may overflow the quartic term; the Armijo comparison is
     # False for nan/inf energies and bounds, so the step backtracks and an
     # accepted trial is finite without being validated
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = _line_floor(cfg, direction) if floor is None else floor
         for _ in range(MAX_BACKTRACKS + 1):
             thr = e0 + params.armijo_c * t * pair
             if not floor(t) > thr:
                 ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
                 if ev.energy <= thr:
-                    return LineStep(t, ev)
+                    return t, ev
                 del ev  # a rejected trial's pieces must not outlive it into the next one
             t *= params.backtrack
     raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
@@ -224,7 +215,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials
         try:
-            held = line_search(cfg, direction, params, g, energy, floor).evaluation
+            held = line_search(cfg, direction, params, (g, energy, floor))[1]
         except LineSearchFailure:
             reason = "line_search_failure"
             if it % params.record_every:  # the final iterate's evaluation is gone: rebuild
@@ -254,14 +245,11 @@ class PSDiagnostics:
     contiguous blocks. summable: True when the block sums are non-increasing,
     the discrete signature of a summable (Cauchy) step sequence.
     contraction_ratio: first block sum over last (inf when the last is zero).
-    radial excess values are the first and last recorded ones.
     """
 
     quartile_sums: tuple[float, float, float, float]
     summable: bool
     contraction_ratio: float
-    radial_excess_initial: float
-    radial_excess_final: float
 
 
 def ps_diagnostics(traj: Trajectory) -> PSDiagnostics:
@@ -272,10 +260,4 @@ def ps_diagnostics(traj: Trajectory) -> PSDiagnostics:
     sums = tuple(float(block.sum()) for block in np.array_split(dists, 4))
     summable = all(b <= a for a, b in zip(sums, sums[1:]))
     ratio = sums[0] / sums[-1] if sums[-1] > 0.0 else np.inf
-    return PSDiagnostics(
-        quartile_sums=sums,
-        summable=summable,
-        contraction_ratio=float(ratio),
-        radial_excess_initial=traj.records[0].radial_excess,
-        radial_excess_final=traj.records[-1].radial_excess,
-    )
+    return PSDiagnostics(quartile_sums=sums, summable=summable, contraction_ratio=float(ratio))

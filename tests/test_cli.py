@@ -162,6 +162,33 @@ def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
     assert {n: ((out / n).read_bytes(), os.stat(out / n).st_mode) for n in names} == before
 
 
+def _failing_fsync(monkeypatch, nth):
+    """Make the nth os.fsync of the command fail, as a full disk would."""
+    synced, fsync = [], os.fsync
+
+    def flaky(fd):
+        synced.append(fd)
+        if len(synced) == nth:
+            raise OSError("no space left on device")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", flaky)
+
+
+def test_run_whose_last_write_fails_keeps_every_previous_output(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "exp.json"
+    write_config(cfg_path)
+    assert main(["run", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    before = {n: (out / n).read_bytes() for n in os.listdir(out)}
+    write_config(cfg_path, seed=6)  # a different run, so every output would change
+    _failing_fsync(monkeypatch, 3)
+    capsys.readouterr()
+    assert main(["run", str(cfg_path)]) == 1
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before  # no *.tmp either
+
+
 def test_run_is_deterministic(tmp_path):
     for name in ("one", "two"):
         cfg_path = tmp_path / f"{name}.json"
@@ -377,6 +404,31 @@ def test_gaugefix_failure_on_a_loadable_configuration_exits_1(tmp_path, capsys, 
     assert "cannot fix or write" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
     assert not (tmp_path / "o.json.report.json").exists()
+
+
+def test_gaugefix_whose_second_write_fails_changes_neither_target(tmp_path, monkeypatch, capsys):
+    src, dst, rep = tmp_path / "in.json", tmp_path / "o.json", tmp_path / "o.json.report.json"
+    save_configuration(fixture_configuration(), src)
+    _failing_fsync(monkeypatch, 2)
+    assert main(["gaugefix", str(src), str(dst)]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]  # no new target, no *.tmp
+    dst.write_text("old\n")
+    rep.write_text("old report\n")
+    _failing_fsync(monkeypatch, 2)
+    assert main(["gaugefix", str(src), str(dst)]) == 1
+    assert "cannot fix or write" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.json", "o.json", "o.json.report.json"]
+    assert (dst.read_text(), rep.read_text()) == ("old\n", "old report\n")
+
+
+def test_gaugefix_with_a_directory_at_the_report_path_writes_nothing(tmp_path, capsys):
+    src, rep = tmp_path / "in.json", tmp_path / "o.json.report.json"
+    save_configuration(fixture_configuration(), src)
+    rep.mkdir()
+    assert main(["gaugefix", str(src), str(tmp_path / "o.json")]) == 1
+    assert "cannot fix or write" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.json", "o.json.report.json"]
+    assert list(rep.iterdir()) == []
 
 
 def test_console_script_entry_point():

@@ -14,11 +14,12 @@ from swflow.fields import (
     GaugeTransform,
     apply_gauge,
     check_flux_matrix,
+    json_text,
     load_configuration,
     random_configuration,
     save_configuration,
     transform_angle,
-    write_json,
+    write_atomic,
 )
 from swflow.lattice import PLANES, Lattice, d1
 from swflow.operators import curvature, link_phases
@@ -385,17 +386,17 @@ def test_windings_and_seeds_must_be_integers():
 
 def test_write_json_replaces_whole_file_or_nothing(tmp_path, monkeypatch):
     path = tmp_path / "doc.json"
-    write_json(path, {"x": 0.1, "k": [1, 2]})
+    write_atomic({path: json_text({"x": 0.1, "k": [1, 2]})})
     assert path.read_text() == '{"x": 0.1, "k": [1, 2]}\n'
-    # nonstandard JSON is refused before the target is touched
+    # nonstandard JSON is refused before any file is touched
     with pytest.raises(ValueError):
-        write_json(path, {"x": float("nan")})
+        json_text({"x": float("nan")})
     # a failed rename leaves the old bytes and no temp file behind
     def fail(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename refused"):
-        write_json(path, {"x": 2.0})
+        write_atomic({path: json_text({"x": 2.0})})
     assert path.read_text() == '{"x": 0.1, "k": [1, 2]}\n'
     assert os.listdir(tmp_path) == ["doc.json"]

@@ -50,7 +50,7 @@ def coulomb_cfg(lat, seed):
     return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, np.zeros(lat.dims))
 
 
-def test_coulomb_fix_leaves_divergence_free_field_alone():
+def test_coulomb_step_leaves_divergence_free_field_alone():
     lat = Lattice((4, 4, 3, 3), 0.5)
     cfg = coulomb_cfg(lat, 11)
     fixed, report = full_gauge_fix(cfg)
@@ -60,7 +60,7 @@ def test_coulomb_fix_leaves_divergence_free_field_alone():
     assert report.winding == (0, 0, 0, 0)
 
 
-def test_coulomb_fix_removes_pure_gauge_exactly():
+def test_coulomb_step_removes_pure_gauge_exactly():
     lat = Lattice((4, 3, 4, 3), 0.7)
     xi = rng.standard_normal(lat.dims)
     phi = rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(lat.dims + (2,))
@@ -76,7 +76,7 @@ def test_coulomb_fix_removes_pure_gauge_exactly():
     assert abs(report.zeta.mean()) <= 1e-12
 
 
-def test_coulomb_fix_residual_and_curvature_on_random_field():
+def test_coulomb_step_residual_and_curvature_on_random_field():
     lat = Lattice((4, 4, 3, 2), 0.6)
     cfg = random_cfg(lat, 21, flux=flux_matrix(f01=1, f23=-2))
     fixed, report = full_gauge_fix(cfg)

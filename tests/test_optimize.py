@@ -113,7 +113,7 @@ def test_line_search_accepts_initial_step_in_quadratic_regime():
     params = MinimizeParams(initial_step=0.01)
     step, trial = line_search(cfg, gradient(cfg).scaled(-1.0), params)
     assert step == params.initial_step
-    assert energy_weitzenbock(trial) < energy_weitzenbock(cfg)
+    assert energy_weitzenbock(trial.cfg) < energy_weitzenbock(cfg)
 
 
 def test_line_search_rejects_zero_and_ascent_directions():
@@ -133,7 +133,7 @@ def test_line_search_satisfies_armijo_inequality_as_stated():
     direction = gradient(cfg).scaled(-1.0)
     pair = descent_pairing(gradient(cfg), direction)
     step, trial = line_search(cfg, direction, params)
-    assert energy_weitzenbock(trial) <= energy_weitzenbock(cfg) + params.armijo_c * step * pair
+    assert energy_weitzenbock(trial.cfg) <= energy_weitzenbock(cfg) + params.armijo_c * step * pair
     assert step <= params.initial_step
 
 
@@ -144,12 +144,26 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
     direction = g.scaled(-1.0)
     fresh = line_search(cfg, direction, MinimizeParams())
     floor = swflow.functional._line_floor(cfg, direction, swflow.functional._evaluate(cfg).fplus)
-    for held in (line_search(cfg, direction, MinimizeParams(), g, energy_weitzenbock(cfg)),
-                 line_search(cfg, direction, MinimizeParams(), g, energy_weitzenbock(cfg), floor)):
-        assert held[0] == fresh[0]
-        assert np.array_equal(held[1].gauge.a, fresh[1].gauge.a)
-        assert np.array_equal(held[1].phi, fresh[1].phi)
-        assert held.energy == fresh.energy == energy_weitzenbock(held[1])
+    held = line_search(cfg, direction, MinimizeParams(), (g, energy_weitzenbock(cfg), floor))
+    assert held[0] == fresh[0]
+    assert np.array_equal(held[1].cfg.gauge.a, fresh[1].cfg.gauge.a)
+    assert np.array_equal(held[1].cfg.phi, fresh[1].cfg.phi)
+    assert held[1].energy == fresh[1].energy == energy_weitzenbock(held[1].cfg)
+
+
+def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
+    cfg = with_constant_s(random_configuration(Lattice((3, 3, 3, 3), 0.8), 19, (1.5, 2.0)), -1.0)
+    direction = gradient(cfg).scaled(-1.0)
+    evaluated, curved = [], []
+    evaluate, curvature = swflow.functional._evaluate, swflow.functional.curvature
+    counted = lambda c: evaluated.append(c) or evaluate(c)  # noqa: E731
+    for module in (swflow.functional, swflow.optimize):
+        monkeypatch.setattr(module, "_evaluate", counted)
+    monkeypatch.setattr(swflow.functional, "curvature", lambda c: curved.append(c) or curvature(c))
+    t, trial = line_search(cfg, direction, MinimizeParams(initial_step=64.0))
+    assert sum(c is cfg for c in evaluated) == 1
+    assert sum(c is cfg for c in curved) == 1  # the floor reads F+ from that evaluation
+    assert t < 64.0 and trial.cfg is evaluated[-1]  # the counted calls include the trials
 
 
 def mixed_flux_cfg():
@@ -162,10 +176,9 @@ def mixed_flux_cfg():
 
 def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
     cfg = mixed_flux_cfg()
-    step = line_search(cfg, gradient(cfg).scaled(-1.0), MinimizeParams())
-    _, trial = step
-    assert step.energy == energy_weitzenbock(trial)
-    held, fresh = step.evaluation.gradient(), gradient(trial)
+    _, trial = line_search(cfg, gradient(cfg).scaled(-1.0), MinimizeParams())
+    assert trial.energy == energy_weitzenbock(trial.cfg)
+    held, fresh = trial.gradient(), gradient(trial.cfg)
     assert np.array_equal(held.da, fresh.da)
     assert np.array_equal(held.dphi, fresh.dphi)
 
@@ -182,7 +195,7 @@ def test_line_search_does_not_revalidate_the_flux(monkeypatch):
 
 
 def _never_skipping(monkeypatch):
-    monkeypatch.setattr(swflow.optimize, "_line_floor", lambda cfg, direction, fplus=None: lambda t: np.nan)
+    monkeypatch.setattr(swflow.optimize, "_line_floor", lambda cfg, direction, fplus: lambda t: np.nan)
 
 
 def _assert_same_run(run, other):
@@ -386,7 +399,7 @@ def _handmade_trajectory(distances):
     return Trajectory(records, zero_cfg(lat), "max_iters")
 
 
-def test_ps_diagnostics_requires_three_records():
+def test_ps_diagnostics_requires_five_records():
     # now five records, four steps: fewer leave the last block empty, which
     # read as perfect contraction (ratio inf), even for growing steps
     for distances in ([0.1], [1.0, 5.0], [1.0, 2.0, 4.0]):
@@ -396,12 +409,12 @@ def test_ps_diagnostics_requires_three_records():
 
 
 def test_ps_diagnostics_constant_trajectory():
-    diag = ps_diagnostics(_handmade_trajectory([0.0] * 8))
+    traj = _handmade_trajectory([0.0] * 8)
+    diag = ps_diagnostics(traj)
     assert diag.quartile_sums == (0.0, 0.0, 0.0, 0.0)
     assert diag.summable
     assert diag.contraction_ratio == np.inf
-    assert diag.radial_excess_initial == 0.0
-    assert diag.radial_excess_final == 8.0
+    assert (traj.records[0].radial_excess, traj.records[-1].radial_excess) == (0.0, 8.0)
 
 
 def test_ps_diagnostics_flags_growing_steps_as_non_cauchy():
@@ -415,7 +428,7 @@ def test_ps_diagnostics_on_converged_run(negative_curvature_run):
     diag = ps_diagnostics(traj)
     assert diag.summable
     assert diag.contraction_ratio >= 10.0
-    assert diag.radial_excess_final <= 1e-6
+    assert traj.records[-1].radial_excess <= 1e-6
     assert diag.quartile_sums[-1] <= diag.quartile_sums[0]
 
 
