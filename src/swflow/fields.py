@@ -177,25 +177,25 @@ def apply_gauge(g: GaugeTransform, cfg: Configuration) -> Configuration:
 
 
 def _flux_background(lat: Lattice, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Link angles and per-plane curvature 6-vector (added to site 2-forms by
-    broadcasting) of a validated flux: cached per (lattice, flux), read-only."""
+    """Link angles, direction-major with shape (4,) + dims, and the per-plane
+    curvature 6-vector of a validated flux: cached per (lattice, flux), read-only."""
     return _cached_background(lat, tuple(flux.ravel().tolist()))
 
 
 @functools.lru_cache(maxsize=16)
 def _cached_background(lat: Lattice, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     flux = np.reshape(key, (4, 4))
-    theta, F = np.zeros(lat.dims + (4,)), np.zeros(6)
+    theta, F = np.zeros((4,) + lat.dims), np.zeros(6)
     x = np.indices(lat.dims)
     for i, (mu, nu) in enumerate(PLANES):
         n = flux[mu, nu]
         if n == 0:
             continue
         nmu, nnu = lat.dims[mu], lat.dims[nu]
-        theta[..., nu] += (2.0 * np.pi * n / (nmu * nnu)) * x[mu]
+        theta[nu] += (2.0 * np.pi * n / (nmu * nnu)) * x[mu]
         # repair the wrap column so interior plaquettes stay uniform
         wrap = x[mu] == nmu - 1
-        theta[..., mu] -= np.where(wrap, (2.0 * np.pi * n / nnu) * x[nu], 0.0)
+        theta[mu] -= np.where(wrap, (2.0 * np.pi * n / nnu) * x[nu], 0.0)
         F[i] = 2.0 * np.pi * n / (nmu * nnu * lat.spacing**2)
     theta.flags.writeable = F.flags.writeable = False
     return theta, F

@@ -14,6 +14,12 @@ verified against central differences by fd_gradient_check.
 energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
 the link phases, grad phi and F+ once; the descent loop takes an accepted
 trial's gradient, and a record's grad phi and |phi|^2, from its evaluation.
+It holds them direction- and plane-major (see operators) and writes the
+per-site sums in numpy's order over site-major data: |F+|^2 adds the six
+planes in sequence, |grad phi|^2 is the tree ((s00 + s01) + (s10 + s11)) +
+((s20 + s21) + (s30 + s31)) over direction and component. Whole-array sums
+(the energy, the site-major Gradient's pairings, excess_report) read
+site-major data.
 
 Every term but |grad phi|^2 is a polynomial in the fields. Along a search line
 (a + t da, phi + t dphi) the flux background is constant, F+ = F+_0 + t G with
@@ -57,14 +63,15 @@ from .clifford import quadratic_form
 from .fields import Configuration, _flux_background
 from .lattice import (
     Lattice,
+    _d1,
     codiff2,
-    d1,
     fiber_norm,
     selfdual_project,
     sobolev12_norm,
     worst_of,
 )
 from .operators import (
+    _covariant_diff,
     covariant_diff,
     covariant_diff_adjoint,
     curvature,
@@ -108,7 +115,8 @@ class ExcessReport:
 @dataclass(frozen=True)
 class _Evaluation:
     """energy(cfg) with the pieces gradient(cfg) reuses: the link phases U, the
-    covariant difference grad, the self-dual curvature fplus and |phi|^2."""
+    covariant difference grad and the self-dual curvature fplus, direction-
+    and plane-major in memory, and |phi|^2."""
 
     cfg: Configuration
     energy: float
@@ -132,10 +140,14 @@ def _evaluate(cfg: Configuration) -> _Evaluation:
     phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
     sterm, quart = 0.25 * cfg.scalar_curvature * phi2, 0.125 * phi2**2
     fplus = selfdual_project(curvature(cfg))
-    f2 = np.sum(fplus**2, axis=-1)
+    f2 = sum((fplus[..., i] ** 2 for i in range(1, 6)), fplus[..., 0] ** 2)  # numpy's order of 6
     U = link_phases(cfg)
-    grad = covariant_diff(cfg, U=U)
-    dens = np.sum(np.abs(grad) ** 2, axis=(-2, -1)) + f2 + sterm + quart
+    grad = _covariant_diff(cfg, cfg.phi, U)
+    pair = []
+    for mu in range(4):  # one direction at a time keeps the temporaries small
+        sq = np.abs(grad[..., mu, :]) ** 2
+        pair.append(sq[..., 0] + sq[..., 1])
+    dens = ((pair[0] + pair[1]) + (pair[2] + pair[3])) + f2 + sterm + quart  # numpy's order of 8
     return _Evaluation(cfg, float(h4 * np.sum(dens)), U, grad, fplus, phi2)
 
 
@@ -144,7 +156,7 @@ def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     from the line polynomial; fplus is cfg's F+ from _evaluate."""
     lat, s = cfg.lattice, cfg.scalar_curvature
     n, h, h4 = lat.nsites, lat.spacing, lat.spacing**4
-    G = selfdual_project(2.0 * d1(lat, direction.da))
+    G = selfdual_project(2.0 * _d1(lat, direction.da))  # plane-major, as fplus
     x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (cfg.phi, direction.dphi))
     p, q, r, f, fg, gg = (np.einsum("...i,...i->...", v, w) for v, w in (
         (x, x), (x, y), (y, y), (fplus, fplus), (fplus, G), (G, G)))
@@ -289,7 +301,8 @@ def excess_report(cfg: Configuration, grad=None, phi2=None) -> ExcessReport:
     safe = np.where(omega, absphi, 1.0)
     nu = np.where(omega[..., None], cfg.phi / safe[..., None], 0.0)
     grad = covariant_diff(cfg) if grad is None else grad
-    radial = np.einsum("...mc,...c->...m", grad, np.conj(nu)).real
+    # site-major whatever grad's layout, so that the sum below reads it in one order
+    radial = np.einsum("...mc,...c->...m", grad, np.conj(nu), order="C").real
     radial_excess = h4 * float(np.sum(np.where(omega[..., None], radial, 0.0) ** 2))
     eta = np.where(omega, absphi - tau, 0.0)[..., None] * nu
     return ExcessReport(tau, measure, radial_excess, float(sobolev12_norm(lat, eta)))

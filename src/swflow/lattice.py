@@ -4,11 +4,14 @@ Scalar fields live on sites, 1-forms on directed links, 2-forms on oriented
 plaquettes. All arrays carry the four site axes first; form components sit on
 a trailing axis (4 for 1-forms, 6 for 2-forms in the plane order PLANES).
 Inner products are weighted by the cell volume h^4, and the Hermitian product
-is conjugate-linear in the second slot.
+is conjugate-linear in the second slot. The curl is built plane-major: _d1
+returns a dims + (6,) view on a (6,) + dims buffer, so F[..., i] is
+contiguous, and d1 a contiguous site-major copy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +102,23 @@ def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _d1(lat: Lattice, a: np.ndarray) -> np.ndarray:
+    """d1 of a, a view on a plane-major buffer: F[..., i] is contiguous."""
+    out = np.empty((6,) + lat.dims, dtype=a.dtype)
+    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))  # contiguous components shift faster
+    for i, (mu, nu) in enumerate(PLANES):
+        out[i] = (shift(a[nu], mu) - a[nu] - shift(a[mu], nu) + a[mu]) / lat.spacing
+    return np.moveaxis(out, 0, -1)
+
+
 def d1(lat: Lattice, a: np.ndarray) -> np.ndarray:
-    """Plaquette curl of a 1-form.
+    """Plaquette curl of a 1-form, contiguous.
 
     (d1 a)(x, mu nu) = (a(x + e_mu, nu) - a(x, nu) - a(x + e_nu, mu)
     + a(x, mu)) / h for each ordered plane mu < nu.
     """
     _check_form(lat, a, (4,), "1-form")
-    out = np.empty(lat.dims + (6,), dtype=a.dtype)
-    for i, (mu, nu) in enumerate(PLANES):
-        out[..., i] = (
-            shift(a[..., nu], mu) - a[..., nu] - shift(a[..., mu], nu) + a[..., mu]
-        ) / lat.spacing
-    return out
+    return np.ascontiguousarray(_d1(lat, a))
 
 
 def codiff1(lat: Lattice, a: np.ndarray) -> np.ndarray:
@@ -201,7 +208,10 @@ def laplacian0(lat: Lattice, f: np.ndarray) -> np.ndarray:
     return codiff1(lat, d0(lat, f))
 
 
+@functools.lru_cache(maxsize=16)
 def _laplacian0_symbol(lat: Lattice) -> np.ndarray:
+    """Fourier symbol of laplacian0 with its zero mode set to 1: cached per
+    lattice, read-only."""
     h = lat.spacing
     lam = np.zeros(lat.dims)
     for mu, n in enumerate(lat.dims):
@@ -209,6 +219,8 @@ def _laplacian0_symbol(lat: Lattice) -> np.ndarray:
         sh = [1, 1, 1, 1]
         sh[mu] = n
         lam = lam + ((2.0 - 2.0 * np.cos(k)) / h**2).reshape(sh)
+    lam[0, 0, 0, 0] = 1.0
+    lam.flags.writeable = False
     return lam
 
 
@@ -227,10 +239,8 @@ def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     mean = abs(complex(np.mean(rho)))
     if mean > 1e-10 * nrm:
         raise ValueError(f"source must have zero mean, got mean {mean:.3e}")
-    lam = _laplacian0_symbol(lat)
-    lam[0, 0, 0, 0] = 1.0
     rho_hat = np.fft.fftn(rho, axes=(0, 1, 2, 3))
-    f_hat = rho_hat / lam
+    f_hat = rho_hat / _laplacian0_symbol(lat)
     f_hat[0, 0, 0, 0] = 0.0
     f = np.fft.ifftn(f_hat, axes=(0, 1, 2, 3))
     f = f.real if not np.iscomplexobj(rho) else f

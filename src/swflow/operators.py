@@ -13,6 +13,11 @@ angles; the reported curvature is the determinant-line one, twice the
 curvature the spinor transport sees. The background angles and curvature
 come from the per-(lattice, flux) cache in fields, and covariant_diff and
 its adjoint accept link phases U the caller already holds.
+
+link_phases, _covariant_diff (grad phi for _evaluate) and curvature return
+arrays in the public shapes whose memory is direction-major, (4,) + dims
+[+ (2,)], or plane-major, (6,) + dims, so each per-direction or per-plane
+loop reads one contiguous slice; covariant_diff returns a contiguous copy.
 """
 
 from __future__ import annotations
@@ -21,31 +26,37 @@ import numpy as np
 
 from .clifford import SIGMA
 from .fields import Configuration, _flux_background
-from .lattice import PLANES, d1, shift
+from .lattice import PLANES, _d1, shift
 
 
 def link_phases(cfg: Configuration) -> np.ndarray:
-    """Unit-modulus spinor transport exp(i(h a + Theta/2)) per link."""
+    """Unit-modulus spinor transport exp(i(h a + Theta/2)) per link, shape
+    dims + (4,), a view on a direction-major buffer: U[..., mu] is contiguous."""
     lat = cfg.lattice
     theta = _flux_background(lat, cfg.gauge.flux)[0]
-    return np.exp(1j * (lat.spacing * cfg.gauge.a + 0.5 * theta))
+    U = 1j * (lat.spacing * np.ascontiguousarray(np.moveaxis(cfg.gauge.a, -1, 0)) + 0.5 * theta)
+    for u in U:  # in place, one direction at a time: faster than one exp of all four
+        np.exp(u, out=u)
+    return np.moveaxis(U, 0, -1)
+
+
+def _covariant_diff(cfg: Configuration, phi: np.ndarray, U) -> np.ndarray:
+    """covariant_diff of phi, a view on a direction-major buffer: grad[..., mu, :] is contiguous."""
+    U = link_phases(cfg) if U is None else U
+    out = np.empty((4,) + phi.shape, dtype=complex)
+    for mu in range(4):
+        out[mu] = (U[..., mu, None] * shift(phi, mu) - phi) / cfg.lattice.spacing
+    return np.moveaxis(out, 0, -2)
 
 
 def covariant_diff(cfg: Configuration, phi: np.ndarray | None = None, U=None) -> np.ndarray:
     """Covariant forward difference, one spinor per direction.
 
     (grad_mu phi)(x) = (U_mu(x) phi(x + e_mu) - phi(x)) / h, output shape
-    dims + (4, 2). With phi given, differentiates that field in cfg's
-    transport instead of cfg.phi; U, when held, must be link_phases(cfg).
+    dims + (4, 2), contiguous. With phi given, differentiates that field in
+    cfg's transport instead of cfg.phi; U, when held, must be link_phases(cfg).
     """
-    lat = cfg.lattice
-    if phi is None:
-        phi = cfg.phi
-    U = link_phases(cfg) if U is None else U
-    out = np.empty(lat.dims + (4, 2), dtype=complex)
-    for mu in range(4):
-        out[..., mu, :] = (U[..., mu, None] * shift(phi, mu) - phi) / lat.spacing
-    return out
+    return np.ascontiguousarray(_covariant_diff(cfg, cfg.phi if phi is None else phi, U))
 
 
 def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndarray:
@@ -88,16 +99,17 @@ def curvature(cfg: Configuration) -> np.ndarray:
     The stored a is the spin^c fluctuation the spinors couple to at charge 1,
     which is half of the determinant-line fluctuation; hence the factor 2.
     Gauge invariant, and its h^2-weighted sum over any full coordinate plane
-    is exactly 2 pi n for that plane's flux integer.
+    is exactly 2 pi n for that plane's flux integer. Plane-major in memory:
+    numpy keeps the layout of _d1's buffer through the broadcast sum.
     """
     lat = cfg.lattice
-    return 2.0 * d1(lat, cfg.gauge.a) + _flux_background(lat, cfg.gauge.flux)[1]
+    return 2.0 * _d1(lat, cfg.gauge.a) + _flux_background(lat, cfg.gauge.flux)[1]
 
 
 def curvature_at_sites(cfg: Configuration) -> np.ndarray:
     """Curvature averaged to sites: per plane, the 4 plaquettes meeting x."""
     F = curvature(cfg)
-    out = np.empty_like(F)
+    out = np.empty(F.shape)  # site-major, as sw_equation_residual sums it
     for i, (mu, nu) in enumerate(PLANES):
         f = F[..., i]
         back = shift(f, mu, -1)  # also the diagonal neighbour's source

@@ -104,7 +104,7 @@ def test_fixing_operations_preserve_energy():
             assert abs(after - before) <= 1e-10 * abs(before)
 
 
-def test_component_fix_removes_integer_harmonic_exactly():
+def test_winding_step_removes_integer_harmonic_exactly():
     lat = Lattice((4, 4, 4, 4), 0.5)
     a = np.zeros(lat.dims + (4,))
     a[..., 1] = 2.0 * np.pi / lat.lengths[1]
@@ -117,7 +117,7 @@ def test_component_fix_removes_integer_harmonic_exactly():
     assert linf_norm(lat, fixed.gauge.a) <= 1e-14
 
 
-def test_component_fix_reduces_to_fundamental_domain():
+def test_winding_step_reduces_to_fundamental_domain():
     lat = Lattice((4, 3, 3, 2), 0.5)
     unit = 2.0 * np.pi / lat.lengths[1]
     a = np.zeros(lat.dims + (4,))
@@ -162,7 +162,7 @@ def test_harmonic_part_of_a_tie_is_in_the_domain_up_to_the_rounding_of_the_mean(
 
 
 @pytest.mark.parametrize("multiple,expected", [(2.6, 3), (-1.4, -1), (0.3, 0)])
-def test_component_fix_winding_on_generic_multiples(multiple, expected):
+def test_winding_step_on_generic_multiples(multiple, expected):
     lat = Lattice((3, 3, 3, 3), 1.0)
     a = np.zeros(lat.dims + (4,))
     a[..., 2] = multiple * 2.0 * np.pi / lat.lengths[2]

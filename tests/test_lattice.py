@@ -8,6 +8,7 @@ from oracles import sobolev12_norm as shipped_sobolev12_norm
 from swflow.lattice import (
     PLANES,
     Lattice,
+    _laplacian0_symbol,
     codiff1,
     codiff2,
     d0,
@@ -304,6 +305,13 @@ def test_poisson_solve_complex_source():
     rho -= np.mean(rho)
     f = poisson_solve(lat, rho)
     assert l2_norm(lat, laplacian0(lat, f) - rho) <= 1e-10 * l2_norm(lat, rho)
+
+
+def test_laplacian_symbol_is_cached_read_only_with_its_zero_mode_set():
+    lam = _laplacian0_symbol(Lattice((3, 4, 2, 3), 1.1))
+    assert lam is _laplacian0_symbol(Lattice((3, 4, 2, 3), 1.1))
+    assert not lam.flags.writeable
+    assert lam[0, 0, 0, 0] == 1.0 and np.all(lam[1:] > 0.0)
 
 
 def test_bochner_identity_for_oneforms():

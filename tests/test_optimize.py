@@ -253,7 +253,7 @@ def test_recorded_steps_are_gauge_distances_with_one_fix_per_record(monkeypatch)
 
 
 def test_minimize_builds_grad_phi_only_inside_evaluations(monkeypatch):
-    counts = {"evaluate": 0, "covariant_diff": 0}
+    counts = {"evaluate": 0, "grad_phi": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -262,17 +262,18 @@ def test_minimize_builds_grad_phi_only_inside_evaluations(monkeypatch):
         return wrapper
 
     evaluate = counted("evaluate", swflow.functional._evaluate)
-    diff = counted("covariant_diff", swflow.functional.covariant_diff)
+    # the kernel behind covariant_diff and _evaluate builds every grad phi
+    diff = counted("grad_phi", swflow.operators._covariant_diff)
     for module in (swflow.functional, swflow.optimize):
         monkeypatch.setattr(module, "_evaluate", evaluate)
-    monkeypatch.setattr(swflow.functional, "covariant_diff", diff)
-    monkeypatch.setattr(swflow.operators, "covariant_diff", diff)
+    monkeypatch.setattr(swflow.functional, "_covariant_diff", diff)
+    monkeypatch.setattr(swflow.operators, "_covariant_diff", diff)
     params = MinimizeParams(max_iters=9, grad_tol=1e-14, method="conjugate", gaugefix_every=4,
                             record_every=2)
     traj = minimize(mixed_flux_cfg(), params)
     assert [r.iter for r in traj.records] == [0, 2, 4, 6, 8, 9]  # the final record too
     # records read the held grad phi and |phi|^2 instead of rebuilding them
-    assert counts["covariant_diff"] == counts["evaluate"] > 0
+    assert counts["grad_phi"] == counts["evaluate"] > 0
 
 
 def test_conjugate_minimize_peak_memory_on_a_mixed_flux_8_4():
