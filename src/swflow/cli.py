@@ -150,7 +150,7 @@ def cmd_run(args) -> int:
         with open(path) as fh:
             config = json.load(fh, parse_constant=_reject_constant)
         cfg, params, out_dir = _build_run(config)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, MemoryError) as exc:
         print(f"swflow run: bad config: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()

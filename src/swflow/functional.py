@@ -13,8 +13,8 @@ verified against central differences by fd_gradient_check.
 
 energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
 the link phases, grad phi and F+ once; the descent loop takes an accepted
-trial's gradient, and a record's grad phi and |phi|^2, from its evaluation.
-It holds them direction- and plane-major (see operators) and writes the
+trial's gradient, and a record's grad phi, from its evaluation. It holds
+them direction- and plane-major (the layout rule in lattice) and writes the
 per-site sums in numpy's order over site-major data: |F+|^2 adds the six
 planes in sequence, |grad phi|^2 is the tree ((s00 + s01) + (s10 + s11)) +
 ((s20 + s21) + (s30 + s31)) over direction and component. Whole-array sums
@@ -63,15 +63,14 @@ from .clifford import quadratic_form
 from .fields import Configuration, _flux_background
 from .lattice import (
     Lattice,
-    _d1,
     codiff2,
+    d1,
     fiber_norm,
     selfdual_project,
     sobolev12_norm,
     worst_of,
 )
 from .operators import (
-    _covariant_diff,
     covariant_diff,
     covariant_diff_adjoint,
     curvature,
@@ -142,7 +141,7 @@ def _evaluate(cfg: Configuration) -> _Evaluation:
     fplus = selfdual_project(curvature(cfg))
     f2 = sum((fplus[..., i] ** 2 for i in range(1, 6)), fplus[..., 0] ** 2)  # numpy's order of 6
     U = link_phases(cfg)
-    grad = _covariant_diff(cfg, cfg.phi, U)
+    grad = covariant_diff(cfg, U=U)
     pair = []
     for mu in range(4):  # one direction at a time keeps the temporaries small
         sq = np.abs(grad[..., mu, :]) ** 2
@@ -156,7 +155,7 @@ def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     from the line polynomial; fplus is cfg's F+ from _evaluate."""
     lat, s = cfg.lattice, cfg.scalar_curvature
     n, h, h4 = lat.nsites, lat.spacing, lat.spacing**4
-    G = selfdual_project(2.0 * _d1(lat, direction.da))  # plane-major, as fplus
+    G = selfdual_project(2.0 * d1(lat, direction.da))  # plane-major, as fplus
     x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (cfg.phi, direction.dphi))
     p, q, r, f, fg, gg = (np.einsum("...i,...i->...", v, w) for v, w in (
         (x, x), (x, y), (y, y), (fplus, fplus), (fplus, G), (G, G)))
@@ -279,20 +278,20 @@ def fd_gradient_check(
     return worst
 
 
-def excess_report(cfg: Configuration, grad=None, phi2=None) -> ExcessReport:
+def excess_report(cfg: Configuration, grad=None) -> ExcessReport:
     """Threshold diagnostics for the truncation argument.
 
     threshold = max(-min s, 0); Omega is the region |phi| > threshold;
     radial_excess integrates the squared radial derivative
     (Re <grad_mu phi, nu>)^2 over Omega with nu = phi/|phi|; eta is the
     radial excess section (|phi| - threshold) nu on Omega, measured in the
-    plain-difference L^{1,2} norm. grad and phi2, when held, must be
-    covariant_diff(cfg) and _evaluate(cfg).phi2, which give bit-equal
-    reports: the descent loop passes those of the evaluation it holds.
+    plain-difference L^{1,2} norm. grad, when held, must be
+    covariant_diff(cfg): the descent loop passes the one of the evaluation
+    it holds.
     """
     lat = cfg.lattice
     tau = max(0.0, -float(np.min(cfg.scalar_curvature)))
-    absphi = fiber_norm(cfg.phi) if phi2 is None else np.sqrt(phi2)
+    absphi = fiber_norm(cfg.phi)
     omega = absphi > tau
     h4 = lat.spacing**4
     measure = h4 * float(np.count_nonzero(omega))

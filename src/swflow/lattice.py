@@ -4,9 +4,11 @@ Scalar fields live on sites, 1-forms on directed links, 2-forms on oriented
 plaquettes. All arrays carry the four site axes first; form components sit on
 a trailing axis (4 for 1-forms, 6 for 2-forms in the plane order PLANES).
 Inner products are weighted by the cell volume h^4, and the Hermitian product
-is conjugate-linear in the second slot. The curl is built plane-major: _d1
-returns a dims + (6,) view on a (6,) + dims buffer, so F[..., i] is
-contiguous, and d1 a contiguous site-major copy.
+is conjugate-linear in the second slot. Layout rule: a field built one
+component at a time (d1 here; link_phases, covariant_diff and curvature in
+operators) is its public shape viewing a component-major buffer, (6,) + dims,
+(4,) + dims or (4,) + dims + (2,), so F[..., i] and grad[..., mu, :] are
+contiguous; a caller that needs site-major order makes it.
 """
 
 from __future__ import annotations
@@ -102,23 +104,18 @@ def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _d1(lat: Lattice, a: np.ndarray) -> np.ndarray:
-    """d1 of a, a view on a plane-major buffer: F[..., i] is contiguous."""
-    out = np.empty((6,) + lat.dims, dtype=a.dtype)
-    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))  # contiguous components shift faster
-    for i, (mu, nu) in enumerate(PLANES):
-        out[i] = (shift(a[nu], mu) - a[nu] - shift(a[mu], nu) + a[mu]) / lat.spacing
-    return np.moveaxis(out, 0, -1)
-
-
 def d1(lat: Lattice, a: np.ndarray) -> np.ndarray:
-    """Plaquette curl of a 1-form, contiguous.
+    """Plaquette curl of a 1-form, plane-major (the layout rule above).
 
     (d1 a)(x, mu nu) = (a(x + e_mu, nu) - a(x, nu) - a(x + e_nu, mu)
     + a(x, mu)) / h for each ordered plane mu < nu.
     """
     _check_form(lat, a, (4,), "1-form")
-    return np.ascontiguousarray(_d1(lat, a))
+    out = np.empty((6,) + lat.dims, dtype=a.dtype)
+    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))  # contiguous components shift faster
+    for i, (mu, nu) in enumerate(PLANES):
+        out[i] = (shift(a[nu], mu) - a[nu] - shift(a[mu], nu) + a[mu]) / lat.spacing
+    return np.moveaxis(out, 0, -1)
 
 
 def codiff1(lat: Lattice, a: np.ndarray) -> np.ndarray:

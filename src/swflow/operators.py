@@ -12,12 +12,8 @@ by the pointwise phase. T_mu carries half of the determinant-line background
 angles; the reported curvature is the determinant-line one, twice the
 curvature the spinor transport sees. The background angles and curvature
 come from the per-(lattice, flux) cache in fields, and covariant_diff and
-its adjoint accept link phases U the caller already holds.
-
-link_phases, _covariant_diff (grad phi for _evaluate) and curvature return
-arrays in the public shapes whose memory is direction-major, (4,) + dims
-[+ (2,)], or plane-major, (6,) + dims, so each per-direction or per-plane
-loop reads one contiguous slice; covariant_diff returns a contiguous copy.
+its adjoint accept link phases U the caller already holds. link_phases,
+covariant_diff and curvature follow the layout rule in lattice.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import numpy as np
 
 from .clifford import SIGMA
 from .fields import Configuration, _flux_background
-from .lattice import PLANES, _d1, shift
+from .lattice import PLANES, d1, shift
 
 
 def link_phases(cfg: Configuration) -> np.ndarray:
@@ -40,23 +36,20 @@ def link_phases(cfg: Configuration) -> np.ndarray:
     return np.moveaxis(U, 0, -1)
 
 
-def _covariant_diff(cfg: Configuration, phi: np.ndarray, U) -> np.ndarray:
-    """covariant_diff of phi, a view on a direction-major buffer: grad[..., mu, :] is contiguous."""
+def covariant_diff(cfg: Configuration, phi: np.ndarray | None = None, U=None) -> np.ndarray:
+    """Covariant forward difference, one spinor per direction.
+
+    (grad_mu phi)(x) = (U_mu(x) phi(x + e_mu) - phi(x)) / h, output shape
+    dims + (4, 2), direction-major: grad[..., mu, :] is contiguous. With phi
+    given, differentiates that field in cfg's transport instead of cfg.phi;
+    U, when held, must be link_phases(cfg).
+    """
+    phi = cfg.phi if phi is None else phi
     U = link_phases(cfg) if U is None else U
     out = np.empty((4,) + phi.shape, dtype=complex)
     for mu in range(4):
         out[mu] = (U[..., mu, None] * shift(phi, mu) - phi) / cfg.lattice.spacing
     return np.moveaxis(out, 0, -2)
-
-
-def covariant_diff(cfg: Configuration, phi: np.ndarray | None = None, U=None) -> np.ndarray:
-    """Covariant forward difference, one spinor per direction.
-
-    (grad_mu phi)(x) = (U_mu(x) phi(x + e_mu) - phi(x)) / h, output shape
-    dims + (4, 2), contiguous. With phi given, differentiates that field in
-    cfg's transport instead of cfg.phi; U, when held, must be link_phases(cfg).
-    """
-    return np.ascontiguousarray(_covariant_diff(cfg, cfg.phi if phi is None else phi, U))
 
 
 def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndarray:
@@ -100,10 +93,10 @@ def curvature(cfg: Configuration) -> np.ndarray:
     which is half of the determinant-line fluctuation; hence the factor 2.
     Gauge invariant, and its h^2-weighted sum over any full coordinate plane
     is exactly 2 pi n for that plane's flux integer. Plane-major in memory:
-    numpy keeps the layout of _d1's buffer through the broadcast sum.
+    numpy keeps the layout of d1's buffer through the broadcast sum.
     """
     lat = cfg.lattice
-    return 2.0 * _d1(lat, cfg.gauge.a) + _flux_background(lat, cfg.gauge.flux)[1]
+    return 2.0 * d1(lat, cfg.gauge.a) + _flux_background(lat, cfg.gauge.flux)[1]
 
 
 def curvature_at_sites(cfg: Configuration) -> np.ndarray:

@@ -16,10 +16,9 @@ evaluation, which is then dropped, and the search skips, unbuilt, each trial
 whose polynomial less a rounding margin exceeds e0 + c t <g, d>: its computed
 energy would too, so trajectories are bit-identical to full evaluation (derived
 in functional). The search returns (t, evaluation) of the accepted trial; the
-next gradient and each record read grad phi and |phi|^2 from that evaluation
-instead of rebuilding them (only the record after a line-search failure
-rebuilds), and the loop keeps the last recorded iterate's normal form for the
-next record.
+next gradient and each record read grad phi from that evaluation instead of
+rebuilding it (only the record after a line-search failure rebuilds), and
+the loop keeps the last recorded iterate's normal form for the next record.
 """
 
 from __future__ import annotations
@@ -188,9 +187,9 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     while True:
         fplus, done = held.fplus, grad_norm <= params.grad_tol or it >= params.max_iters
         if done or it % params.record_every == 0:
-            grad, phi2, held = held.grad, held.phi2, None  # U must not outlive into the record
-            rep = excess_report(cfg, grad, phi2)
-            grad = phi2 = None  # nor grad phi into the record's gauge fix
+            grad, held = held.grad, None  # U must not outlive into the record
+            rep = excess_report(cfg, grad)
+            grad = None  # nor grad phi into the record's gauge fix
             record, prev_fixed = _record(it, cfg, energy, grad_norm, rep, prev_fixed)
             records.append(record)
         held = None  # held pieces but F+ must not outlive this iterate into the next search

@@ -1,12 +1,13 @@
-"""The invariant registry over lattice shapes: N = 2, anisotropic and odd sides."""
+"""The invariant registry and the field layout over lattice shapes: N = 2,
+anisotropic and odd sides."""
 
 import numpy as np
 import pytest
 
 from swflow import checks
 from swflow.fields import random_configuration
-from swflow.lattice import Lattice, codiff1
-from swflow.operators import curvature
+from swflow.lattice import Lattice, codiff1, d1
+from swflow.operators import covariant_diff, curvature, link_phases
 
 SHAPES = [(2, 2, 2, 2), (3, 4, 2, 5), (5, 3, 3, 2)]
 
@@ -28,6 +29,19 @@ def test_registry_holds_over_lattice_shapes(dims):
     results += [checks.energy_gauge_invariance(cfg, 20, 10), checks.flux_quantization(cfg)]
     for result in results:
         assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_component_built_fields_have_contiguous_components(dims):
+    # the layout rule in the lattice docstring: public shape, component-major memory
+    lat = Lattice(dims, 0.7)
+    cfg = mixed_flux(lat, 7)
+    fields = {"d1": (d1(lat, cfg.gauge.a), (6,)), "link_phases": (link_phases(cfg), (4,)),
+              "covariant_diff": (covariant_diff(cfg), (4, 2)), "curvature": (curvature(cfg), (6,))}
+    for name, (field, fiber) in fields.items():
+        assert field.shape == dims + fiber, name
+        # F[..., i], U[..., mu], grad[..., mu, :]
+        assert all(c.flags.c_contiguous for c in np.moveaxis(field, 4, 0)), name
 
 
 def test_registry_fails_on_broken_operators(monkeypatch):

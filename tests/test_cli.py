@@ -129,6 +129,21 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_run_refuses_a_lattice_it_cannot_allocate_in_one_line(tmp_path, capsys, monkeypatch):
+    # stands in for numpy's allocation error on, say, a 300^4 lattice, which a
+    # real allocation would raise or not depending on the host's overcommit
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 607. GiB for an array with shape (300, 300, 300, 300, 4)")
+
+    monkeypatch.setattr(swflow.cli, "random_configuration", unallocatable)
+    cfg_path = tmp_path / "exp.json"
+    write_config(cfg_path, dims=[300, 300, 300, 300], spacing=1.0)
+    assert main(["run", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("swflow run: bad config: Unable to allocate") and err.count("\n") == 1
+
+
 def test_run_with_non_finite_start_fails_before_writing(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     write_config(cfg_path, dims=[2, 2, 2, 2], amplitudes={"a": 0.1, "phi": 1e160})

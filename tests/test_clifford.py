@@ -28,7 +28,7 @@ def conjugated_table(w, v):
     return np.einsum("ab,mbc,cd->mad", w, SIGMA, v)
 
 
-def test_standard_table_relations():
+def test_sigma_satisfies_the_clifford_relations():
     assert relation_defect(SIGMA) < 1e-15
 
 

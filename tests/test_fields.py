@@ -384,7 +384,7 @@ def test_windings_and_seeds_must_be_integers():
     assert random_configuration(lat, np.int64(9), (0.1, 0.1)).seed == 9
 
 
-def test_write_json_replaces_whole_file_or_nothing(tmp_path, monkeypatch):
+def test_write_atomic_replaces_whole_file_or_nothing(tmp_path, monkeypatch):
     path = tmp_path / "doc.json"
     write_atomic({path: json_text({"x": 0.1, "k": [1, 2]})})
     assert path.read_text() == '{"x": 0.1, "k": [1, 2]}\n'

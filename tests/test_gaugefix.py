@@ -138,7 +138,7 @@ def test_winding_step_reduces_to_fundamental_domain():
     [(0.5, 1), (-0.5, 0), (1.5, 2), (-1.5, -1), (2.5, 3), (-2.5, -2), (2.6, 3), (-1.4, -1), (0.49, 0),
      (0.5 - 2.0**-54, 0), (2.0**52 + 1.0, 2**52 + 1)],
 )
-def test_winding_rounds_ties_toward_zero(multiple, expected):
+def test_winding_rounds_ties_up(multiple, expected):
     # ties round up, so the remainder lies in the half-open [-1/2, 1/2): toward
     # zero below zero, away from it above. Exact half-integers are fed to the
     # rounding rule directly; pushing them through the field mean perturbs the

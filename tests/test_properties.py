@@ -250,7 +250,7 @@ def test_held_pieces_and_the_skipped_identity_winding_change_nothing(
     s = _scalar_curvature(s_kind, lat, np.random.default_rng(seed), s_height)
     cfg = random_configuration(lat, seed, (0.6, amp_phi), flux=flux, scalar_curvature=s)
     held = _evaluate(cfg)
-    assert excess_report(cfg, held.grad, held.phi2) == excess_report(cfg)
+    assert excess_report(cfg, held.grad) == excess_report(cfg)
     # cfg's harmonic part is mostly inside the fundamental domain (zero winding);
     # the winding transform pushes it outside
     for start in (cfg, apply_gauge(GaugeTransform(np.zeros(dims), winding), cfg)):
