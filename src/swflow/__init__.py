@@ -24,7 +24,7 @@ from .lattice import (
     selfdual_project,
     sobolev12_norm,
 )
-from .clifford import BIVECTORS, SIGMA, quadratic_form, relation_defect
+from .clifford import BIVECTORS, SIGMA, quadratic_form
 from .fields import (
     Configuration,
     GaugeField,
@@ -50,7 +50,6 @@ from .functional import (
     energy_lower_bound,
     energy_weitzenbock,
     excess_report,
-    fd_gradient_check,
     gradient,
     sw_equation_residual,
 )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .checks import run_checks
 from .fields import (
-    json_text, load_configuration, random_configuration, save_configuration,
+    json_text, load_configuration, random_configuration, read_json, save_configuration,
 )
 from .functional import energy_weitzenbock
 from .gaugefix import full_gauge_fix
@@ -78,10 +78,6 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
             dist2 = dist2 + (delta**2).reshape(shape)
         return height * np.exp(-dist2 / radius**2)
     raise ValueError(f"unknown scalar_curvature profile {value!r}")
-
-
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
 
 
 def _require_keys(obj, known: tuple, where: str):
@@ -142,13 +138,8 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
 
 
 def cmd_run(args) -> int:
-    path = args.config
-    if not os.path.isfile(path):
-        print(f"swflow run: config file not found: {path}", file=sys.stderr)
-        return 2
     try:
-        with open(path) as fh:
-            config = json.load(fh, parse_constant=_reject_constant)
+        config = read_json(args.config)
         cfg, params, out_dir = _build_run(config)
     except (ValueError, KeyError, TypeError, OverflowError, MemoryError) as exc:
         print(f"swflow run: bad config: {exc}", file=sys.stderr)
@@ -192,9 +183,6 @@ def cmd_check(args) -> int:
 # the finiteness gates and json_text turn NaN and inf into the command's own error
 @np.errstate(all="ignore")
 def cmd_gaugefix(args) -> int:
-    if not os.path.isfile(args.input):
-        print(f"swflow gaugefix: file not found: {args.input}", file=sys.stderr)
-        return 2
     try:
         cfg = load_configuration(args.input)
     except ValueError as exc:

@@ -38,19 +38,6 @@ BIVECTORS = np.array([-SIGMA[mu].conj().T @ SIGMA[nu] for mu, nu in PLANES])
 BIVECTORS.flags.writeable = False
 
 
-def relation_defect(sigma: np.ndarray) -> float:
-    """Worst violation of unitarity and both Clifford anticommutators by sigma, shape (4, 2, 2)."""
-    dag = np.conj(sigma).transpose(0, 2, 1)
-    want = 2.0 * np.eye(4)[:, :, None, None] * np.eye(2)  # 2 delta_{mu nu} Id at [mu, nu]
-    defects = (
-        dag @ sigma - np.eye(2),
-        dag[:, None] @ sigma[None] + dag[None] @ sigma[:, None] - want,
-        sigma[:, None] @ dag[None] + sigma[None] @ dag[:, None] - want,
-    )
-    # np.max, unlike the builtin, propagates a NaN entry into the result
-    return float(np.max([np.max(np.abs(d)) for d in defects]))
-
-
 def quadratic_form(phi: np.ndarray) -> np.ndarray:
     """Quadratic spinor-to-2-form map sigma(phi).
 

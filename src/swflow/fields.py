@@ -9,11 +9,12 @@ flux and shared read-only. Gauge transforms carry a periodic real angle zeta
 plus four winding integers; windings are never baked into zeta, which keeps
 branch cuts out of the fields entirely.
 
-Every file swflow writes goes through write_atomic, which writes all the
-files of one command before it renames any over its target, so a reader or a
-failed write never sees half a file. JSON documents are standard JSON
-(json_text) whose floats are the shortest decimals that read back to the same
-doubles, so a saved configuration reloads bit for bit.
+Every JSON file swflow reads goes through read_json. Every file it writes
+goes through write_atomic, which writes all the files of one command before it
+renames any over its target, so a reader or a failed write never sees half a
+file. JSON documents are standard JSON (json_text) whose floats are the
+shortest decimals that read back to the same doubles, so a saved
+configuration reloads bit for bit.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Configuration:
 
     scalar_curvature is the coefficient field s(x) of the |phi|^2 term
     (units 1/length^2). seed records provenance when the configuration was
-    randomly generated; it is carried through serialization untouched.
+    randomly generated; it is an int or None, carried through serialization.
     """
 
     lattice: Lattice
@@ -122,6 +123,8 @@ class Configuration:
         _require(np.all(np.isfinite(s)), "scalar curvature must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "scalar_curvature", s)
+        if self.seed is not None:  # a NumPy integer is stored as the int JSON can write
+            object.__setattr__(self, "seed", require_int(self.seed, "seed"))
 
     def replace(self, a=None, phi=None) -> "Configuration":
         """Copy with new field data; flux, s, and seed are carried over."""
@@ -266,6 +269,29 @@ def json_text(doc) -> str:
     return json.dumps(doc, allow_nan=False) + "\n"
 
 
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path) -> dict:
+    """The JSON object in the UTF-8 file at path; NaN, Infinity and a top level
+    other than an object are refused. Every failure (a missing or unreadable
+    file, bytes that are not UTF-8, a parse error, nesting too deep to parse)
+    is one ValueError that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_not_a_number)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: not found") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except (ValueError, RecursionError) as exc:  # decode and parse errors are ValueErrors
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be an object")
+    return doc
+
+
 def _flatten_site_major(u: np.ndarray) -> list:
     """Flatten with x1 varying fastest across sites, components fastest within."""
     return u.reshape(u.shape[:4] + (-1,)).transpose(3, 2, 1, 0, 4).ravel().tolist()
@@ -303,31 +329,23 @@ def save_configuration(cfg: Configuration, path, others: dict | None = None):
 
 def load_configuration(path) -> Configuration:
     """Read a configuration written by save_configuration; strict validation."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level must be an object")
+    doc = read_json(path)
     version = doc.get("version")
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
     missing = {"dims", "spacing", "flux", "a", "phi_re", "phi_im", "s"} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    dims, seed = doc["dims"], doc.get("seed")
+    dims = doc["dims"]
     try:
         if not isinstance(dims, list):
             raise ValueError(f"dims must be a list, got {dims!r}")
         lat = Lattice(tuple(dims), doc["spacing"])
-        seed = None if seed is None else require_int(seed, "seed")
         a = _unflatten_site_major(doc["a"], lat.dims + (4,))
         # set the parts directly: re + 1j * im would turn an imaginary -0.0 into +0.0
         phi = _unflatten_site_major(doc["phi_re"], lat.dims + (2,)).astype(complex)
         phi.imag = _unflatten_site_major(doc["phi_im"], lat.dims + (2,))
         s = _unflatten_site_major(doc["s"], lat.dims)
-        return Configuration(lat, GaugeField(a, doc["flux"]), phi, s, seed=seed)
+        return Configuration(lat, GaugeField(a, doc["flux"]), phi, s, seed=doc.get("seed"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

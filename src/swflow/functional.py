@@ -9,7 +9,8 @@ continuum identity); the deliberate redundancy cross-validates both.
 
 The gradient is exact for energy_weitzenbock under the real pairing
 <<(da, dphi), (delta_a, delta_phi)>> = <da, delta_a> + 2 Re <dphi, delta_phi>,
-verified against central differences by fd_gradient_check.
+verified against central differences by the registry measure
+checks.gradient_matches_finite_differences.
 
 energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
 the link phases, grad phi and F+ once; the descent loop takes an accepted
@@ -68,7 +69,6 @@ from .lattice import (
     fiber_norm,
     selfdual_project,
     sobolev12_norm,
-    worst_of,
 )
 from .operators import (
     covariant_diff,
@@ -228,54 +228,6 @@ def gradient(cfg: Configuration) -> Gradient:
     |phi|^2 = -s, flux-free a) gives exactly zero.
     """
     return _evaluate(cfg).gradient()
-
-
-def fd_gradient_check(
-    cfg: Configuration,
-    step: float = 1e-5,
-    n_directions: int = 50,
-    seed: int = 0,
-) -> float:
-    """Max relative error of the gradient against central differences.
-
-    Perturbs single coordinates (a entries, real and imaginary spinor
-    entries) by +-step and compares the difference quotient of
-    energy_weitzenbock with the pairing value of gradient. Deterministic in
-    seed. When both sides are below 1e-10 (1 + |E|), the direction counts
-    as error 0 rather than 0/0.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    lat = cfg.lattice
-    rng = np.random.default_rng(seed)
-    base = energy_weitzenbock(cfg)
-    grad = gradient(cfg)
-    h4 = lat.spacing**4
-    worst = 0.0
-    for _ in range(n_directions):
-        kind = int(rng.integers(0, 3))
-        site = tuple(int(rng.integers(0, n)) for n in lat.dims)
-        idx = site + (int(rng.integers(0, 4 if kind == 0 else 2)),)
-        unit = (1.0, 1.0, 1j)[kind]
-        if kind == 0:
-            pair = h4 * float(grad.da[idx])
-        else:
-            val = grad.dphi[idx]
-            pair = 2.0 * h4 * float(val.real if kind == 1 else val.imag)
-
-        def bump(eps):
-            a2, p2 = cfg.gauge.a.copy(), cfg.phi.copy()
-            (a2 if kind == 0 else p2)[idx] += eps * unit
-            return cfg.replace(a=a2, phi=p2)
-
-        fd = (energy_weitzenbock(bump(step)) - energy_weitzenbock(bump(-step))) / (
-            2.0 * step
-        )
-        scale = max(abs(fd), abs(pair))
-        if scale < 1e-10 * (1.0 + abs(base)):
-            continue
-        worst = worst_of(worst, abs(fd - pair) / scale)
-    return worst
 
 
 def excess_report(cfg: Configuration, grad=None) -> ExcessReport:

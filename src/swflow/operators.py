@@ -10,7 +10,11 @@ Transport convention: U_mu(x) = exp(i h a(x,mu)) * T_mu(x), so that the gauge
 action a -> a + d theta, phi -> exp(-i theta) phi conjugates every operator
 by the pointwise phase. T_mu carries half of the determinant-line background
 angles; the reported curvature is the determinant-line one, twice the
-curvature the spinor transport sees. The background angles and curvature
+curvature the spinor transport sees. So an odd flux n_{mu nu} leaves a Z_2
+defect: the plane's spinor holonomy pi n is not a multiple of 2 pi, and one
+plaquette per (x_rho, x_sigma) slice, at the wrap corner, carries an extra pi.
+On T^4 a spin^c determinant line has even flux; an odd sector is a lattice
+model whose identities all still hold. The background angles and curvature
 come from the per-(lattice, flux) cache in fields, and covariant_diff and
 its adjoint accept link phases U the caller already holds. link_phases,
 covariant_diff and curvature follow the layout rule in lattice.

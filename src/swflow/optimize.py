@@ -130,8 +130,8 @@ def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams,
         raise NonDescentDirectionError(f"direction pairing {pair:.3e} is not negative")
     t = params.initial_step
     # wild trial steps may overflow the quartic term; the Armijo comparison is
-    # False for nan/inf energies and bounds, so the step backtracks and an
-    # accepted trial is finite without being validated
+    # False for nan and +inf energies and bounds, so the step backtracks, but
+    # -inf passes it: minimize refuses an accepted trial that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_BACKTRACKS + 1):
             thr = e0 + params.armijo_c * t * pair
@@ -164,6 +164,13 @@ def _refix_gauge(cfg: Configuration, before: float):
     return ev
 
 
+def _require_finite(it: int, energy: float, grad_norm: float = 0.0):
+    """Refuse iterate it if its energy or gradient norm overflowed: no step from it can be trusted."""
+    for name, value in (("energy", energy), ("gradient norm", grad_norm)):
+        if not np.isfinite(value):
+            raise ValueError(f"iterate {it}: {name} {value!r} is not finite")
+
+
 def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     """Descend the energy from cfg0 until the gradient norm meets grad_tol.
 
@@ -179,8 +186,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         g = gradient(cfg)
         held = _evaluate(cfg)  # its pieces feed record 0 and the first line search
         energy, grad_norm = held.energy, g.norm()
-    if not (np.isfinite(energy) and np.isfinite(grad_norm)):
-        raise ValueError(f"starting energy {energy!r} or gradient norm {grad_norm!r} is not finite")
+    _require_finite(it, energy, grad_norm)
     direction: Gradient | None = None
     prev_g: Gradient | None = None
 
@@ -222,16 +228,19 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             break
         cfg, energy = held.cfg, held.energy
         it += 1
+        _require_finite(it, energy)  # before a refix, which must not see it
 
-        if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
-            held = None  # else the pre-refix iterate and its pieces outlive the refix
-            held = _refix_gauge(cfg, energy)
-            cfg, energy = held.cfg, held.energy
-            direction = None  # conjugate memory is stale off the old slice
+        with np.errstate(over="ignore", invalid="ignore"):
+            if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
+                held = None  # else the pre-refix iterate and its pieces outlive the refix
+                held = _refix_gauge(cfg, energy)
+                cfg, energy = held.cfg, held.energy
+                direction = None  # conjugate memory is stale off the old slice
 
-        prev_g = g if direction is not None else None  # stale off the old slice too
-        g, prev_norm = held.gradient(), grad_norm
-        grad_norm = g.norm()
+            prev_g = g if direction is not None else None  # stale off the old slice too
+            g, prev_norm = held.gradient(), grad_norm
+            grad_norm = g.norm()
+        _require_finite(it, energy, grad_norm)
 
     return Trajectory(tuple(records), cfg, reason)
 

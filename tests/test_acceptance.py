@@ -17,6 +17,7 @@ import numpy as np
 
 from swflow import checks
 from swflow.checks import mixed_flux_configuration
+from swflow.clifford import SIGMA
 from swflow.fields import Configuration, GaugeTransform, apply_gauge, random_configuration
 from swflow.gaugefix import full_gauge_fix, gauge_distance
 from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
@@ -36,7 +37,7 @@ def test_01_algebraic_identities_exact():
     lat = Lattice((3, 3, 3, 3), 0.7)
     cfg = mixed_flux_configuration(lat, 11)
     results = [
-        checks.clifford_relation_defect(),
+        checks.clifford_relation_defect(SIGMA),
         checks.exterior_derivative_squares_to_zero(lat, 20260410, 100),
         checks.quadratic_form_norm_identity(lat.dims, 20260410, 100),
     ]

@@ -153,6 +153,18 @@ def test_run_with_non_finite_start_fails_before_writing(tmp_path, capsys):
     assert "solver failed" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_whose_iterate_is_not_finite_fails_in_one_line(tmp_path, capsys):
+    # the first search accepts t = 1 at energy -4.6e299, where the gradient norm overflows
+    cfg_path = tmp_path / "exp.json"
+    write_config(cfg_path, dims=[2, 2, 2, 2], spacing=1.0, scalar_curvature=-1e200, seed=1,
+                 amplitudes={"a": 0.0, "phi": 1e-150}, minimize={"method": "conjugate", "max_iters": 50})
+    assert main(["run", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("swflow run: solver failed") and "not finite" in err and err.count("\n") == 1
+
+
 def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "exp.json"
     write_config(cfg_path)
@@ -465,3 +477,37 @@ def test_console_script_entry_point():
         )
         assert proc.returncode == 0, (command, proc.stderr)
         assert "checks passed" in proc.stdout
+
+
+def _unreadable(monkeypatch, path):
+    """open raises PermissionError for path, as for a file the user may not read
+    (chmod cannot show it: root reads a mode-000 file)."""
+    real_open = open
+
+    def guarded(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", guarded)
+
+
+@pytest.mark.parametrize("command", ["run", "gaugefix"])
+@pytest.mark.parametrize("failure", ["unreadable", "deeply-nested"])
+def test_an_unreadable_or_deeply_nested_input_exits_2_in_one_line(tmp_path, capsys, monkeypatch,
+                                                                   command, failure):
+    src = tmp_path / "in.json"
+    if failure == "deeply-nested":
+        src.write_text("[" * 200_000)
+    elif command == "run":
+        write_config(src)
+    else:
+        save_configuration(random_configuration(Lattice((2, 2, 2, 2), 1.0), 3, (0.4, 0.8)), src)
+    if failure == "unreadable":
+        _unreadable(monkeypatch, src)
+    args = [command, str(src)] + ([str(tmp_path / "o.json")] if command == "gaugefix" else [])
+    assert main(args) == 2
+    assert os.listdir(tmp_path) == ["in.json"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert ("Permission denied" if failure == "unreadable" else "not valid JSON") in err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import clifford_mult, clifford_mult_adjoint, two_form_action
-from swflow.clifford import BIVECTORS, SIGMA, quadratic_form, relation_defect
+from swflow.checks import clifford_relation_defect
+from swflow.clifford import BIVECTORS, SIGMA, quadratic_form
 from swflow.lattice import PLANES, hodge_star2, selfdual_project
 
 rng = np.random.default_rng(20260402)
@@ -29,7 +30,7 @@ def conjugated_table(w, v):
 
 
 def test_sigma_satisfies_the_clifford_relations():
-    assert relation_defect(SIGMA) < 1e-15
+    assert clifford_relation_defect(SIGMA).measured < 1e-15
 
 
 def test_e_matrices_square_to_minus_identity():
@@ -86,7 +87,7 @@ def test_generators_and_bivectors_are_read_only():
 def test_relation_defect_flags_corrupted_table():
     sig = SIGMA.copy()
     sig[1] = sig[1] + 0.05
-    assert relation_defect(sig) > 0.01
+    assert clifford_relation_defect(sig).measured > 0.01
 
 
 def test_clifford_mult_unitary_and_zero():
@@ -186,4 +187,4 @@ def test_two_form_action_kills_antiselfdual():
 
 def test_conjugated_table_satisfies_relations():
     w, v = random_unitary(), random_unitary()
-    assert relation_defect(conjugated_table(w, v)) < 1e-14
+    assert clifford_relation_defect(conjugated_table(w, v)).measured < 1e-14

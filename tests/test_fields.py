@@ -400,3 +400,21 @@ def test_write_atomic_replaces_whole_file_or_nothing(tmp_path, monkeypatch):
         write_atomic({path: json_text({"x": 2.0})})
     assert path.read_text() == '{"x": 0.1, "k": [1, 2]}\n'
     assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_configuration_stores_an_int_seed_or_refuses_it(tmp_path):
+    lat = Lattice((2, 2, 2, 2), 1.0)
+    cfg = random_cfg(lat)
+
+    def with_seed(seed):
+        return Configuration(lat, cfg.gauge, cfg.phi, cfg.scalar_curvature, seed=seed)
+
+    assert with_seed(None).seed is None
+    numpy_seed = with_seed(np.int64(5))
+    assert type(numpy_seed.seed) is int
+    save_configuration(numpy_seed, tmp_path / "cfg.json")
+    back = load_configuration(tmp_path / "cfg.json")
+    assert back.seed == 5 and type(back.seed) is int
+    for seed in (True, "x", 1.5):  # refused here, not written and then refused by the load
+        with pytest.raises(ValueError, match="seed"):
+            with_seed(seed)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import background_curvature, flux_matrix, l4_norm
-from swflow import functional
-from swflow.checks import GRADIENT_TOL
+from swflow import checks, functional
+from swflow.checks import GRADIENT_TOL, gradient_matches_finite_differences
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -22,7 +22,6 @@ from swflow.functional import (
     energy_lower_bound,
     energy_weitzenbock,
     excess_report,
-    fd_gradient_check,
     gradient,
     sw_equation_residual,
 )
@@ -164,26 +163,26 @@ def test_gradient_equivariance():
 def test_fd_gradient_check_random_cfg():
     lat = Lattice((3, 3, 3, 3), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f03=1))
-    err = fd_gradient_check(cfg, step=1e-5, n_directions=50, seed=5)
+    err = gradient_matches_finite_differences(cfg, 5, 50, step=1e-5).measured
     assert err <= 1e-5
 
 
 def test_fd_gradient_check_zero_cfg_guarded():
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = zero_cfg(lat, s=np.zeros(lat.dims))
-    assert fd_gradient_check(cfg, step=1e-3, n_directions=10, seed=1) == 0.0
+    assert gradient_matches_finite_differences(cfg, 1, 10, step=1e-3).measured == 0.0
 
 
 def test_fd_gradient_check_step_scaling():
     lat = Lattice((3, 3, 3, 3), 0.9)
     cfg = random_cfg(lat, seed=21)
-    coarse = fd_gradient_check(cfg, step=1e-2, n_directions=30, seed=7)
-    fine = fd_gradient_check(cfg, step=1e-5, n_directions=30, seed=7)
+    coarse = gradient_matches_finite_differences(cfg, 7, 30, step=1e-2).measured
+    fine = gradient_matches_finite_differences(cfg, 7, 30, step=1e-5).measured
     # central differences: truncation drops roughly quadratically until the
     # roundoff floor; two orders is the conservative check
     assert coarse >= 100.0 * fine
     with pytest.raises(ValueError):
-        fd_gradient_check(cfg, step=0.0)
+        gradient_matches_finite_differences(cfg, 0, 50, step=0.0)
 
 
 @pytest.mark.parametrize("part", ["da", "re_dphi", "im_dphi"])
@@ -201,15 +200,15 @@ def test_fd_gradient_check_sees_each_perturbation_kind(monkeypatch, part):
             return functional.Gradient(g.lattice, g.da, 1.01 * g.dphi.real + 1j * g.dphi.imag)
         return functional.Gradient(g.lattice, g.da, g.dphi.real + 1.01j * g.dphi.imag)
 
-    monkeypatch.setattr(functional, "gradient", skewed)
-    assert fd_gradient_check(cfg, step=1e-5, n_directions=50, seed=5) > GRADIENT_TOL
+    monkeypatch.setattr(checks, "gradient", skewed)
+    assert gradient_matches_finite_differences(cfg, 5, 50, step=1e-5).measured > GRADIENT_TOL
 
 
 def test_fd_gradient_check_deterministic():
     lat = Lattice((3, 2, 3, 2), 0.8)
     cfg = random_cfg(lat, seed=4)
-    a = fd_gradient_check(cfg, step=1e-5, n_directions=20, seed=3)
-    b = fd_gradient_check(cfg, step=1e-5, n_directions=20, seed=3)
+    a = gradient_matches_finite_differences(cfg, 3, 20, step=1e-5).measured
+    b = gradient_matches_finite_differences(cfg, 3, 20, step=1e-5).measured
     assert a == b
 
 

@@ -290,3 +290,34 @@ def test_weitzenbock_identity_under_refinement():
         resid.append(l2_norm(lat, lhs - rhs) / l2_norm(lat, cfg.phi))
     assert resid[0] / resid[1] >= 1.5
     assert resid[1] / resid[2] >= 1.5
+
+
+def spinor_plaquettes(cfg):
+    """U_mu(x) U_nu(x + e_mu) conj(U_mu(x + e_nu)) conj(U_nu(x)) per plane, shape dims + (6,)."""
+    U = link_phases(cfg)
+    return np.stack([
+        U[..., mu] * np.roll(U[..., nu], -1, axis=mu)
+        * np.conj(np.roll(U[..., mu], -1, axis=nu)) * np.conj(U[..., nu])
+        for mu, nu in PLANES
+    ], axis=-1)
+
+
+@pytest.mark.parametrize("dims, spacing, plane, n", [
+    ((6, 6, 6, 6), 1.0, (0, 1), n) for n in (1, -1, 3, -3, 2, 0)
+] + [
+    ((3, 4, 2, 5), 0.7, plane, n) for plane in ((0, 1), (1, 3), (2, 3)) for n in (1, -3, 2)
+])
+def test_odd_flux_leaves_a_pi_defect_in_the_spinor_holonomy(dims, spacing, plane, n):
+    # the spinor sees half the determinant-line angles: a plane's total spinor
+    # holonomy pi n is not a multiple of 2 pi for odd n, so one plaquette per
+    # (x_rho, x_sigma) slice, at the wrap corner, carries an extra pi
+    mu, nu = plane
+    lat = Lattice(dims, spacing)
+    cfg = random_configuration(lat, 0, (0.0, 0.0), flux=flux_matrix(**{f"f{mu}{nu}": n}))
+    W = spinor_plaquettes(cfg)
+    for i, (m, v) in enumerate(PLANES):
+        uniform = np.exp(1j * np.pi * cfg.gauge.flux[m, v] / (dims[m] * dims[v]))
+        off = np.abs(W[..., i] - uniform) > 1e-12
+        assert np.all(np.abs(W[..., i][off] + uniform) <= 1e-12)  # off by exactly pi
+        defects = lat.nsites // (dims[m] * dims[v]) if (m, v) == plane and n % 2 else 0
+        assert np.count_nonzero(off) == defects

@@ -292,6 +292,16 @@ def test_minimize_rejects_a_non_finite_start():
         minimize(cfg, MinimizeParams())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_minimize_rejects_an_iterate_that_is_not_finite():
+    # s = -1e200: the first search accepts t = 1 at energy -4.6e299, where the
+    # gradient norm overflows; no direction may be built from it
+    lat = Lattice((2, 2, 2, 2), 1.0)
+    cfg = random_configuration(lat, 1, (0.0, 1e-150), scalar_curvature=np.full(lat.dims, -1e200))
+    with pytest.raises(ValueError, match="iterate 1: gradient norm inf is not finite"):
+        minimize(cfg, MinimizeParams(method="conjugate", max_iters=50))
+
+
 def test_line_search_failure_after_exhausted_backtracks():
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = random_configuration(lat, 23, (0.5, 0.5))
