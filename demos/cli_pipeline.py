@@ -26,7 +26,7 @@ with open(config_path, "w") as fh:
 
 def run(*argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "swflow.cli", *argv],
+        [sys.executable, "-m", "swflow", *argv],
         capture_output=True, text=True,
     )
     print(f"$ swflow {' '.join(argv)}")

@@ -25,7 +25,7 @@ cfg = random_configuration(
 
 e2 = energy_weitzenbock(cfg)
 e1 = energy_first_order(cfg)
-lb = energy_lower_bound(lat, cfg.scalar_curvature)
+lb = energy_lower_bound(cfg)
 print(f"second-order energy  E  = {e2:+.10f}")
 print(f"first-order energy   E' = {e1:+.10f}")
 print(f"lower bound             = {lb:+.10f}")

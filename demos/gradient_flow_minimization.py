@@ -32,7 +32,7 @@ for r in traj.records:
     print(f"{r.iter:5d}  {r.energy:+.8f}  {r.grad_norm:.3e}  {r.phi_linf:.6f}  "
           f"{r.radial_excess:.3e}")
 
-lb = energy_lower_bound(lat, traj.final.scalar_curvature)
+lb = energy_lower_bound(traj.final)
 final = traj.records[-1]
 print(f"\nterminated: {traj.reason} after {final.iter} iterations")
 print(f"final energy {final.energy:.8f}, lower bound {lb:.8f}, "

@@ -102,9 +102,10 @@ def _adjoint_pairs(lat: Lattice, problem) -> dict:
     return {
         "adjoint_d0_codiff1": (partial(d0, lat), partial(codiff1, lat), (), (4,), False),
         "adjoint_d1_codiff2": (partial(d1, lat), partial(codiff2, lat), (4,), (6,), False),
-        "adjoint_covariant_diff": (partial(covariant_diff, problem),
-                                   partial(covariant_diff_adjoint, problem), (2,), (4, 2), True),
-        "adjoint_dirac": (partial(dirac, problem), partial(dirac_adjoint, problem), (2,), (2,), True),
+        "adjoint_covariant_diff": (lambda u: covariant_diff(problem.replace(phi=u)),
+                                   lambda v: covariant_diff_adjoint(problem, v), (2,), (4, 2), True),
+        "adjoint_dirac": (lambda u: dirac(problem.replace(phi=u)),
+                          lambda v: dirac_adjoint(problem, v), (2,), (2,), True),
     }
 
 
@@ -206,7 +207,7 @@ def energy_lower_bound_margin(
     for k in range(draws):
         s = rng.standard_normal(lat.dims)
         cfg = random_configuration(lat, seed + k, (0.5, 1.2), scalar_curvature=s)
-        worst = worst_of(worst, energy_lower_bound(lat, cfg.scalar_curvature) - energy_weitzenbock(cfg))
+        worst = worst_of(worst, energy_lower_bound(cfg) - energy_weitzenbock(cfg))
     return CheckResult("energy_lower_bound_margin", worst, 0.0)
 
 

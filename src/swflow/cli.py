@@ -103,8 +103,8 @@ def _build_run(config: dict):
     )
     params = MinimizeParams(**config.get("minimize", {}))
     out_dir = config.get("output_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ValueError(f"output_dir must be a string, got {out_dir!r}")
+    if not isinstance(out_dir, str) or not out_dir:  # "" would fail only after the solve
+        raise ValueError(f"output_dir must be a nonempty string, got {out_dir!r}")
     return cfg, params, out_dir
 
 
@@ -237,7 +237,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

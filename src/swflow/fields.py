@@ -217,6 +217,8 @@ def random_configuration(
     nonnegative; (0, 0) gives the zero configuration.
     """
     seed = require_int(seed, "seed")
+    if seed < 0:  # a Configuration keeps any int as provenance, but numpy seeds are nonnegative
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     amp_a, amp_phi = (require_real(v, "amplitude") for v in amplitudes)
     if amp_a < 0 or amp_phi < 0:
         raise ValueError(f"amplitudes must be nonnegative, got {amplitudes}")

@@ -207,16 +207,16 @@ def sw_equation_residual(cfg: Configuration) -> tuple[float, float]:
     return (r_dirac, r_curv)
 
 
-def energy_lower_bound(lat: Lattice, s: np.ndarray) -> float:
-    """Proven floor of energy_weitzenbock: -(h^4/8) sum min(s, 0)^2.
+def energy_lower_bound(cfg: Configuration) -> float:
+    """Proven floor of energy_weitzenbock of cfg: -(h^4/8) sum min(s, 0)^2, s its scalar curvature.
 
     Pointwise the density (s/4)t + t^2/8 over t = |phi|^2 >= 0 is minimized
     at t = -s when s < 0, giving -s^2/8; all other terms are nonnegative.
     The floor is attained by constant |phi|^2 = -s when s is a negative
     constant and the gauge field is flux-free pure gauge.
     """
-    neg = np.minimum(s, 0.0)
-    return float(-(lat.spacing**4) * np.sum(neg**2) / 8.0)
+    neg = np.minimum(cfg.scalar_curvature, 0.0)
+    return float(-(cfg.lattice.spacing**4) * np.sum(neg**2) / 8.0)
 
 
 def gradient(cfg: Configuration) -> Gradient:

@@ -55,10 +55,12 @@ class Lattice:
         dims = tuple(require_int(n, "dims entry") for n in self.dims)
         if len(dims) != 4 or any(n < 2 for n in dims):
             raise ValueError(f"dims must be four integers >= 2, got {self.dims}")
-        if not 0 < require_real(self.spacing, "spacing") < np.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        h = require_real(self.spacing, "spacing")
+        with np.errstate(all="ignore"):  # h^4 weighs every sum: it and 1/h^4 must be finite, nonzero
+            if not all(0 < p < np.inf for p in h ** np.array([1.0, 4.0, -4.0])):
+                raise ValueError(f"spacing, h^4 and h^-4 must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", float(self.spacing))
+        object.__setattr__(self, "spacing", h)
 
     @property
     def nsites(self) -> int:

@@ -40,16 +40,15 @@ def link_phases(cfg: Configuration) -> np.ndarray:
     return np.moveaxis(U, 0, -1)
 
 
-def covariant_diff(cfg: Configuration, phi: np.ndarray | None = None, U=None) -> np.ndarray:
-    """Covariant forward difference, one spinor per direction.
+def covariant_diff(cfg: Configuration, U=None) -> np.ndarray:
+    """Covariant forward difference of cfg.phi, one spinor per direction.
 
     (grad_mu phi)(x) = (U_mu(x) phi(x + e_mu) - phi(x)) / h, output shape
-    dims + (4, 2), direction-major: grad[..., mu, :] is contiguous. With phi
-    given, differentiates that field in cfg's transport instead of cfg.phi;
-    U, when held, must be link_phases(cfg).
+    dims + (4, 2), direction-major: grad[..., mu, :] is contiguous. Another
+    spinor u goes through cfg's transport as cfg.replace(phi=u), which
+    validates it; U, when held, must be link_phases(cfg).
     """
-    phi = cfg.phi if phi is None else phi
-    U = link_phases(cfg) if U is None else U
+    phi, U = cfg.phi, link_phases(cfg) if U is None else U
     out = np.empty((4,) + phi.shape, dtype=complex)
     for mu in range(4):
         out[mu] = (U[..., mu, None] * shift(phi, mu) - phi) / cfg.lattice.spacing
@@ -73,10 +72,10 @@ def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndar
     return out
 
 
-def dirac(cfg: Configuration, phi: np.ndarray | None = None) -> np.ndarray:
-    """Dirac operator D phi = sum_mu sigma_mu (grad_mu phi), lands in W^-;
+def dirac(cfg: Configuration) -> np.ndarray:
+    """Dirac operator of cfg.phi, D phi = sum_mu sigma_mu (grad_mu phi), lands in W^-;
     one product over (mu, b): (D phi)_a = sum sigma_mu[a, b] (grad_mu phi)_b."""
-    grad = covariant_diff(cfg, phi).reshape(-1, 8)
+    grad = covariant_diff(cfg).reshape(-1, 8)
     return (grad @ SIGMA.transpose(0, 2, 1).reshape(8, 2)).reshape(cfg.lattice.dims + (2,))
 
 

@@ -19,6 +19,10 @@ in functional). The search returns (t, evaluation) of the accepted trial; the
 next gradient and each record read grad phi from that evaluation instead of
 rebuilding it (only the record after a line-search failure rebuilds), and
 the loop keeps the last recorded iterate's normal form for the next record.
+
+minimize and line_search each run under one numpy error policy, overflow and
+invalid ignored: an overflowing trial's NaN or +inf fails the Armijo test and
+backtracks, but -inf passes it, so _require_finite judges each accepted iterate.
 """
 
 from __future__ import annotations
@@ -107,8 +111,10 @@ def descent_pairing(g: Gradient, direction: Gradient) -> float:
     return float(np.real(pair_a) + 2.0 * np.real(pair_phi))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams, start=None):
-    """Backtrack from initial_step until the Armijo inequality holds.
+    """Backtrack from initial_step until the Armijo inequality holds, under the
+    search's one error policy (module docstring).
 
     Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>
     and returns (t, evaluation): evaluation.cfg is the trial, evaluation.energy
@@ -120,27 +126,21 @@ def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams,
     """
     if start is None:
         ev = _evaluate(cfg)
-        with np.errstate(over="ignore", invalid="ignore"):  # as for the trials below
-            floor = _line_floor(cfg, direction, ev.fplus)
-        start = ev.gradient(), ev.energy, floor
+        start = ev.gradient(), ev.energy, _line_floor(cfg, direction, ev.fplus)
         del ev  # cfg's pieces must not outlive into the trials
     g, e0, floor = start
     pair = descent_pairing(g, direction)
     if not pair < 0.0:
         raise NonDescentDirectionError(f"direction pairing {pair:.3e} is not negative")
     t = params.initial_step
-    # wild trial steps may overflow the quartic term; the Armijo comparison is
-    # False for nan and +inf energies and bounds, so the step backtracks, but
-    # -inf passes it: minimize refuses an accepted trial that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_BACKTRACKS + 1):
-            thr = e0 + params.armijo_c * t * pair
-            if not floor(t) > thr:
-                ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
-                if ev.energy <= thr:
-                    return t, ev
-                del ev  # a rejected trial's pieces must not outlive it into the next one
-            t *= params.backtrack
+    for _ in range(MAX_BACKTRACKS + 1):
+        thr = e0 + params.armijo_c * t * pair
+        if not floor(t) > thr:
+            ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
+            if ev.energy <= thr:
+                return t, ev
+            del ev  # a rejected trial's pieces must not outlive it into the next one
+        t *= params.backtrack
     raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
 
 
@@ -171,6 +171,7 @@ def _require_finite(it: int, energy: float, grad_norm: float = 0.0):
             raise ValueError(f"iterate {it}: {name} {value!r} is not finite")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     """Descend the energy from cfg0 until the gradient norm meets grad_tol.
 
@@ -182,10 +183,9 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     Iterate 0 and the final iterate are always recorded.
     """
     cfg, records, prev_fixed, it = cfg0, [], None, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = gradient(cfg)
-        held = _evaluate(cfg)  # its pieces feed record 0 and the first line search
-        energy, grad_norm = held.energy, g.norm()
+    g = gradient(cfg)
+    held = _evaluate(cfg)  # its pieces feed record 0 and the first line search
+    energy, grad_norm = held.energy, g.norm()
     _require_finite(it, energy, grad_norm)
     direction: Gradient | None = None
     prev_g: Gradient | None = None
@@ -217,8 +217,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             direction = g.scaled(-1.0)
         candidate = prev_g = None  # both dead until the next gradient: not into the search
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials
+        floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials
         try:
             held = line_search(cfg, direction, params, (g, energy, floor))[1]
         except LineSearchFailure:
@@ -230,16 +229,15 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         it += 1
         _require_finite(it, energy)  # before a refix, which must not see it
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
-                held = None  # else the pre-refix iterate and its pieces outlive the refix
-                held = _refix_gauge(cfg, energy)
-                cfg, energy = held.cfg, held.energy
-                direction = None  # conjugate memory is stale off the old slice
+        if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
+            held = None  # else the pre-refix iterate and its pieces outlive the refix
+            held = _refix_gauge(cfg, energy)
+            cfg, energy = held.cfg, held.energy
+            direction = None  # conjugate memory is stale off the old slice
 
-            prev_g = g if direction is not None else None  # stale off the old slice too
-            g, prev_norm = held.gradient(), grad_norm
-            grad_norm = g.norm()
+        prev_g = g if direction is not None else None  # stale off the old slice too
+        g, prev_norm = held.gradient(), grad_norm
+        grad_norm = g.norm()
         _require_finite(it, energy, grad_norm)
 
     return Trajectory(tuple(records), cfg, reason)

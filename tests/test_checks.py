@@ -4,7 +4,8 @@ anisotropic and odd sides."""
 import numpy as np
 import pytest
 
-from swflow import checks
+from oracles import flux_matrix
+from swflow import checks, functional
 from swflow.fields import random_configuration
 from swflow.lattice import Lattice, codiff1, d1
 from swflow.operators import covariant_diff, curvature, link_phases
@@ -17,6 +18,11 @@ def mixed_flux(lat, seed):
     for (mu, nu), n in {(0, 1): 1, (1, 3): 2, (2, 3): -1}.items():
         flux[mu, nu], flux[nu, mu] = n, -n
     return random_configuration(lat, seed, (0.6, 0.9), flux=flux)
+
+
+def random_cfg(lat, seed=9, flux=None):
+    s = np.random.default_rng([20260405, seed]).standard_normal(lat.dims)
+    return random_configuration(lat, seed, (0.6, 0.9), flux=flux, scalar_curvature=s)
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -58,3 +64,55 @@ def test_hodge_sobolev_bound_holds_at_12():
     # out of `swflow check --level full`, whose run time the benchmark measures
     result = checks.hodge_sobolev_bound(Lattice((12, 12, 12, 12), 0.5), 400, 10)
     assert result.passed, result.line()
+
+
+def test_gradient_measure_passes_on_a_random_configuration():
+    lat = Lattice((3, 3, 3, 3), 0.7)
+    cfg = random_cfg(lat, flux=flux_matrix(f03=1))
+    err = checks.gradient_matches_finite_differences(cfg, 5, 50, step=1e-5).measured
+    assert err <= 1e-5
+
+
+def test_gradient_measure_reads_zero_where_both_sides_vanish():
+    lat = Lattice((2, 2, 2, 2), 1.0)
+    cfg = random_configuration(lat, 0, (0.0, 0.0), scalar_curvature=np.zeros(lat.dims))
+    assert checks.gradient_matches_finite_differences(cfg, 1, 10, step=1e-3).measured == 0.0
+
+
+def test_gradient_measure_shrinks_with_the_step_and_refuses_step_zero():
+    lat = Lattice((3, 3, 3, 3), 0.9)
+    cfg = random_cfg(lat, seed=21)
+    coarse = checks.gradient_matches_finite_differences(cfg, 7, 30, step=1e-2).measured
+    fine = checks.gradient_matches_finite_differences(cfg, 7, 30, step=1e-5).measured
+    # central differences: truncation drops roughly quadratically until the
+    # roundoff floor; two orders is the conservative check
+    assert coarse >= 100.0 * fine
+    with pytest.raises(ValueError):
+        checks.gradient_matches_finite_differences(cfg, 0, 50, step=0.0)
+
+
+@pytest.mark.parametrize("part", ["da", "re_dphi", "im_dphi"])
+def test_gradient_measure_sees_each_perturbation_kind(monkeypatch, part):
+    # a gradient wrong by 1% in one part only must fail the 50-draw check
+    lat = Lattice((3, 3, 3, 3), 0.7)
+    cfg = random_cfg(lat, flux=flux_matrix(f03=1))
+    exact = functional.gradient
+
+    def skewed(c):
+        g = exact(c)
+        if part == "da":
+            return functional.Gradient(g.lattice, 1.01 * g.da, g.dphi)
+        if part == "re_dphi":
+            return functional.Gradient(g.lattice, g.da, 1.01 * g.dphi.real + 1j * g.dphi.imag)
+        return functional.Gradient(g.lattice, g.da, g.dphi.real + 1.01j * g.dphi.imag)
+
+    monkeypatch.setattr(checks, "gradient", skewed)
+    assert checks.gradient_matches_finite_differences(cfg, 5, 50, step=1e-5).measured > checks.GRADIENT_TOL
+
+
+def test_gradient_measure_is_deterministic():
+    lat = Lattice((3, 2, 3, 2), 0.8)
+    cfg = random_cfg(lat, seed=4)
+    a = checks.gradient_matches_finite_differences(cfg, 3, 20, step=1e-5).measured
+    b = checks.gradient_matches_finite_differences(cfg, 3, 20, step=1e-5).measured
+    assert a == b

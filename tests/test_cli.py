@@ -83,6 +83,10 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+# each used to fail only in or after the solve; the refusal names its key
+KEYED_BAD_CONFIGS = [dict(spacing=1e300), dict(spacing=1e-300), dict(seed=-5), dict(output_dir="")]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -119,6 +123,7 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
         # a misspelt key is refused rather than silently left at its default
         dict(scalar_curvatur=-1.0),
         dict(amplitudes={"a": 0.3, "phi": 1.0, "psi": 0.5}),
+        *KEYED_BAD_CONFIGS,
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):
@@ -126,7 +131,10 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     write_config(cfg_path, **overrides)
     assert main(["run", str(cfg_path)]) == 2
     assert not (tmp_path / "out").exists()
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    if overrides in KEYED_BAD_CONFIGS:
+        assert next(iter(overrides)) in err
 
 
 def test_run_refuses_a_lattice_it_cannot_allocate_in_one_line(tmp_path, capsys, monkeypatch):

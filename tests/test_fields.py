@@ -378,7 +378,7 @@ def test_windings_and_seeds_must_be_integers():
             GaugeTransform(np.zeros(lat.dims), winding)
     k = GaugeTransform(np.zeros(lat.dims), tuple(np.array([1, -2, 0, 3]))).winding
     assert k == (1, -2, 0, 3) and all(type(v) is int for v in k)
-    for seed in (1.5, 1.0, "3", None, False):
+    for seed in (1.5, 1.0, "3", None, False, -5):
         with pytest.raises(ValueError, match="seed"):
             random_configuration(lat, seed, (0.1, 0.1))
     assert random_configuration(lat, np.int64(9), (0.1, 0.1)).seed == 9

@@ -66,6 +66,10 @@ def test_lattice_validation():
         Lattice((2, 2, 2, 2), 0.0)
     with pytest.raises(ValueError, match="finite"):
         Lattice((2, 2, 2, 2), np.inf)
+    # h^4 would overflow or underflow: a ValueError naming spacing, not an OverflowError
+    for spacing in (1e300, 1e-300):
+        with pytest.raises(ValueError, match="spacing"):
+            Lattice((2, 2, 2, 2), spacing)
     # dims are integers, never truncated floats, strings or bools
     for dims in ((2, 2, 2, 2.9), (2, 2, 2, 2.0), ("2", 2, 2, 2), (2, True, 2, 2)):
         with pytest.raises(ValueError, match="integer"):

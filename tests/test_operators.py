@@ -30,9 +30,9 @@ from swflow.operators import (
 rng = np.random.default_rng(20260404)
 
 
-def covariant_laplacian(cfg, phi=None):
-    """Connection Laplacian Delta_A phi = -grad* grad phi (negative semidefinite)."""
-    return -covariant_diff_adjoint(cfg, covariant_diff(cfg, phi))
+def covariant_laplacian(cfg):
+    """Connection Laplacian Delta_A phi = -grad* grad phi of cfg.phi (negative semidefinite)."""
+    return -covariant_diff_adjoint(cfg, covariant_diff(cfg))
 
 
 def random_cfg(lat, seed=3, flux=None, amp=(0.7, 1.0)):
@@ -143,7 +143,7 @@ def test_dirac_adjoint_dense_oracle():
     shape = lat.dims + (2,)
     # dirac maps W+ fields to W- fields of equal flat size; same h^4 weight
     # on both sides, so the adjoint's dense matrix is the conjugate transpose
-    M = dense_complex_matrix(lambda u: dirac(cfg, phi=u), shape)
+    M = dense_complex_matrix(lambda u: dirac(cfg.replace(phi=u)), shape)
     Madj = dense_complex_matrix(lambda u: dirac_adjoint(cfg, u), shape)
     assert np.allclose(Madj, M.conj().T, atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_dirac_adjointness_random_pairs():
     for _ in range(20):
         phi = random_spinor_field(lat)
         psi = random_spinor_field(lat)
-        lhs = l2_inner(lat, dirac(cfg, phi=phi), psi)
+        lhs = l2_inner(lat, dirac(cfg.replace(phi=phi)), psi)
         rhs = l2_inner(lat, phi, dirac_adjoint(cfg, psi))
         assert abs(lhs - rhs) <= 1e-12 * l2_norm(lat, phi) * l2_norm(lat, psi)
 
@@ -187,7 +187,7 @@ def test_covariant_diff_adjointness_random_pairs():
         G = rng.standard_normal(lat.dims + (4, 2)) + 1j * rng.standard_normal(
             lat.dims + (4, 2)
         )
-        lhs = l2_inner(lat, covariant_diff(cfg, phi), G)
+        lhs = l2_inner(lat, covariant_diff(cfg.replace(phi=phi)), G)
         rhs = l2_inner(lat, phi, covariant_diff_adjoint(cfg, G))
         assert abs(lhs - rhs) <= 1e-12 * l2_norm(lat, phi) * l2_norm(lat, G)
 
@@ -197,8 +197,8 @@ def test_laplacian_energy_identity_and_sign():
     cfg = random_cfg(lat, flux=flux_matrix(f01=-1, f23=1))
     for _ in range(5):
         phi = random_spinor_field(lat)
-        quad = l2_inner(lat, -covariant_laplacian(cfg, phi), phi)
-        grad2 = l2_norm(lat, covariant_diff(cfg, phi)) ** 2
+        quad = l2_inner(lat, -covariant_laplacian(cfg.replace(phi=phi)), phi)
+        grad2 = l2_norm(lat, covariant_diff(cfg.replace(phi=phi))) ** 2
         assert quad.imag == pytest.approx(0.0, abs=1e-12 * grad2)
         assert quad.real == pytest.approx(grad2, rel=1e-12)
         assert quad.real >= 0.0

@@ -355,7 +355,7 @@ def test_minimize_obeys_maximum_principle_for_negative_curvature(negative_curvat
     assert final.threshold == 1.0
     assert final.phi_linf <= 1.0 + 0.05
     assert final.radial_excess <= 1e-6
-    lb = energy_lower_bound(cfg.lattice, cfg.scalar_curvature)
+    lb = energy_lower_bound(cfg)
     assert final.energy >= lb
     assert final.energy <= lb + 1e-9 * abs(lb)
 
