@@ -37,6 +37,14 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+def _finite_field(u, dtype, shape: tuple, name: str) -> np.ndarray:
+    """u as an array of dtype, refused unless it has the given shape and is finite."""
+    u = np.asarray(u, dtype=dtype)
+    _require(u.shape == shape, f"{name} must have shape {shape}, got {u.shape}")
+    _require(np.all(np.isfinite(u)), f"{name} must be finite")
+    return u
+
+
 def check_flux_matrix(flux) -> np.ndarray:
     """Validate and return the 4x4 antisymmetric integer flux matrix."""
     f = np.asarray(flux)
@@ -105,36 +113,22 @@ class Configuration:
 
     def __post_init__(self):
         lat = self.lattice
-        _require(
-            self.gauge.a.shape == lat.dims + (4,),
-            f"gauge field shape {self.gauge.a.shape} does not match lattice {lat.dims}",
-        )
-        phi = np.asarray(self.phi, dtype=complex)
-        _require(
-            phi.shape == lat.dims + (2,),
-            f"spinor field must have shape {lat.dims + (2,)}, got {phi.shape}",
-        )
-        _require(np.all(np.isfinite(phi)), "spinor field must be finite")
-        s = np.asarray(self.scalar_curvature, dtype=float)
-        _require(
-            s.shape == lat.dims,
-            f"scalar curvature must have shape {lat.dims}, got {s.shape}",
-        )
-        _require(np.all(np.isfinite(s)), "scalar curvature must be finite")
+        _require(self.gauge.a.shape == lat.dims + (4,),
+                 f"gauge field shape {self.gauge.a.shape} does not match lattice {lat.dims}")
+        phi = _finite_field(self.phi, complex, lat.dims + (2,), "spinor field")
+        s = _finite_field(self.scalar_curvature, float, lat.dims, "scalar curvature")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "scalar_curvature", s)
         if self.seed is not None:  # a NumPy integer is stored as the int JSON can write
             object.__setattr__(self, "seed", require_int(self.seed, "seed"))
 
     def replace(self, a=None, phi=None) -> "Configuration":
-        """Copy with new field data; flux, s, and seed are carried over."""
-        gauge = self.gauge if a is None else GaugeField(a, self.gauge.flux)
-        return Configuration(
-            self.lattice,
-            gauge,
-            self.phi if phi is None else phi,
-            self.scalar_curvature,
-            self.seed,
+        """Copy with new field data, each given field checked for shape and
+        finiteness; the validated flux, s, and seed are carried over as they are."""
+        dims = self.lattice.dims
+        return self._trial(
+            self.gauge.a if a is None else _finite_field(a, float, dims + (4,), "gauge field"),
+            self.phi if phi is None else _finite_field(phi, complex, dims + (2,), "spinor field"),
         )
 
     def _trial(self, a: np.ndarray, phi: np.ndarray) -> "Configuration":

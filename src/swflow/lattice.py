@@ -8,7 +8,8 @@ is conjugate-linear in the second slot. Layout rule: a field built one
 component at a time (d1 here; link_phases, covariant_diff and curvature in
 operators) is its public shape viewing a component-major buffer, (6,) + dims,
 (4,) + dims or (4,) + dims + (2,), so F[..., i] and grad[..., mu, :] are
-contiguous; a caller that needs site-major order makes it.
+contiguous; a caller that needs site-major order makes it. Every periodic
+translate (shift) is one gather through a cached read-only index.
 """
 
 from __future__ import annotations
@@ -81,16 +82,19 @@ def _check_form(lat: Lattice, u: np.ndarray, fiber: tuple, kind: str):
         raise ValueError(f"{kind} must have shape {lat.dims + fiber}, got {u.shape}")
 
 
+@functools.lru_cache(maxsize=64)
+def _roll_index(n: int, steps: int) -> np.ndarray:
+    """Source index (i + steps) mod n of a periodic translate: cached, read-only."""
+    idx = (np.arange(n) + steps) % n
+    idx.flags.writeable = False
+    return idx
+
+
 def shift(u: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
     """Periodic translate: shift(u, mu)[x] = u[x + steps * e_mu], mu a site axis;
-    the permutation np.roll(u, -steps, axis=mu) makes, as two slice copies."""
-    n = u.shape[mu]
-    k = steps % n
-    lead = (slice(None),) * mu
-    out = np.empty_like(u)
-    out[lead + (slice(None, n - k),)] = u[lead + (slice(k, None),)]
-    out[lead + (slice(n - k, None),)] = u[lead + (slice(None, k),)]
-    return out
+    the permutation np.roll(u, -steps, axis=mu) makes, as one gather through a
+    cached read-only index. The result is a new C-ordered array."""
+    return u.take(_roll_index(u.shape[mu], steps), axis=mu)
 
 
 def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
@@ -100,6 +104,7 @@ def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
     direction. Output shape dims + (4,).
     """
     _check_form(lat, f, (), "scalar field")
+    f = np.ascontiguousarray(f)  # take would copy a strided f (a Poisson solution's .real) per call
     out = np.empty(lat.dims + (4,), dtype=f.dtype)
     for mu in range(4):
         out[..., mu] = (shift(f, mu) - f) / lat.spacing
@@ -114,10 +119,10 @@ def d1(lat: Lattice, a: np.ndarray) -> np.ndarray:
     """
     _check_form(lat, a, (4,), "1-form")
     out = np.empty((6,) + lat.dims, dtype=a.dtype)
-    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))  # contiguous components shift faster
+    a = np.ascontiguousarray(a.transpose(4, 0, 1, 2, 3))  # contiguous components shift faster
     for i, (mu, nu) in enumerate(PLANES):
         out[i] = (shift(a[nu], mu) - a[nu] - shift(a[mu], nu) + a[mu]) / lat.spacing
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(1, 2, 3, 4, 0)
 
 
 def codiff1(lat: Lattice, a: np.ndarray) -> np.ndarray:
@@ -127,8 +132,9 @@ def codiff1(lat: Lattice, a: np.ndarray) -> np.ndarray:
     """
     _check_form(lat, a, (4,), "1-form")
     out = np.zeros(lat.dims, dtype=a.dtype)
+    a = np.ascontiguousarray(a.transpose(4, 0, 1, 2, 3))  # as in d1
     for mu in range(4):
-        out -= (a[..., mu] - shift(a[..., mu], mu, -1)) / lat.spacing
+        out -= (a[mu] - shift(a[mu], mu, -1)) / lat.spacing
     return out
 
 
@@ -170,7 +176,7 @@ def l2_inner(lat: Lattice, u: np.ndarray, v: np.ndarray):
     _check_form(lat, u, u.shape[4:], "field")
     if u.shape != v.shape:
         raise ValueError(f"mismatched field shapes {u.shape} vs {v.shape}")
-    val = np.sum(u * np.conj(v)) * lat.spacing**4
+    val = np.sum(u * (np.conj(v) if np.iscomplexobj(v) else v)) * lat.spacing**4
     if np.iscomplexobj(u) or np.iscomplexobj(v):
         return complex(val)
     return float(val)

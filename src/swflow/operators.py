@@ -34,10 +34,10 @@ def link_phases(cfg: Configuration) -> np.ndarray:
     dims + (4,), a view on a direction-major buffer: U[..., mu] is contiguous."""
     lat = cfg.lattice
     theta = _flux_background(lat, cfg.gauge.flux)[0]
-    U = 1j * (lat.spacing * np.ascontiguousarray(np.moveaxis(cfg.gauge.a, -1, 0)) + 0.5 * theta)
+    U = 1j * (lat.spacing * np.ascontiguousarray(cfg.gauge.a.transpose(4, 0, 1, 2, 3)) + 0.5 * theta)
     for u in U:  # in place, one direction at a time: faster than one exp of all four
         np.exp(u, out=u)
-    return np.moveaxis(U, 0, -1)
+    return U.transpose(1, 2, 3, 4, 0)
 
 
 def covariant_diff(cfg: Configuration, U=None) -> np.ndarray:
@@ -52,7 +52,7 @@ def covariant_diff(cfg: Configuration, U=None) -> np.ndarray:
     out = np.empty((4,) + phi.shape, dtype=complex)
     for mu in range(4):
         out[mu] = (U[..., mu, None] * shift(phi, mu) - phi) / cfg.lattice.spacing
-    return np.moveaxis(out, 0, -2)
+    return out.transpose(1, 2, 3, 4, 0, 5)
 
 
 def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import compose, flux_matrix, inverse
+import swflow.fields
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -92,6 +93,40 @@ def test_configuration_shape_and_finiteness_validation():
         Configuration(lat, cfg.gauge, bad, cfg.scalar_curvature)
     with pytest.raises(ValueError):
         GaugeField(np.full(lat.dims + (4,), np.inf), np.zeros((4, 4), dtype=int))
+
+
+def test_replace_refuses_a_wrongly_shaped_or_non_finite_field_by_name():
+    cfg = random_cfg(Lattice((2, 3, 2, 2), 1.0), flux=flux_matrix(f01=1))
+    for key, name, good in (("a", "gauge field", cfg.gauge.a), ("phi", "spinor field", cfg.phi)):
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            cfg.replace(**{key: good[..., :1]})
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            cfg.replace(**{key: good[0]})
+        for value in (np.nan, np.inf):
+            bad = good.copy()
+            bad[1, 2, 0, 1, 0] = value
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cfg.replace(**{key: bad})
+
+
+def test_replace_carries_the_validated_flux_s_and_seed_over_without_revalidating(monkeypatch):
+    cfg = random_cfg(Lattice((2, 3, 2, 2), 1.0), seed=11, flux=flux_matrix(f01=1, f23=-2))
+    calls = []
+    validate = swflow.fields.check_flux_matrix
+    monkeypatch.setattr(swflow.fields, "check_flux_matrix", lambda f: calls.append(1) or validate(f))
+    a, phi = 2.0 * cfg.gauge.a, 0.5 * cfg.phi
+    for new in (cfg.replace(a=a), cfg.replace(phi=phi), cfg.replace(a=a, phi=phi),
+                apply_gauge(random_transform(cfg.lattice, (1, 0, -2, 0)), cfg)):
+        assert new.lattice is cfg.lattice
+        assert new.gauge.flux is cfg.gauge.flux
+        assert new.scalar_curvature is cfg.scalar_curvature
+        assert new.seed == cfg.seed
+    assert calls == []
+    assert cfg.replace(a=a).phi is cfg.phi and cfg.replace(a=a).gauge.a is a
+    assert cfg.replace(phi=phi).gauge.a is cfg.gauge.a and cfg.replace(phi=phi).phi is phi
+    # a real or integer field is stored in the field's own dtype
+    assert cfg.replace(phi=np.ones(cfg.phi.shape)).phi.dtype == complex
+    assert cfg.replace(a=np.ones(cfg.gauge.a.shape, dtype=int)).gauge.a.dtype == float
 
 
 def test_identity_transform_is_identity():

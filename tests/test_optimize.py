@@ -1,5 +1,7 @@
 """Line search, descent loop, and trajectory diagnostics."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from oracles import traced_peak
 import swflow.checks
 import swflow.fields
 import swflow.functional
+import swflow.lattice
 import swflow.operators
 import swflow.optimize
 from swflow.cli import parse_scalar_curvature
@@ -166,8 +169,8 @@ def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
     assert t < 64.0 and trial.cfg is evaluated[-1]  # the counted calls include the trials
 
 
-def mixed_flux_cfg():
-    lat = Lattice((3, 4, 2, 5), 0.7)
+def mixed_flux_cfg(dims=(3, 4, 2, 5)):
+    lat = Lattice(dims, 0.7)
     flux = np.zeros((4, 4), dtype=int)
     for (mu, nu), n in {(0, 1): 1, (1, 3): 2, (2, 3): -1}.items():
         flux[mu, nu], flux[nu, mu] = n, -n
@@ -225,6 +228,30 @@ def test_skipped_trials_leave_the_trajectory_unchanged(monkeypatch):
     unskipped = minimize(cfg, params)
     assert skipping_evaluations < len(evaluated)  # the floor did skip trials
     _assert_same_run(skipping, unskipped)
+
+
+def test_minimize_is_byte_identical_with_shift_as_np_roll(monkeypatch):
+    cfg = mixed_flux_cfg((4, 4, 4, 4))
+    params = MinimizeParams(max_iters=40, grad_tol=1e-12, method="conjugate",
+                            gaugefix_every=7, record_every=3)
+    gathered = minimize(cfg, params)
+    rolls = []
+
+    def roll(u, mu, steps=1):
+        rolls.append(1)
+        return np.roll(u, -steps, axis=mu)
+
+    monkeypatch.setattr(swflow.lattice, "shift", roll)
+    monkeypatch.setattr(swflow.operators, "shift", roll)
+    rolled = minimize(cfg, params)
+    assert rolls  # the second run shifted through np.roll
+    assert gathered.reason == rolled.reason
+    assert len(gathered.records) == len(rolled.records) > 10
+    for mine, other in zip(gathered.records, rolled.records):
+        assert np.array(astuple(mine)).tobytes() == np.array(astuple(other)).tobytes()
+    for mine, other in ((gathered.final.gauge.a, rolled.final.gauge.a),
+                        (gathered.final.phi, rolled.final.phi)):
+        assert mine.tobytes() == other.tobytes()
 
 
 def test_minimize_with_a_never_skipping_floor_is_identical(monkeypatch):

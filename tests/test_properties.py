@@ -1,7 +1,8 @@
 """Property tests over drawn lattices and fields.
 
-save/load is bit-identical; shift is np.roll's permutation; the cached flux
-background is never handed out for mutation; the invariant registry's
+save/load is bit-identical; shift is np.roll's permutation on C-ordered,
+strided and Fortran-ordered inputs, and its cached index is read-only; the
+cached flux background is never handed out for mutation; the invariant registry's
 adjointness, gauge-invariance and flux-quantization measures hold at their
 own tolerances over drawn shapes, spacings, flux sectors and windings; and the
 line search's polynomial floor skips a trial only when its computed energy
@@ -39,7 +40,7 @@ from swflow.fields import (  # noqa: E402
     save_configuration,
 )
 from swflow.gaugefix import full_gauge_fix  # noqa: E402
-from swflow.lattice import PLANES, Lattice, shift  # noqa: E402
+from swflow.lattice import PLANES, Lattice, _roll_index, shift  # noqa: E402
 from swflow.operators import curvature, link_phases  # noqa: E402
 from swflow.optimize import descent_pairing  # noqa: E402
 
@@ -108,15 +109,19 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, cfg):
     mu=st.integers(0, 3),
     steps=st.integers(-7, 7),
     seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["C", "strided", "F"]),
 )
-def test_shift_is_the_roll_permutation(dims, trailing, is_complex, mu, steps, seed):
+def test_shift_is_the_roll_permutation(dims, trailing, is_complex, mu, steps, seed, layout):
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(dims + trailing)
+    u = rng.standard_normal(dims + trailing + (3,))
     if is_complex:
-        u = u + 1j * rng.standard_normal(dims + trailing)
+        u = u + 1j * rng.standard_normal(u.shape)
+    # a strided view, as a[..., mu] is, or a contiguous copy in C or Fortran order
+    u = u[..., 1] if layout == "strided" else u[..., 0].copy(order=layout)
     got = shift(u, mu, steps)
     assert got.dtype == u.dtype
     assert np.array_equal(got, np.roll(u, -steps, axis=mu))
+    assert not _roll_index(dims[mu], steps).flags.writeable
 
 
 @settings(max_examples=20, deadline=None)
