@@ -104,7 +104,6 @@ def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:
     direction. Output shape dims + (4,).
     """
     _check_form(lat, f, (), "scalar field")
-    f = np.ascontiguousarray(f)  # take would copy a strided f (a Poisson solution's .real) per call
     out = np.empty(lat.dims + (4,), dtype=f.dtype)
     for mu in range(4):
         out[..., mu] = (shift(f, mu) - f) / lat.spacing
@@ -248,7 +247,7 @@ def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     f_hat = rho_hat / _laplacian0_symbol(lat)
     f_hat[0, 0, 0, 0] = 0.0
     f = np.fft.ifftn(f_hat, axes=(0, 1, 2, 3))
-    f = f.real if not np.iscomplexobj(rho) else f
+    f = f if np.iscomplexobj(rho) else f.real.copy()  # owned, so the complex buffer is freed
     residual = l2_norm(lat, laplacian0(lat, f) - rho)
     if not residual <= 1e-10 * nrm < np.inf:
         raise RuntimeError(

@@ -1,6 +1,10 @@
 """Reference formulas the tests hold swflow to, written from their definitions,
-the two-step gauge fix swflow first shipped, and the tracemalloc measure the
-memory tests read.
+the two-step gauge fix swflow first shipped, the tracemalloc measure the
+memory tests read, and the builders every test takes its inputs from.
+
+Each random draw comes from a seed the calling test names, never from a
+generator shared across tests, so a test runs on the same inputs alone,
+under -k or --lf, and in any order.
 
 None validates its arguments; no program path needs them, so they live here
 rather than in the package.
@@ -12,9 +16,56 @@ import tracemalloc
 import numpy as np
 
 from swflow.clifford import BIVECTORS
-from swflow.fields import GaugeTransform, apply_gauge
+from swflow.fields import (
+    Configuration, GaugeField, GaugeTransform, apply_gauge, random_configuration,
+)
 from swflow.gaugefix import GaugeFixReport
-from swflow.lattice import PLANES, codiff1, fiber_norm, l2_norm, poisson_solve
+from swflow.lattice import PLANES, Lattice, codiff1, fiber_norm, l2_norm, poisson_solve
+
+SEED = 20260405  # the root of every draw below
+
+
+def gaussian(shape, seed, complex_=False):
+    """Standard normal draws of shape from default_rng([SEED, seed]); complex_
+    adds an imaginary part drawn after the real one. Scalar fields, forms,
+    spinors and gauge angles are all drawn this way."""
+    gen = np.random.default_rng([SEED, seed])
+    u = gen.standard_normal(shape)
+    return u + 1j * gen.standard_normal(shape) if complex_ else u
+
+
+def random_cfg(lat, seed=9, flux=None, amp=(0.6, 0.9), s=None):
+    """random_configuration with amplitudes amp and, unless s is given, s = gaussian(lat.dims, seed)."""
+    if s is None:
+        s = gaussian(lat.dims, seed)
+    return random_configuration(lat, seed, amp, flux=flux, scalar_curvature=s)
+
+
+def zero_cfg(lat, flux=None, s=None):
+    """The flux sector's background alone: zero fluctuation and spinor."""
+    return random_configuration(lat, 0, (0.0, 0.0), flux=flux, scalar_curvature=s)
+
+
+def constant_s(cfg, value):
+    """cfg with scalar curvature value at every site."""
+    s = value * np.ones(cfg.lattice.dims)
+    return Configuration(cfg.lattice, cfg.gauge, cfg.phi, s, cfg.seed)
+
+
+def smooth_fields(n, with_gauge=True):
+    """Trig-polynomial (a, phi) sampled on an n^4 grid of the unit torus, s = 0."""
+    lat = Lattice((n,) * 4, 1.0 / n)
+    x = np.indices(lat.dims) * lat.spacing
+    a = np.zeros(lat.dims + (4,))
+    if with_gauge:
+        a[..., 0] = 0.8 * np.sin(2 * np.pi * x[1]) + 0.3 * np.cos(2 * np.pi * x[3])
+        a[..., 1] = 0.5 * np.cos(2 * np.pi * (x[0] + x[2]))
+        a[..., 2] = -0.4 * np.sin(2 * np.pi * x[3]) + 0.2 * np.sin(2 * np.pi * x[0])
+        a[..., 3] = 0.6 * np.cos(2 * np.pi * x[1]) * np.sin(2 * np.pi * x[2])
+    phi = np.empty(lat.dims + (2,), dtype=complex)
+    phi[..., 0] = np.exp(2j * np.pi * (x[0] + 2 * x[1])) + 0.5 * np.cos(2 * np.pi * x[2])
+    phi[..., 1] = 0.3 * np.exp(-2j * np.pi * (x[3] - x[0])) + 0.2j * np.sin(2 * np.pi * x[1])
+    return Configuration(lat, GaugeField(a, np.zeros((4, 4), dtype=int)), phi, np.zeros(lat.dims))
 
 
 def flux_matrix(**planes):

@@ -15,18 +15,14 @@ counts.
 
 import numpy as np
 
+from oracles import constant_s
 from swflow import checks
 from swflow.checks import mixed_flux_configuration
 from swflow.clifford import SIGMA
-from swflow.fields import Configuration, GaugeTransform, apply_gauge, random_configuration
+from swflow.fields import GaugeTransform, apply_gauge, random_configuration
 from swflow.gaugefix import full_gauge_fix, gauge_distance
 from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
 from swflow.optimize import MinimizeParams, minimize, ps_diagnostics
-
-
-def constant_s(cfg, value):
-    s = value * np.ones(cfg.lattice.dims)
-    return Configuration(cfg.lattice, cfg.gauge, cfg.phi, s, cfg.seed)
 
 
 def assert_holds(result):

@@ -4,25 +4,18 @@ anisotropic and odd sides."""
 import numpy as np
 import pytest
 
-from oracles import flux_matrix
+from oracles import flux_matrix, random_cfg, zero_cfg
 from swflow import checks, functional
+from swflow.clifford import quadratic_form
 from swflow.fields import random_configuration
-from swflow.lattice import Lattice, codiff1, d1
-from swflow.operators import covariant_diff, curvature, link_phases
+from swflow.lattice import Lattice, codiff1, d1, l2_inner
+from swflow.operators import covariant_diff, covariant_diff_adjoint, curvature, dirac_adjoint, link_phases
 
 SHAPES = [(2, 2, 2, 2), (3, 4, 2, 5), (5, 3, 3, 2)]
 
 
 def mixed_flux(lat, seed):
-    flux = np.zeros((4, 4), dtype=int)
-    for (mu, nu), n in {(0, 1): 1, (1, 3): 2, (2, 3): -1}.items():
-        flux[mu, nu], flux[nu, mu] = n, -n
-    return random_configuration(lat, seed, (0.6, 0.9), flux=flux)
-
-
-def random_cfg(lat, seed=9, flux=None):
-    s = np.random.default_rng([20260405, seed]).standard_normal(lat.dims)
-    return random_configuration(lat, seed, (0.6, 0.9), flux=flux, scalar_curvature=s)
+    return random_configuration(lat, seed, (0.6, 0.9), flux=flux_matrix(f01=1, f13=2, f23=-1))
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -50,6 +43,19 @@ def test_component_built_fields_have_contiguous_components(dims):
         assert all(c.flags.c_contiguous for c in np.moveaxis(field, 4, 0)), name
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda cfg: covariant_diff_adjoint(cfg, np.zeros(cfg.lattice.dims + (4, 1))), "expected shape"),
+    (lambda cfg: dirac_adjoint(cfg, np.zeros(cfg.lattice.dims + (4,))), "expected shape"),
+    (lambda cfg: l2_inner(cfg.lattice, cfg.phi, cfg.phi[..., :1]), "mismatched field shapes"),
+    (lambda cfg: quadratic_form(cfg.gauge.a), "spinor fiber must have 2 components"),
+    (lambda cfg: checks.run_checks("slow"), "level must be fast or full"),
+], ids=["covariant_diff_adjoint", "dirac_adjoint", "l2_inner", "quadratic_form", "run_checks"])
+def test_wrong_fields_and_levels_are_refused_by_name(refused, message):
+    cfg = random_cfg(Lattice((2, 3, 2, 2), 0.7))
+    with pytest.raises(ValueError, match=message):
+        refused(cfg)
+
+
 def test_registry_fails_on_broken_operators(monkeypatch):
     lat = Lattice((3, 4, 2, 5), 0.7)
     cfg = mixed_flux(lat, 7)
@@ -75,7 +81,7 @@ def test_gradient_measure_passes_on_a_random_configuration():
 
 def test_gradient_measure_reads_zero_where_both_sides_vanish():
     lat = Lattice((2, 2, 2, 2), 1.0)
-    cfg = random_configuration(lat, 0, (0.0, 0.0), scalar_curvature=np.zeros(lat.dims))
+    cfg = zero_cfg(lat)
     assert checks.gradient_matches_finite_differences(cfg, 1, 10, step=1e-3).measured == 0.0
 
 

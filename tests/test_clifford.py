@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import clifford_mult, clifford_mult_adjoint, two_form_action
+from oracles import clifford_mult, clifford_mult_adjoint, gaussian, two_form_action
 from swflow.checks import clifford_relation_defect
 from swflow.clifford import BIVECTORS, SIGMA, quadratic_form
 from swflow.lattice import PLANES, hodge_star2, selfdual_project
-
-rng = np.random.default_rng(20260402)
 
 
 def fiber_inner(u, v):
@@ -16,12 +14,8 @@ def fiber_inner(u, v):
     return np.sum(u * np.conj(v), axis=-1)
 
 
-def random_spinors(n):
-    return rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-
-
-def random_unitary():
-    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+def random_unitary(seed):
+    q, r = np.linalg.qr(gaussian((2, 2), seed, complex_=True))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
@@ -91,7 +85,7 @@ def test_relation_defect_flags_corrupted_table():
 
 
 def test_clifford_mult_unitary_and_zero():
-    phis = random_spinors(50)
+    phis = gaussian((50, 2), 1, complex_=True)
     for mu in range(4):
         out = clifford_mult(SIGMA, mu, phis)
         assert np.allclose(
@@ -101,8 +95,8 @@ def test_clifford_mult_unitary_and_zero():
 
 
 def test_clifford_mult_adjoint_is_adjoint():
-    phi = random_spinors(30)
-    psi = random_spinors(30)
+    phi = gaussian((30, 2), 1, complex_=True)
+    psi = gaussian((30, 2), 2, complex_=True)
     for mu in range(4):
         lhs = fiber_inner(clifford_mult(SIGMA, mu, phi), psi)
         rhs = fiber_inner(phi, clifford_mult_adjoint(SIGMA, mu, psi))
@@ -110,7 +104,7 @@ def test_clifford_mult_adjoint_is_adjoint():
 
 
 def test_polarized_clifford_relation_on_spinors():
-    phi = random_spinors(40)
+    phi = gaussian((40, 2), 1, complex_=True)
     norms2 = np.sum(np.abs(phi) ** 2, axis=-1)
     for mu in range(4):
         for nu in range(4):
@@ -122,7 +116,7 @@ def test_polarized_clifford_relation_on_spinors():
 
 
 def test_quadratic_form_real_selfdual_zero():
-    phi = random_spinors(100)
+    phi = gaussian((100, 2), 1, complex_=True)
     s = quadratic_form(phi)
     assert s.dtype.kind == "f"
     norms2 = np.sum(np.abs(phi) ** 2, axis=-1)
@@ -133,7 +127,7 @@ def test_quadratic_form_real_selfdual_zero():
 
 def test_quadratic_form_norm_identity():
     # |sigma(phi)|^2 = |phi|^4 / 8
-    phi = random_spinors(100)
+    phi = gaussian((100, 2), 1, complex_=True)
     s = quadratic_form(phi)
     lhs = np.sum(s**2, axis=-1)
     rhs = np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 8.0
@@ -141,7 +135,7 @@ def test_quadratic_form_norm_identity():
 
 
 def test_quadratic_form_scaling():
-    phi = random_spinors(20)
+    phi = gaussian((20, 2), 1, complex_=True)
     lam = 0.7 - 1.3j
     assert np.allclose(
         quadratic_form(lam * phi), np.abs(lam) ** 2 * quadratic_form(phi)
@@ -149,10 +143,9 @@ def test_quadratic_form_scaling():
 
 
 def test_selfdual_action_hermitian_pairing():
-    for _ in range(25):
-        omega = selfdual_project(rng.standard_normal(6))
-        phi = random_spinors(1)[0]
-        psi = random_spinors(1)[0]
+    omegas = selfdual_project(gaussian((25, 6), 1))
+    phis, psis = gaussian((25, 2), 2, complex_=True), gaussian((25, 2), 3, complex_=True)
+    for omega, phi, psi in zip(omegas, phis, psis):
         val = fiber_inner(1j * two_form_action(omega, phi), phi)
         assert abs(val.imag) < 1e-13 * (1.0 + abs(val))
         # full Hermiticity of i * action
@@ -163,7 +156,7 @@ def test_selfdual_action_hermitian_pairing():
 
 def test_selfdual_action_pairs_with_quadratic_form():
     # i <sum sigma(phi) B phi, phi> = 4 |sigma(phi)|^2 = |phi|^4 / 2
-    phi = random_spinors(100)
+    phi = gaussian((100, 2), 1, complex_=True)
     s = quadratic_form(phi)
     val = fiber_inner(1j * two_form_action(s, phi), phi)
     assert np.allclose(val.imag, 0.0, atol=1e-12)
@@ -174,9 +167,9 @@ def test_selfdual_action_pairs_with_quadratic_form():
 
 
 def test_two_form_action_kills_antiselfdual():
-    omega = rng.standard_normal((5, 6))
+    omega = gaussian((5, 6), 1)
     asd = omega - selfdual_project(omega)
-    phi = random_spinors(5)
+    phi = gaussian((5, 2), 2, complex_=True)
     assert np.allclose(two_form_action(asd, phi), 0.0, atol=1e-14)
     # so the full form acts as its self-dual half
     sd = selfdual_project(omega)
@@ -186,5 +179,5 @@ def test_two_form_action_kills_antiselfdual():
 
 
 def test_conjugated_table_satisfies_relations():
-    w, v = random_unitary(), random_unitary()
+    w, v = random_unitary(1), random_unitary(2)
     assert clifford_relation_defect(conjugated_table(w, v)).measured < 1e-14

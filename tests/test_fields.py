@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import compose, flux_matrix, inverse
+from oracles import compose, flux_matrix, gaussian, inverse, random_cfg, zero_cfg
 import swflow.fields
 from swflow.fields import (
     Configuration,
@@ -24,22 +24,6 @@ from swflow.fields import (
 )
 from swflow.lattice import PLANES, Lattice, d1
 from swflow.operators import curvature, link_phases
-
-rng = np.random.default_rng(20260403)
-
-
-def random_cfg(lat, seed=7, flux=None):
-    s = rng.standard_normal(lat.dims)
-    return random_configuration(lat, seed, (0.8, 1.1), flux=flux, scalar_curvature=s)
-
-
-def random_transform(lat, winding=(0, 0, 0, 0)):
-    return GaugeTransform(rng.standard_normal(lat.dims), winding)
-
-
-def zero_cfg(lat, flux):
-    """The flux sector's background alone: zero fluctuation and spinor."""
-    return random_configuration(lat, 0, (0.0, 0.0), flux=flux)
 
 
 def background_phases(lat, flux):
@@ -116,7 +100,7 @@ def test_replace_carries_the_validated_flux_s_and_seed_over_without_revalidating
     monkeypatch.setattr(swflow.fields, "check_flux_matrix", lambda f: calls.append(1) or validate(f))
     a, phi = 2.0 * cfg.gauge.a, 0.5 * cfg.phi
     for new in (cfg.replace(a=a), cfg.replace(phi=phi), cfg.replace(a=a, phi=phi),
-                apply_gauge(random_transform(cfg.lattice, (1, 0, -2, 0)), cfg)):
+                apply_gauge(GaugeTransform(gaussian(cfg.lattice.dims, 1), (1, 0, -2, 0)), cfg)):
         assert new.lattice is cfg.lattice
         assert new.gauge.flux is cfg.gauge.flux
         assert new.scalar_curvature is cfg.scalar_curvature
@@ -150,7 +134,7 @@ def test_pure_winding_shifts_a_by_constant():
 def test_gauge_action_preserves_pointwise_norm_and_curvature():
     lat = Lattice((3, 4, 2, 3), 0.9)
     cfg = random_cfg(lat, flux=flux_matrix(f01=1, f23=-2))
-    g = random_transform(lat, winding=(2, -1, 0, 3))
+    g = GaugeTransform(gaussian(lat.dims, 1), (2, -1, 0, 3))
     out = apply_gauge(g, cfg)
     assert np.allclose(np.abs(out.phi), np.abs(cfg.phi), rtol=1e-13)
     # d1(a) is exactly invariant: windings add constants, zeta adds d0 zeta
@@ -161,8 +145,8 @@ def test_gauge_action_preserves_pointwise_norm_and_curvature():
 def test_gauge_composition_both_orderings():
     lat = Lattice((3, 3, 2, 2), 1.1)
     cfg = random_cfg(lat)
-    g1 = random_transform(lat, winding=(1, 0, -2, 0))
-    g2 = random_transform(lat, winding=(0, 3, 1, -1))
+    g1 = GaugeTransform(gaussian(lat.dims, 1), (1, 0, -2, 0))
+    g2 = GaugeTransform(gaussian(lat.dims, 2), (0, 3, 1, -1))
     seq = apply_gauge(g2, apply_gauge(g1, cfg))
     combined = apply_gauge(compose(g1, g2), cfg)
     assert np.allclose(seq.gauge.a, combined.gauge.a, atol=1e-12)
@@ -172,7 +156,7 @@ def test_gauge_composition_both_orderings():
 def test_gauge_inverse_round_trip():
     lat = Lattice((2, 3, 3, 2), 0.7)
     cfg = random_cfg(lat)
-    g = random_transform(lat, winding=(0, -1, 2, 1))
+    g = GaugeTransform(gaussian(lat.dims, 1), (0, -1, 2, 1))
     back = apply_gauge(inverse(g), apply_gauge(g, cfg))
     assert np.allclose(back.gauge.a, cfg.gauge.a, atol=1e-12)
     assert np.allclose(back.phi, cfg.phi, atol=1e-12)
@@ -180,11 +164,10 @@ def test_gauge_inverse_round_trip():
 
 def test_transform_angle_matches_definition():
     lat = Lattice((3, 2, 4, 2), 1.0)
-    g = random_transform(lat, winding=(1, 0, -2, 0))
-    theta = transform_angle(lat, g)
-    x = tuple(rng.integers(0, n) for n in lat.dims)
-    want = g.zeta[x] + 2.0 * np.pi * (1 * x[0] / 3 + (-2) * x[2] / 4)
-    assert theta[x] == pytest.approx(want)
+    g = GaugeTransform(gaussian(lat.dims, 1), (1, 0, -2, 0))
+    x = np.indices(lat.dims)
+    want = g.zeta + 2.0 * np.pi * (1 * x[0] / 3 + (-2) * x[2] / 4)
+    assert transform_angle(lat, g) == pytest.approx(want)
 
 
 def test_lattice_mismatch_rejected():

@@ -5,18 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import background_curvature, flux_matrix, l4_norm
+from oracles import (
+    SEED, background_curvature, flux_matrix, l4_norm, random_cfg, smooth_fields, zero_cfg,
+)
 from swflow import functional
 from swflow.fields import (
     Configuration,
     GaugeField,
     GaugeTransform,
     apply_gauge,
-    random_configuration,
     transform_angle,
 )
 from swflow.functional import (
-    ExcessReport,
     energy_first_order,
     energy_lower_bound,
     energy_weitzenbock,
@@ -28,40 +28,6 @@ from swflow.lattice import Lattice, codiff2, l2_norm, selfdual_project
 from swflow.operators import (
     covariant_diff, covariant_diff_adjoint, curvature, curvature_at_sites,
 )
-
-SEED = 20260405  # every draw below derives from it, so no test's inputs depend on test order
-
-
-def random_cfg(lat, seed=9, flux=None, amp=(0.6, 0.9), s=None):
-    if s is None:
-        s = np.random.default_rng([SEED, seed]).standard_normal(lat.dims)
-    return random_configuration(lat, seed, amp, flux=flux, scalar_curvature=s)
-
-
-def zero_cfg(lat, flux=None, s=None):
-    return random_configuration(
-        lat, 0, (0.0, 0.0), flux=flux, scalar_curvature=s
-    )
-
-
-def smooth_cfg(n):
-    lat = Lattice((n,) * 4, 1.0 / n)
-    x = np.indices(lat.dims) * lat.spacing
-    a = np.zeros(lat.dims + (4,))
-    a[..., 0] = 0.8 * np.sin(2 * np.pi * x[1]) + 0.3 * np.cos(2 * np.pi * x[3])
-    a[..., 1] = 0.5 * np.cos(2 * np.pi * (x[0] + x[2]))
-    a[..., 2] = -0.4 * np.sin(2 * np.pi * x[3]) + 0.2 * np.sin(2 * np.pi * x[0])
-    a[..., 3] = 0.6 * np.cos(2 * np.pi * x[1]) * np.sin(2 * np.pi * x[2])
-    phi = np.empty(lat.dims + (2,), dtype=complex)
-    phi[..., 0] = np.exp(2j * np.pi * (x[0] + 2 * x[1])) + 0.5 * np.cos(
-        2 * np.pi * x[2]
-    )
-    phi[..., 1] = 0.3 * np.exp(-2j * np.pi * (x[3] - x[0])) + 0.2j * np.sin(
-        2 * np.pi * x[1]
-    )
-    return Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), dtype=int)), phi, np.zeros(lat.dims)
-    )
 
 
 def constant_phi_cfg(lat, v, s_value=0.0, flux=None):
@@ -193,7 +159,7 @@ def test_sw_equation_residual_pieces():
 def test_first_order_agrees_with_weitzenbock_under_refinement():
     gaps = []
     for n in (8, 16, 32):
-        cfg = smooth_cfg(n)
+        cfg = smooth_fields(n)
         gaps.append(abs(energy_first_order(cfg) - energy_weitzenbock(cfg)))
     assert gaps[0] / gaps[1] >= 1.5
     assert gaps[1] / gaps[2] >= 1.5

@@ -8,7 +8,7 @@ source is exactly zero, so its Coulomb step is the identity."""
 import numpy as np
 import pytest
 
-from oracles import flux_matrix
+from oracles import constant_s, flux_matrix, gaussian
 from swflow.fields import (
     Configuration,
     GaugeField,
@@ -35,13 +35,6 @@ from swflow.lattice import (
 )
 from swflow.operators import curvature
 
-rng = np.random.default_rng(20260406)
-
-
-def random_cfg(lat, seed, flux=None):
-    return random_configuration(lat, seed, (0.7, 0.9), flux=flux)
-
-
 def coulomb_cfg(lat, seed):
     """Configuration whose a is a codiff2 image: divergence- and mean-free."""
     gen = np.random.default_rng(seed)
@@ -62,8 +55,8 @@ def test_coulomb_step_leaves_divergence_free_field_alone():
 
 def test_coulomb_step_removes_pure_gauge_exactly():
     lat = Lattice((4, 3, 4, 3), 0.7)
-    xi = rng.standard_normal(lat.dims)
-    phi = rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(lat.dims + (2,))
+    xi = gaussian(lat.dims, 1)
+    phi = gaussian(lat.dims + (2,), 2, complex_=True)
     cfg = Configuration(
         lat, GaugeField(d0(lat, xi), np.zeros((4, 4), int)), phi, np.zeros(lat.dims)
     )
@@ -78,7 +71,7 @@ def test_coulomb_step_removes_pure_gauge_exactly():
 
 def test_coulomb_step_residual_and_curvature_on_random_field():
     lat = Lattice((4, 4, 3, 2), 0.6)
-    cfg = random_cfg(lat, 21, flux=flux_matrix(f01=1, f23=-2))
+    cfg = random_configuration(lat, 21, (0.7, 0.9), flux=flux_matrix(f01=1, f23=-2))
     fixed, report = full_gauge_fix(cfg)
     assert report.winding == (0, 0, 0, 0)  # harmonic part already in the fundamental domain
     res = l2_norm(lat, codiff1(lat, fixed.gauge.a))
@@ -91,10 +84,18 @@ def test_coulomb_step_residual_and_curvature_on_random_field():
         assert report.harmonic[mu] == pytest.approx(cfg.gauge.a[..., mu].mean(), abs=1e-13)
 
 
+def test_coulomb_phase_is_an_owned_contiguous_array():
+    # a view on the complex inverse FFT would keep that buffer alive in the
+    # report and the transform, and hand every d0 a strided field
+    lat = Lattice((4, 4, 3, 2), 0.6)
+    zeta = full_gauge_fix(random_configuration(lat, 21, (0.7, 0.9)))[1].zeta
+    assert zeta.any()
+    assert zeta.flags.c_contiguous and zeta.flags.owndata
+
+
 def test_fixing_operations_preserve_energy():
     lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = random_cfg(lat, 31, flux=flux_matrix(f12=1))
-    cfg = Configuration(cfg.lattice, cfg.gauge, cfg.phi, -np.ones(lat.dims), cfg.seed)
+    cfg = constant_s(random_configuration(lat, 31, (0.7, 0.9), flux=flux_matrix(f12=1)), -1.0)
     moved = apply_gauge(GaugeTransform(np.zeros(lat.dims), (0, 2, -1, 0)), cfg)
     for start in (cfg, moved):
         fixed, report = full_gauge_fix(start)
@@ -193,7 +194,7 @@ def test_full_gauge_fix_zero_configuration():
 def test_full_gauge_fix_normal_form_and_idempotence():
     lat = Lattice((4, 4, 3, 3), 0.5)
     for seed in (41, 42, 43):
-        cfg = random_cfg(lat, seed, flux=flux_matrix(f03=1))
+        cfg = random_configuration(lat, seed, (0.7, 0.9), flux=flux_matrix(f03=1))
         # push the harmonic part outside the fundamental domain first
         shifted = cfg.replace(a=cfg.gauge.a + 2.0 * np.pi * 2 / lat.lengths[0] * (np.arange(4) == 0))
         fixed, report = full_gauge_fix(shifted)
@@ -254,7 +255,7 @@ def test_sobolev_bound_after_full_fix():
         lat = Lattice(dims, h)
         consts = hodge_constants(lat)
         for seed in range(25):
-            cfg = random_cfg(lat, 100 + seed)
+            cfg = random_configuration(lat, 100 + seed, (0.7, 0.9))
             fixed, _ = full_gauge_fix(cfg)
             lhs = sobolev12_norm(lat, fixed.gauge.a)
             curl = l2_norm(lat, d1(lat, fixed.gauge.a))
@@ -265,8 +266,8 @@ def test_sobolev_bound_after_full_fix():
 
 def test_gauge_distance_vanishes_on_orbits():
     lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = random_cfg(lat, 51, flux=flux_matrix(f12=1))
-    g = GaugeTransform(0.9 * rng.standard_normal(lat.dims), (1, -2, 0, 3))
+    cfg = random_configuration(lat, 51, (0.7, 0.9), flux=flux_matrix(f12=1))
+    g = GaugeTransform(0.9 * gaussian(lat.dims, 1), (1, -2, 0, 3))
     moved = apply_gauge(g, cfg)
     assert gauge_distance(cfg, moved) <= 1e-8
     # identical inputs: zero up to roundoff in the phase alignment
@@ -284,7 +285,7 @@ def test_gauge_distance_phi_scaling():
 def test_gauge_distance_pseudometric():
     lat = Lattice((3, 3, 3, 3), 0.7)
     flux = flux_matrix(f13=1)
-    cfgs = [random_cfg(lat, 70 + i, flux=flux) for i in range(3)]
+    cfgs = [random_configuration(lat, 70 + i, (0.7, 0.9), flux=flux) for i in range(3)]
     d01 = gauge_distance(cfgs[0], cfgs[1])
     d12 = gauge_distance(cfgs[1], cfgs[2])
     d02 = gauge_distance(cfgs[0], cfgs[2])
@@ -296,6 +297,7 @@ def test_gauge_distance_rejects_mismatched_inputs():
     lat = Lattice((3, 3, 3, 3), 0.5)
     other = Lattice((4, 3, 3, 3), 0.5)
     with pytest.raises(ValueError):
-        gauge_distance(random_cfg(lat, 81), random_cfg(other, 81))
+        gauge_distance(random_configuration(lat, 81, (0.7, 0.9)), random_configuration(other, 81, (0.7, 0.9)))
     with pytest.raises(ValueError):
-        gauge_distance(random_cfg(lat, 82), random_cfg(lat, 82, flux=flux_matrix(f01=1)))
+        gauge_distance(random_configuration(lat, 82, (0.7, 0.9)),
+                       random_configuration(lat, 82, (0.7, 0.9), flux=flux_matrix(f01=1)))

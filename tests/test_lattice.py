@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import l4_norm, traced_peak
+from oracles import gaussian, l4_norm, traced_peak
 from oracles import sobolev12_norm as shipped_sobolev12_norm
 from swflow.lattice import (
     PLANES,
@@ -24,26 +24,9 @@ from swflow.lattice import (
     sobolev12_norm,
 )
 
-rng = np.random.default_rng(20260401)
-
 
 def small_lattice(h=0.7):
     return Lattice((2, 3, 2, 3), h)
-
-
-def random_scalar(lat, complex_=False):
-    f = rng.standard_normal(lat.dims)
-    if complex_:
-        f = f + 1j * rng.standard_normal(lat.dims)
-    return f
-
-
-def random_oneform(lat):
-    return rng.standard_normal(lat.dims + (4,))
-
-
-def random_twoform(lat):
-    return rng.standard_normal(lat.dims + (6,))
 
 
 def dense_matrix(op, in_shape, out_shape):
@@ -83,11 +66,10 @@ def test_lattice_validation():
 
 def test_d0_matches_pointwise_stencil():
     lat = small_lattice()
-    f = random_scalar(lat)
+    f = gaussian(lat.dims, 1)
     g = d0(lat, f)
-    # spot check a handful of sites against the raw definition
-    for _ in range(10):
-        x = tuple(rng.integers(0, n) for n in lat.dims)
+    # every site against the raw definition
+    for x in np.ndindex(lat.dims):
         for mu in range(4):
             xp = list(x)
             xp[mu] = (xp[mu] + 1) % lat.dims[mu]
@@ -97,10 +79,9 @@ def test_d0_matches_pointwise_stencil():
 
 def test_d1_matches_pointwise_stencil():
     lat = small_lattice()
-    a = random_oneform(lat)
+    a = gaussian(lat.dims + (4,), 1)
     F = d1(lat, a)
-    for _ in range(10):
-        x = tuple(rng.integers(0, n) for n in lat.dims)
+    for x in np.ndindex(lat.dims):
         for i, (mu, nu) in enumerate(PLANES):
             xm = list(x)
             xm[mu] = (xm[mu] + 1) % lat.dims[mu]
@@ -117,14 +98,14 @@ def test_d1_matches_pointwise_stencil():
 
 def test_d1_of_d0_is_zero():
     lat = small_lattice()
-    f = random_scalar(lat)
+    f = gaussian(lat.dims, 1)
     F = d1(lat, d0(lat, f))
     assert np.max(np.abs(F)) < 1e-13
 
 
 def test_codiff1_of_codiff2_is_zero():
     lat = small_lattice()
-    F = random_twoform(lat)
+    F = gaussian(lat.dims + (6,), 1)
     assert np.max(np.abs(codiff1(lat, codiff2(lat, F)))) < 1e-12
 
 
@@ -145,9 +126,9 @@ def test_codiff2_is_dense_adjoint_of_d1():
 
 def test_adjointness_via_inner_products():
     lat = small_lattice(h=1.3)
-    f = random_scalar(lat)
-    a = random_oneform(lat)
-    F = random_twoform(lat)
+    f = gaussian(lat.dims, 1)
+    a = gaussian(lat.dims + (4,), 2)
+    F = gaussian(lat.dims + (6,), 3)
     assert l2_inner(lat, d0(lat, f), a) == pytest.approx(
         l2_inner(lat, f, codiff1(lat, a))
     )
@@ -158,7 +139,7 @@ def test_adjointness_via_inner_products():
 
 def test_hodge_star_is_isometric_involution():
     lat = small_lattice()
-    F = random_twoform(lat)
+    F = gaussian(lat.dims + (6,), 1)
     assert np.allclose(hodge_star2(hodge_star2(F)), F)
     assert l2_norm(lat, hodge_star2(F)) == pytest.approx(l2_norm(lat, F))
 
@@ -180,7 +161,7 @@ def test_hodge_star_component_pairing():
 
 def test_selfdual_project_is_orthogonal_projection():
     lat = small_lattice()
-    F = random_twoform(lat)
+    F = gaussian(lat.dims + (6,), 1)
     P = selfdual_project(F)
     assert np.allclose(selfdual_project(P), P)
     assert np.allclose(hodge_star2(P), P)
@@ -196,7 +177,7 @@ def test_selfdual_project_is_orthogonal_projection():
 
 def test_norms_against_direct_sums():
     lat = small_lattice(h=0.6)
-    u = random_oneform(lat) + 1j * random_oneform(lat)
+    u = gaussian(lat.dims + (4,), 1, complex_=True)
     h4 = lat.spacing**4
     assert l2_norm(lat, u) == pytest.approx(np.sqrt(np.sum(np.abs(u) ** 2) * h4))
     pt = np.sqrt(np.sum(np.abs(u) ** 2, axis=-1))
@@ -207,8 +188,8 @@ def test_norms_against_direct_sums():
 
 def test_l2_inner_conjugates_second_slot():
     lat = small_lattice()
-    u = random_scalar(lat, complex_=True)
-    v = random_scalar(lat, complex_=True)
+    u = gaussian(lat.dims, 1, complex_=True)
+    v = gaussian(lat.dims, 2, complex_=True)
     direct = np.sum(u * np.conj(v)) * lat.spacing**4
     assert l2_inner(lat, u, v) == pytest.approx(direct)
     assert l2_inner(lat, v, u) == pytest.approx(np.conj(direct))
@@ -216,7 +197,7 @@ def test_l2_inner_conjugates_second_slot():
 
 def test_sobolev_norm_direct_sum():
     lat = small_lattice(h=0.8)
-    u = random_scalar(lat, complex_=True)
+    u = gaussian(lat.dims, 1, complex_=True)
     total = np.sum(np.abs(u) ** 2)
     for mu in range(4):
         total += np.sum(np.abs((np.roll(u, -1, axis=mu) - u) / lat.spacing) ** 2)
@@ -232,15 +213,13 @@ def test_sobolev_norm_direct_sum():
 ])
 def test_sobolev_norm_is_bit_equal_to_the_complex_buffer_formula(dims, fiber, complex_):
     lat = Lattice(dims, 0.6)
-    u = rng.standard_normal(dims + fiber)
-    if complex_:
-        u = u + 1j * rng.standard_normal(dims + fiber)
+    u = gaussian(dims + fiber, 1, complex_)
     assert sobolev12_norm(lat, u) == shipped_sobolev12_norm(lat, u)
 
 
 def test_sobolev_norm_peak_memory_on_a_spinor():
     lat = Lattice((8, 8, 8, 8), 0.75)
-    phi = rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(lat.dims + (2,))
+    phi = gaussian(lat.dims + (2,), 1, complex_=True)
     # the differences sit in one real buffer: 4 phi.nbytes with the complex temporaries
     assert traced_peak(sobolev12_norm, lat, phi) <= 5 * phi.nbytes
 
@@ -272,7 +251,7 @@ def test_laplacian0_is_psd_with_constant_kernel():
 
 def test_poisson_solve_residual_and_mean():
     lat = Lattice((4, 4, 3, 3), 0.5)
-    rho = random_scalar(lat)
+    rho = gaussian(lat.dims, 1)
     rho -= np.mean(rho)
     f = poisson_solve(lat, rho)
     assert abs(np.mean(f)) < 1e-12
@@ -286,7 +265,7 @@ def test_poisson_solve_rejects_nonzero_mean():
         poisson_solve(lat, np.ones(lat.dims))
     # a complex source whose imaginary part alone has a nonzero mean
     lat = Lattice((3, 3, 3, 3), 1.0)
-    r = random_scalar(lat)
+    r = gaussian(lat.dims, 1)
     r -= np.mean(r)
     with pytest.raises(ValueError, match="zero mean"):
         poisson_solve(lat, r + 0.5j)
@@ -305,7 +284,7 @@ def test_poisson_solve_raises_on_non_finite_source():
 
 def test_poisson_solve_complex_source():
     lat = Lattice((3, 4, 2, 3), 1.1)
-    rho = random_scalar(lat, complex_=True)
+    rho = gaussian(lat.dims, 1, complex_=True)
     rho -= np.mean(rho)
     f = poisson_solve(lat, rho)
     assert l2_norm(lat, laplacian0(lat, f) - rho) <= 1e-10 * l2_norm(lat, rho)
@@ -321,7 +300,7 @@ def test_laplacian_symbol_is_cached_read_only_with_its_zero_mode_set():
 def test_bochner_identity_for_oneforms():
     # sum_mu ||d0 a_mu||^2 == ||d1 a||^2 + ||codiff1 a||^2 exactly
     lat = small_lattice(h=0.9)
-    a = random_oneform(lat)
+    a = gaussian(lat.dims + (4,), 1)
     lhs = sum(l2_norm(lat, d0(lat, a[..., mu])) ** 2 for mu in range(4))
     rhs = l2_norm(lat, d1(lat, a)) ** 2 + l2_norm(lat, codiff1(lat, a)) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    background_curvature, clifford_mult, clifford_mult_adjoint, flux_matrix, two_form_action,
+    background_curvature, clifford_mult, clifford_mult_adjoint, flux_matrix, gaussian, random_cfg,
+    smooth_fields, two_form_action, zero_cfg,
 )
 import swflow.operators
 from swflow.clifford import SIGMA
@@ -13,10 +14,9 @@ from swflow.fields import (
     GaugeField,
     GaugeTransform,
     apply_gauge,
-    random_configuration,
     transform_angle,
 )
-from swflow.lattice import PLANES, Lattice, d0, l2_inner, l2_norm, selfdual_project
+from swflow.lattice import PLANES, Lattice, l2_inner, l2_norm, selfdual_project
 from swflow.operators import (
     covariant_diff,
     covariant_diff_adjoint,
@@ -27,44 +27,10 @@ from swflow.operators import (
     link_phases,
 )
 
-rng = np.random.default_rng(20260404)
-
 
 def covariant_laplacian(cfg):
     """Connection Laplacian Delta_A phi = -grad* grad phi of cfg.phi (negative semidefinite)."""
     return -covariant_diff_adjoint(cfg, covariant_diff(cfg))
-
-
-def random_cfg(lat, seed=3, flux=None, amp=(0.7, 1.0)):
-    s = rng.standard_normal(lat.dims)
-    return random_configuration(lat, seed, amp, flux=flux, scalar_curvature=s)
-
-
-def random_spinor_field(lat):
-    return rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(
-        lat.dims + (2,)
-    )
-
-
-def smooth_test_fields(n, with_gauge=True):
-    """Trig-polynomial (a, phi) sampled on an n^4 grid of the unit torus."""
-    lat = Lattice((n,) * 4, 1.0 / n)
-    x = np.indices(lat.dims) * lat.spacing
-    a = np.zeros(lat.dims + (4,))
-    if with_gauge:
-        a[..., 0] = 0.8 * np.sin(2 * np.pi * x[1]) + 0.3 * np.cos(2 * np.pi * x[3])
-        a[..., 1] = 0.5 * np.cos(2 * np.pi * (x[0] + x[2]))
-        a[..., 2] = -0.4 * np.sin(2 * np.pi * x[3]) + 0.2 * np.sin(2 * np.pi * x[0])
-        a[..., 3] = 0.6 * np.cos(2 * np.pi * x[1]) * np.sin(2 * np.pi * x[2])
-    phi = np.empty(lat.dims + (2,), dtype=complex)
-    phi[..., 0] = np.exp(2j * np.pi * (x[0] + 2 * x[1])) + 0.5 * np.cos(
-        2 * np.pi * x[2]
-    )
-    phi[..., 1] = 0.3 * np.exp(-2j * np.pi * (x[3] - x[0])) + 0.2j * np.sin(
-        2 * np.pi * x[1]
-    )
-    gauge = GaugeField(a, np.zeros((4, 4), dtype=int))
-    return Configuration(lat, gauge, phi, np.zeros(lat.dims))
 
 
 def test_flat_constant_spinor_has_zero_derivative():
@@ -108,7 +74,7 @@ def test_link_phases_are_unit_modulus():
 def test_covariant_diff_gauge_covariance():
     lat = Lattice((4, 3, 2, 3), 0.65)
     cfg = random_cfg(lat, flux=flux_matrix(f01=2, f13=-1))
-    g = GaugeTransform(rng.standard_normal(lat.dims), (1, 0, -2, 1))
+    g = GaugeTransform(gaussian(lat.dims, 1), (1, 0, -2, 1))
     phase = np.exp(-1j * transform_angle(lat, g))
     lhs = covariant_diff(apply_gauge(g, cfg))
     rhs = phase[..., None, None] * covariant_diff(cfg)
@@ -118,7 +84,7 @@ def test_covariant_diff_gauge_covariance():
 def test_dirac_gauge_covariance():
     lat = Lattice((3, 4, 2, 2), 0.55)
     cfg = random_cfg(lat, flux=flux_matrix(f02=1))
-    g = GaugeTransform(rng.standard_normal(lat.dims), (0, 2, 1, -1))
+    g = GaugeTransform(gaussian(lat.dims, 1), (0, 2, 1, -1))
     phase = np.exp(-1j * transform_angle(lat, g))
     lhs = dirac(apply_gauge(g, cfg))
     rhs = phase[..., None] * dirac(cfg)
@@ -161,7 +127,7 @@ def test_dirac_pair_equals_the_per_direction_clifford_sums(monkeypatch, corrupte
     want = sum(clifford_mult(sigma, mu, grad[..., mu, :]) for mu in range(4))
     got = dirac(cfg)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    psi = random_spinor_field(lat)
+    psi = gaussian(lat.dims + (2,), 1, complex_=True)
     G = np.stack([clifford_mult_adjoint(sigma, mu, psi) for mu in range(4)], axis=-2)
     want = covariant_diff_adjoint(cfg, G)
     got = dirac_adjoint(cfg, psi)
@@ -171,9 +137,8 @@ def test_dirac_pair_equals_the_per_direction_clifford_sums(monkeypatch, corrupte
 def test_dirac_adjointness_random_pairs():
     lat = Lattice((3, 3, 3, 3), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f12=1, f03=-2))
-    for _ in range(20):
-        phi = random_spinor_field(lat)
-        psi = random_spinor_field(lat)
+    shape = (20,) + lat.dims + (2,)
+    for phi, psi in zip(gaussian(shape, 1, complex_=True), gaussian(shape, 2, complex_=True)):
         lhs = l2_inner(lat, dirac(cfg.replace(phi=phi)), psi)
         rhs = l2_inner(lat, phi, dirac_adjoint(cfg, psi))
         assert abs(lhs - rhs) <= 1e-12 * l2_norm(lat, phi) * l2_norm(lat, psi)
@@ -182,11 +147,8 @@ def test_dirac_adjointness_random_pairs():
 def test_covariant_diff_adjointness_random_pairs():
     lat = Lattice((3, 2, 3, 2), 1.1)
     cfg = random_cfg(lat, flux=flux_matrix(f23=1))
-    for _ in range(10):
-        phi = random_spinor_field(lat)
-        G = rng.standard_normal(lat.dims + (4, 2)) + 1j * rng.standard_normal(
-            lat.dims + (4, 2)
-        )
+    phis = gaussian((10,) + lat.dims + (2,), 1, complex_=True)
+    for phi, G in zip(phis, gaussian((10,) + lat.dims + (4, 2), 2, complex_=True)):
         lhs = l2_inner(lat, covariant_diff(cfg.replace(phi=phi)), G)
         rhs = l2_inner(lat, phi, covariant_diff_adjoint(cfg, G))
         assert abs(lhs - rhs) <= 1e-12 * l2_norm(lat, phi) * l2_norm(lat, G)
@@ -195,8 +157,7 @@ def test_covariant_diff_adjointness_random_pairs():
 def test_laplacian_energy_identity_and_sign():
     lat = Lattice((3, 4, 2, 3), 0.85)
     cfg = random_cfg(lat, flux=flux_matrix(f01=-1, f23=1))
-    for _ in range(5):
-        phi = random_spinor_field(lat)
+    for phi in gaussian((5,) + lat.dims + (2,), 1, complex_=True):
         quad = l2_inner(lat, -covariant_laplacian(cfg.replace(phi=phi)), phi)
         grad2 = l2_norm(lat, covariant_diff(cfg.replace(phi=phi))) ** 2
         assert quad.imag == pytest.approx(0.0, abs=1e-12 * grad2)
@@ -206,7 +167,7 @@ def test_laplacian_energy_identity_and_sign():
 
 def test_curvature_of_pure_gauge_is_background():
     lat = Lattice((4, 3, 3, 2), 0.75)
-    zeta = rng.standard_normal(lat.dims)
+    zeta = gaussian(lat.dims, 1)
     flux = flux_matrix(f01=2, f12=-1)
     cfg = random_cfg(lat, flux=flux, amp=(0.0, 1.0))
     cfg = apply_gauge(GaugeTransform(zeta), cfg)  # a = d0 zeta
@@ -217,7 +178,7 @@ def test_curvature_of_pure_gauge_is_background():
 def test_curvature_gauge_invariant():
     lat = Lattice((3, 4, 2, 3), 0.95)
     cfg = random_cfg(lat, flux=flux_matrix(f03=1, f12=2))
-    g = GaugeTransform(rng.standard_normal(lat.dims), (2, -1, 1, 0))
+    g = GaugeTransform(gaussian(lat.dims, 1), (2, -1, 1, 0))
     F0 = curvature(cfg)
     F1 = curvature(apply_gauge(g, cfg))
     assert np.allclose(F0, F1, atol=1e-12 * (1 + np.max(np.abs(F0))))
@@ -242,8 +203,7 @@ def test_curvature_at_sites_matches_direct_average():
     cfg = random_cfg(lat, flux=flux_matrix(f02=1))
     F = curvature(cfg)
     Fs = curvature_at_sites(cfg)
-    for _ in range(8):
-        x = tuple(rng.integers(0, n) for n in lat.dims)
+    for x in np.ndindex(lat.dims):
         for i, (mu, nu) in enumerate(PLANES):
             corners = []
             for dmu in (0, -1):
@@ -269,7 +229,7 @@ def test_flat_dirac_norm_identity_under_refinement():
     # cross terms break it at finite h, vanishing first order in h
     defect = []
     for n in (4, 8, 16):
-        cfg = smooth_test_fields(n, with_gauge=False)
+        cfg = smooth_fields(n, with_gauge=False)
         lat = cfg.lattice
         nd = l2_norm(lat, dirac(cfg)) ** 2
         ng = l2_norm(lat, covariant_diff(cfg)) ** 2
@@ -283,7 +243,7 @@ def test_weitzenbock_identity_under_refinement():
     # the n=4 grid is at Nyquist for the (1,2) mode, so start the ladder at 8
     resid = []
     for n in (8, 16, 32):
-        cfg = smooth_test_fields(n)
+        cfg = smooth_fields(n)
         lat = cfg.lattice
         lhs = dirac_adjoint(cfg, dirac(cfg))
         rhs = -covariant_laplacian(cfg) + 0.5j * two_form_action(curvature_at_sites(cfg), cfg.phi)
@@ -313,7 +273,7 @@ def test_odd_flux_leaves_a_pi_defect_in_the_spinor_holonomy(dims, spacing, plane
     # (x_rho, x_sigma) slice, at the wrap corner, carries an extra pi
     mu, nu = plane
     lat = Lattice(dims, spacing)
-    cfg = random_configuration(lat, 0, (0.0, 0.0), flux=flux_matrix(**{f"f{mu}{nu}": n}))
+    cfg = zero_cfg(lat, flux_matrix(**{f"f{mu}{nu}": n}))
     W = spinor_plaquettes(cfg)
     for i, (m, v) in enumerate(PLANES):
         uniform = np.exp(1j * np.pi * cfg.gauge.flux[m, v] / (dims[m] * dims[v]))

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from oracles import traced_peak
+from oracles import constant_s, flux_matrix, gaussian, traced_peak, zero_cfg
 import swflow.checks
 import swflow.fields
 import swflow.functional
@@ -15,12 +15,11 @@ import swflow.optimize
 from swflow.cli import parse_scalar_curvature
 from swflow.fields import (
     Configuration,
-    GaugeField,
     GaugeTransform,
     apply_gauge,
     random_configuration,
 )
-from swflow.functional import energy_lower_bound, energy_weitzenbock, gradient
+from swflow.functional import energy_lower_bound, energy_weitzenbock, excess_report, gradient
 from swflow.gaugefix import full_gauge_fix, gauge_distance
 from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
 from swflow.optimize import (
@@ -36,22 +35,6 @@ from swflow.optimize import (
     ps_diagnostics,
 )
 
-rng = np.random.default_rng(20260407)
-
-
-def with_constant_s(cfg, value):
-    s = value * np.ones(cfg.lattice.dims)
-    return Configuration(cfg.lattice, cfg.gauge, cfg.phi, s, cfg.seed)
-
-
-def zero_cfg(lat, s_value=0.0):
-    return Configuration(
-        lat,
-        GaugeField(np.zeros(lat.dims + (4,)), np.zeros((4, 4), int)),
-        np.zeros(lat.dims + (2,)),
-        s_value * np.ones(lat.dims),
-    )
-
 
 @pytest.fixture(scope="module")
 def negative_curvature_run():
@@ -59,7 +42,7 @@ def negative_curvature_run():
     lat = Lattice((3, 3, 3, 3), 1.5)
     base = random_configuration(lat, 9, (0.3, 1.0))
     phi = base.phi * (3.0 / linf_norm(lat, base.phi))
-    cfg = with_constant_s(base.replace(phi=phi), -1.0)
+    cfg = constant_s(base.replace(phi=phi), -1.0)
     params = MinimizeParams(
         max_iters=2000, grad_tol=1e-5, method="conjugate", gaugefix_every=10
     )
@@ -112,7 +95,7 @@ def test_zero_configuration_is_already_converged():
 
 def test_line_search_accepts_initial_step_in_quadratic_regime():
     lat = Lattice((3, 3, 3, 3), 1.0)
-    cfg = with_constant_s(random_configuration(lat, 13, (1e-3, 1e-3)), 1.0)
+    cfg = constant_s(random_configuration(lat, 13, (1e-3, 1e-3)), 1.0)
     params = MinimizeParams(initial_step=0.01)
     step, trial = line_search(cfg, gradient(cfg).scaled(-1.0), params)
     assert step == params.initial_step
@@ -131,7 +114,7 @@ def test_line_search_rejects_zero_and_ascent_directions():
 
 def test_line_search_satisfies_armijo_inequality_as_stated():
     lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = with_constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
+    cfg = constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
     params = MinimizeParams()
     direction = gradient(cfg).scaled(-1.0)
     pair = descent_pairing(gradient(cfg), direction)
@@ -142,7 +125,7 @@ def test_line_search_satisfies_armijo_inequality_as_stated():
 
 def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
     lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = with_constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
+    cfg = constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
     g = gradient(cfg)
     direction = g.scaled(-1.0)
     fresh = line_search(cfg, direction, MinimizeParams())
@@ -155,7 +138,7 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
 
 
 def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
-    cfg = with_constant_s(random_configuration(Lattice((3, 3, 3, 3), 0.8), 19, (1.5, 2.0)), -1.0)
+    cfg = constant_s(random_configuration(Lattice((3, 3, 3, 3), 0.8), 19, (1.5, 2.0)), -1.0)
     direction = gradient(cfg).scaled(-1.0)
     evaluated, curved = [], []
     evaluate, curvature = swflow.functional._evaluate, swflow.functional.curvature
@@ -170,11 +153,8 @@ def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
 
 
 def mixed_flux_cfg(dims=(3, 4, 2, 5)):
-    lat = Lattice(dims, 0.7)
-    flux = np.zeros((4, 4), dtype=int)
-    for (mu, nu), n in {(0, 1): 1, (1, 3): 2, (2, 3): -1}.items():
-        flux[mu, nu], flux[nu, mu] = n, -n
-    return with_constant_s(random_configuration(lat, 37, (0.6, 1.5), flux=flux), -1.0)
+    flux = flux_matrix(f01=1, f13=2, f23=-1)
+    return constant_s(random_configuration(Lattice(dims, 0.7), 37, (0.6, 1.5), flux=flux), -1.0)
 
 
 def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
@@ -256,9 +236,7 @@ def test_minimize_is_byte_identical_with_shift_as_np_roll(monkeypatch):
 
 def test_minimize_with_a_never_skipping_floor_is_identical(monkeypatch):
     lat = Lattice((2, 3, 2, 5), 1.1)
-    flux = np.zeros((4, 4), dtype=int)
-    flux[0, 2], flux[2, 0] = 2, -2
-    cfg = with_constant_s(random_configuration(lat, 41, (0.8, 2.0), flux=flux), -2.0)
+    cfg = constant_s(random_configuration(lat, 41, (0.8, 2.0), flux=flux_matrix(f02=2)), -2.0)
     params = MinimizeParams(max_iters=80, grad_tol=1e-12, initial_step=16.0, method="conjugate",
                             gaugefix_every=5, record_every=2)
     skipping = minimize(cfg, params)
@@ -352,7 +330,7 @@ def test_minimize_records_line_search_failure_without_crashing():
 
 def test_minimize_is_monotone_and_deterministic():
     lat = Lattice((3, 3, 3, 3), 1.2)
-    cfg = with_constant_s(random_configuration(lat, 31, (0.6, 1.2)), -1.0)
+    cfg = constant_s(random_configuration(lat, 31, (0.6, 1.2)), -1.0)
     params = MinimizeParams(max_iters=60, grad_tol=1e-12, gaugefix_every=5)
     traj = minimize(cfg, params)
     energies = [r.energy for r in traj.records]
@@ -365,7 +343,7 @@ def test_minimize_is_monotone_and_deterministic():
 
 def test_minimize_drives_spinor_to_zero_for_positive_curvature():
     lat = Lattice((3, 3, 3, 3), 2.0)
-    cfg = with_constant_s(random_configuration(lat, 7, (0.2, 0.4)), 1.0)
+    cfg = constant_s(random_configuration(lat, 7, (0.2, 0.4)), 1.0)
     traj = minimize(
         cfg,
         MinimizeParams(max_iters=800, grad_tol=1e-8, method="conjugate", gaugefix_every=10),
@@ -390,7 +368,7 @@ def test_minimize_obeys_maximum_principle_for_negative_curvature(negative_curvat
 def test_minimize_descends_the_gauge_quotient(negative_curvature_run):
     cfg, _ = negative_curvature_run
     lat = cfg.lattice
-    g = GaugeTransform(0.8 * rng.standard_normal(lat.dims), (1, 0, -1, 0))
+    g = GaugeTransform(0.8 * gaussian(lat.dims, 1), (1, 0, -1, 0))
     params = MinimizeParams(max_iters=40, grad_tol=1e-5, gaugefix_every=1)
     plain = minimize(cfg, params)
     moved = minimize(apply_gauge(g, cfg), params)
@@ -407,9 +385,41 @@ def test_minimize_keeps_iterates_in_normal_form(negative_curvature_run):
         assert -np.pi / lat.lengths[mu] <= a[..., mu].mean() < np.pi / lat.lengths[mu]
 
 
+def test_refix_refuses_a_gauge_fix_that_moves_the_energy(monkeypatch):
+    fix = swflow.optimize.full_gauge_fix
+
+    def scaling_fix(cfg):
+        fixed, report = fix(cfg)
+        return fixed.replace(phi=1.01 * fixed.phi), report
+
+    monkeypatch.setattr(swflow.optimize, "full_gauge_fix", scaling_fix)
+    with pytest.raises(RuntimeError, match="gauge fixing drifted the energy"):
+        minimize(mixed_flux_cfg(), MinimizeParams(max_iters=5, gaugefix_every=1))
+
+
+def test_line_search_failure_records_the_iterate_it_stopped_at(monkeypatch):
+    search, calls = swflow.optimize.line_search, []
+
+    def fails_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise LineSearchFailure("no acceptable step")
+        return search(*args)
+
+    monkeypatch.setattr(swflow.optimize, "line_search", fails_second)
+    traj = minimize(mixed_flux_cfg(), MinimizeParams(max_iters=50, record_every=5))
+    last = traj.records[-1]
+    assert traj.reason == "line_search_failure"
+    assert [r.iter for r in traj.records] == [0, 1]
+    # rebuilt from the iterate, not from the evaluation the loop dropped
+    rep = vars(excess_report(traj.final))
+    assert {key: getattr(last, key) for key in rep} == rep
+    assert last.grad_norm == gradient(traj.final).norm()
+
+
 def test_record_every_keeps_first_and_final_iterates():
     lat = Lattice((3, 3, 3, 3), 1.2)
-    cfg = with_constant_s(random_configuration(lat, 37, (0.4, 0.9)), -1.0)
+    cfg = constant_s(random_configuration(lat, 37, (0.4, 0.9)), -1.0)
     traj = minimize(cfg, MinimizeParams(max_iters=10, grad_tol=1e-14, record_every=7))
     assert [r.iter for r in traj.records] == [0, 7, 10]
     assert traj.reason == "max_iters"
