@@ -208,7 +208,7 @@ def random_configuration(
     """Gaussian fields: a ~ amp_a * N(0,1) per link, phi with RMS amp_phi.
 
     Deterministic in seed. amplitudes is the pair (amp_a, amp_phi), both
-    nonnegative; (0, 0) gives the zero configuration.
+    nonnegative; (0, 0) gives the zero configuration, the same +0.0 for every seed.
     """
     seed = require_int(seed, "seed")
     if seed < 0:  # a Configuration keeps any int as provenance, but numpy seeds are nonnegative
@@ -221,6 +221,9 @@ def random_configuration(
     phi = (amp_phi / np.sqrt(2.0)) * (
         rng.standard_normal(lat.dims + (2,)) + 1j * rng.standard_normal(lat.dims + (2,))
     )
+    # + 0.0 turns the -0.0 a zero amplitude leaves on negative draws into +0.0; other bits stay
+    a += 0.0
+    phi += 0.0
     if flux is None:
         flux = np.zeros((4, 4), dtype=int)
     if scalar_curvature is None:

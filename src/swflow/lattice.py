@@ -40,11 +40,6 @@ def require_real(value, what: str) -> float:
         raise ValueError(f"{what} must be a real number a double holds") from None
 
 
-def worst_of(*values) -> float:
-    """The largest of values, or NaN if any is NaN (max(0.0, nan) drops it)."""
-    return float(np.max(values))
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Periodic hypercubic lattice: dims = (N1, N2, N3, N4), spacing h > 0."""

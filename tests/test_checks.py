@@ -59,11 +59,45 @@ def test_wrong_fields_and_levels_are_refused_by_name(refused, message):
 def test_registry_fails_on_broken_operators(monkeypatch):
     lat = Lattice((3, 4, 2, 5), 0.7)
     cfg = mixed_flux(lat, 7)
-    monkeypatch.setattr(checks, "codiff1", lambda lat, v: 1.001 * codiff1(lat, v))
-    monkeypatch.setattr(checks, "curvature", lambda c: curvature(c) + 1e-3)
-    broken = [checks.adjoint_defect("adjoint_d0_codiff1", lat, 1, 3), checks.flux_quantization(cfg)]
-    for result in broken:
+
+    def scaled(op):
+        return lambda *args: 1.001 * op(*args)
+
+    # name in checks -> (its broken stand-in, the measure that must then fail)
+    broken = {
+        "codiff1": (scaled(codiff1), lambda: checks.adjoint_defect("adjoint_d0_codiff1", lat, 1, 3)),
+        "covariant_diff_adjoint": (scaled(covariant_diff_adjoint),
+                                   lambda: checks.adjoint_defect("adjoint_covariant_diff", cfg, 1, 3)),
+        "dirac_adjoint": (scaled(dirac_adjoint), lambda: checks.adjoint_defect("adjoint_dirac", cfg, 1, 3)),
+        "quadratic_form": (scaled(quadratic_form), lambda: checks.quadratic_form_norm_identity((), 1, 3)),
+        "energy_weitzenbock": (lambda c: functional.energy_weitzenbock(c) + 1e-6 * np.sum(c.gauge.a**2),
+                               lambda: checks.energy_gauge_invariance(cfg, 1, 3)),
+        # random fields sit ~2e3 above the true floor here, so the broken floor is the energy + 1
+        "energy_lower_bound": (lambda c: functional.energy_weitzenbock(c) + 1.0,
+                               lambda: checks.energy_lower_bound_margin(lat, 1, 3, 2)),
+        "curvature": (lambda c: curvature(c) + 1e-3, lambda: checks.flux_quantization(cfg)),
+    }
+    for name, (stand_in, measure) in broken.items():
+        assert measure().passed, name
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, name, stand_in)
+            result = measure()
         assert not result.passed, result.line()
+
+
+def test_a_nan_draw_fails_its_measure_and_zero_draws_report_the_start(monkeypatch):
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    calls = []
+
+    def d1_nan_on_second_call(lat, a):
+        calls.append(None)
+        return d1(lat, a) * (np.nan if len(calls) == 2 else 1.0)
+
+    assert checks.exterior_derivative_squares_to_zero(lat, 1, 0).measured == 0.0
+    assert checks.energy_lower_bound_margin(lat, 1, 0, 2).measured == -np.inf
+    monkeypatch.setattr(checks, "d1", d1_nan_on_second_call)
+    result = checks.exterior_derivative_squares_to_zero(lat, 1, 3)
+    assert len(calls) == 3 and np.isnan(result.measured) and not result.passed
 
 
 def test_hodge_sobolev_bound_holds_at_12():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import clifford_mult, clifford_mult_adjoint, gaussian, two_form_action
-from swflow.checks import clifford_relation_defect
+from swflow.checks import clifford_relation_defect, quadratic_form_norm_identity
 from swflow.clifford import BIVECTORS, SIGMA, quadratic_form
 from swflow.lattice import PLANES, hodge_star2, selfdual_project
 
@@ -127,11 +127,8 @@ def test_quadratic_form_real_selfdual_zero():
 
 def test_quadratic_form_norm_identity():
     # |sigma(phi)|^2 = |phi|^4 / 8
-    phi = gaussian((100, 2), 1, complex_=True)
-    s = quadratic_form(phi)
-    lhs = np.sum(s**2, axis=-1)
-    rhs = np.sum(np.abs(phi) ** 2, axis=-1) ** 2 / 8.0
-    assert np.allclose(lhs, rhs, rtol=1e-12)
+    result = quadratic_form_norm_identity((100,), 1, 1)
+    assert result.passed, result.line()
 
 
 def test_quadratic_form_scaling():

@@ -234,6 +234,17 @@ def test_random_configuration_contracts():
         random_configuration(lat, 1, (-0.1, 1.0))
 
 
+def test_zero_amplitudes_give_the_same_positive_zeros_for_every_seed(tmp_path):
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    zeros = [random_configuration(lat, seed, (0.0, 0.0)) for seed in range(4)]
+    for cfg in zeros:
+        assert not any(np.signbit(f).any() for f in (cfg.gauge.a, cfg.phi.real, cfg.phi.imag))
+        assert cfg.gauge.a.tobytes() == zeros[0].gauge.a.tobytes()
+        assert cfg.phi.tobytes() == zeros[0].phi.tobytes()
+    save_configuration(zeros[1], tmp_path / "zero.json")
+    assert "-0.0" not in (tmp_path / "zero.json").read_text()
+
+
 def test_save_load_round_trip_exact(tmp_path):
     lat = Lattice((3, 2, 4, 2), 0.85)
     cfg = random_cfg(lat, flux=flux_matrix(f01=1, f23=2))

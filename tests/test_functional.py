@@ -8,14 +8,8 @@ import pytest
 from oracles import (
     SEED, background_curvature, flux_matrix, l4_norm, random_cfg, smooth_fields, zero_cfg,
 )
-from swflow import functional
-from swflow.fields import (
-    Configuration,
-    GaugeField,
-    GaugeTransform,
-    apply_gauge,
-    transform_angle,
-)
+from swflow import checks, functional
+from swflow.fields import GaugeTransform, apply_gauge, transform_angle
 from swflow.functional import (
     energy_first_order,
     energy_lower_bound,
@@ -30,17 +24,9 @@ from swflow.operators import (
 )
 
 
-def constant_phi_cfg(lat, v, s_value=0.0, flux=None):
+def constant_phi_cfg(lat, v, s_value=0.0):
     phi = np.broadcast_to(np.asarray(v, dtype=complex), lat.dims + (2,)).copy()
-    return Configuration(
-        lat,
-        GaugeField(
-            np.zeros(lat.dims + (4,)),
-            np.zeros((4, 4), dtype=int) if flux is None else flux,
-        ),
-        phi,
-        np.full(lat.dims, s_value),
-    )
+    return zero_cfg(lat, s=np.full(lat.dims, s_value)).replace(phi=phi)
 
 
 def test_zero_configuration():
@@ -82,12 +68,8 @@ def test_first_order_energy_with_zero_phi():
 def test_energies_gauge_invariant():
     lat = Lattice((3, 4, 2, 3), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f01=1, f23=-1))
-    g = GaugeTransform(np.random.default_rng(SEED).standard_normal(lat.dims), (1, -2, 0, 1))
-    out = apply_gauge(g, cfg)
-    e2, e2g = energy_weitzenbock(cfg), energy_weitzenbock(out)
-    assert abs(e2g - e2) <= 1e-10 * (1.0 + abs(e2))
-    e1, e1g = energy_first_order(cfg), energy_first_order(out)
-    assert abs(e1g - e1) <= 1e-10 * (1.0 + abs(e1))
+    result = checks.energy_gauge_invariance(cfg, SEED, 1, windings=[(1, -2, 0, 1)])
+    assert result.passed, result.line()
 
 
 def test_gradient_constant_phi_flat():

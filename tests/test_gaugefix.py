@@ -8,14 +8,8 @@ source is exactly zero, so its Coulomb step is the identity."""
 import numpy as np
 import pytest
 
-from oracles import constant_s, flux_matrix, gaussian
-from swflow.fields import (
-    Configuration,
-    GaugeField,
-    GaugeTransform,
-    apply_gauge,
-    random_configuration,
-)
+from oracles import constant_s, flux_matrix, gaussian, zero_cfg
+from swflow.fields import GaugeTransform, apply_gauge, random_configuration
 from swflow.functional import energy_first_order, energy_weitzenbock
 from swflow.gaugefix import (
     _round_half_up,
@@ -40,7 +34,7 @@ def coulomb_cfg(lat, seed):
     gen = np.random.default_rng(seed)
     a = codiff2(lat, gen.standard_normal(lat.dims + (6,)))
     phi = gen.standard_normal(lat.dims + (2,)) + 1j * gen.standard_normal(lat.dims + (2,))
-    return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, np.zeros(lat.dims))
+    return zero_cfg(lat).replace(a=a, phi=phi)
 
 
 def test_coulomb_step_leaves_divergence_free_field_alone():
@@ -57,9 +51,7 @@ def test_coulomb_step_removes_pure_gauge_exactly():
     lat = Lattice((4, 3, 4, 3), 0.7)
     xi = gaussian(lat.dims, 1)
     phi = gaussian(lat.dims + (2,), 2, complex_=True)
-    cfg = Configuration(
-        lat, GaugeField(d0(lat, xi), np.zeros((4, 4), int)), phi, np.zeros(lat.dims)
-    )
+    cfg = zero_cfg(lat).replace(a=d0(lat, xi), phi=phi)
     fixed, report = full_gauge_fix(cfg)
     assert report.winding == (0, 0, 0, 0)
     assert linf_norm(lat, fixed.gauge.a) <= 1e-10
@@ -109,9 +101,7 @@ def test_winding_step_removes_integer_harmonic_exactly():
     lat = Lattice((4, 4, 4, 4), 0.5)
     a = np.zeros(lat.dims + (4,))
     a[..., 1] = 2.0 * np.pi / lat.lengths[1]
-    cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
-    )
+    cfg = zero_cfg(lat).replace(a=a)
     fixed, report = full_gauge_fix(cfg)
     assert not report.zeta.any()
     assert report.winding == (0, 1, 0, 0)
@@ -123,9 +113,7 @@ def test_winding_step_reduces_to_fundamental_domain():
     unit = 2.0 * np.pi / lat.lengths[1]
     a = np.zeros(lat.dims + (4,))
     a[..., 1] = 3.7 * unit
-    cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
-    )
+    cfg = zero_cfg(lat).replace(a=a)
     fixed, report = full_gauge_fix(cfg)
     assert not report.zeta.any()
     assert report.winding == (0, 4, 0, 0)
@@ -154,9 +142,7 @@ def test_harmonic_part_of_a_tie_is_in_the_domain_up_to_the_rounding_of_the_mean(
     half_width = np.pi / lat.lengths[1]
     a = np.zeros(lat.dims + (4,))
     a[..., 1] = multiple * 2.0 * half_width
-    cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
-    )
+    cfg = zero_cfg(lat).replace(a=a)
     _, report = full_gauge_fix(cfg)
     # the mean of a tie is itself an ulp off, so h may leave [-pi/L, pi/L) by an ulp
     assert abs(report.harmonic[1]) <= half_width * (1.0 + 8 * 2.0**-53)
@@ -167,21 +153,14 @@ def test_winding_step_on_generic_multiples(multiple, expected):
     lat = Lattice((3, 3, 3, 3), 1.0)
     a = np.zeros(lat.dims + (4,))
     a[..., 2] = multiple * 2.0 * np.pi / lat.lengths[2]
-    cfg = Configuration(
-        lat, GaugeField(a, np.zeros((4, 4), int)), np.zeros(lat.dims + (2,)), np.zeros(lat.dims)
-    )
+    cfg = zero_cfg(lat).replace(a=a)
     _, report = full_gauge_fix(cfg)
     assert report.winding == (0, 0, expected, 0)
 
 
 def test_full_gauge_fix_zero_configuration():
     lat = Lattice((3, 3, 2, 2), 1.0)
-    cfg = Configuration(
-        lat,
-        GaugeField(np.zeros(lat.dims + (4,)), np.zeros((4, 4), int)),
-        np.zeros(lat.dims + (2,)),
-        np.zeros(lat.dims),
-    )
+    cfg = zero_cfg(lat)
     fixed, report = full_gauge_fix(cfg)
     assert np.array_equal(fixed.gauge.a, cfg.gauge.a)
     assert np.array_equal(fixed.phi, cfg.phi)

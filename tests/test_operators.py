@@ -8,14 +8,9 @@ from oracles import (
     smooth_fields, two_form_action, zero_cfg,
 )
 import swflow.operators
+from swflow import checks
 from swflow.clifford import SIGMA
-from swflow.fields import (
-    Configuration,
-    GaugeField,
-    GaugeTransform,
-    apply_gauge,
-    transform_angle,
-)
+from swflow.fields import GaugeTransform, apply_gauge, transform_angle
 from swflow.lattice import PLANES, Lattice, l2_inner, l2_norm, selfdual_project
 from swflow.operators import (
     covariant_diff,
@@ -36,12 +31,7 @@ def covariant_laplacian(cfg):
 def test_flat_constant_spinor_has_zero_derivative():
     lat = Lattice((3, 2, 3, 2), 0.8)
     phi = np.broadcast_to(np.array([1.0 + 2.0j, -0.5j]), lat.dims + (2,)).copy()
-    cfg = Configuration(
-        lat,
-        GaugeField(np.zeros(lat.dims + (4,)), np.zeros((4, 4), dtype=int)),
-        phi,
-        np.zeros(lat.dims),
-    )
+    cfg = zero_cfg(lat).replace(phi=phi)
     assert np.max(np.abs(covariant_diff(cfg))) == 0.0
     assert np.max(np.abs(covariant_laplacian(cfg))) == 0.0
 
@@ -51,12 +41,7 @@ def test_plane_wave_derivative_symbol():
     x1 = np.indices(lat.dims)[0]
     v = np.array([0.7 - 0.2j, 1.1j])
     phi = np.exp(2j * np.pi * x1 / 6)[..., None] * v
-    cfg = Configuration(
-        lat,
-        GaugeField(np.zeros(lat.dims + (4,)), np.zeros((4, 4), dtype=int)),
-        phi,
-        np.zeros(lat.dims),
-    )
+    cfg = zero_cfg(lat).replace(phi=phi)
     grad = covariant_diff(cfg)
     want = np.abs(np.exp(2j * np.pi / 6) - 1.0) / lat.spacing * np.linalg.norm(v)
     got = np.linalg.norm(grad[..., 0, :], axis=-1)
@@ -137,21 +122,15 @@ def test_dirac_pair_equals_the_per_direction_clifford_sums(monkeypatch, corrupte
 def test_dirac_adjointness_random_pairs():
     lat = Lattice((3, 3, 3, 3), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f12=1, f03=-2))
-    shape = (20,) + lat.dims + (2,)
-    for phi, psi in zip(gaussian(shape, 1, complex_=True), gaussian(shape, 2, complex_=True)):
-        lhs = l2_inner(lat, dirac(cfg.replace(phi=phi)), psi)
-        rhs = l2_inner(lat, phi, dirac_adjoint(cfg, psi))
-        assert abs(lhs - rhs) <= 1e-12 * l2_norm(lat, phi) * l2_norm(lat, psi)
+    result = checks.adjoint_defect("adjoint_dirac", cfg, 1, 20)
+    assert result.passed, result.line()
 
 
 def test_covariant_diff_adjointness_random_pairs():
     lat = Lattice((3, 2, 3, 2), 1.1)
     cfg = random_cfg(lat, flux=flux_matrix(f23=1))
-    phis = gaussian((10,) + lat.dims + (2,), 1, complex_=True)
-    for phi, G in zip(phis, gaussian((10,) + lat.dims + (4, 2), 2, complex_=True)):
-        lhs = l2_inner(lat, covariant_diff(cfg.replace(phi=phi)), G)
-        rhs = l2_inner(lat, phi, covariant_diff_adjoint(cfg, G))
-        assert abs(lhs - rhs) <= 1e-12 * l2_norm(lat, phi) * l2_norm(lat, G)
+    result = checks.adjoint_defect("adjoint_covariant_diff", cfg, 1, 10)
+    assert result.passed, result.line()
 
 
 def test_laplacian_energy_identity_and_sign():
@@ -186,16 +165,8 @@ def test_curvature_gauge_invariant():
 
 def test_flux_quantization_of_total_curvature():
     lat = Lattice((4, 3, 5, 2), 0.6)
-    flux = flux_matrix(f01=3, f23=-2, f13=1)
-    cfg = random_cfg(lat, flux=flux)
-    F = curvature(cfg)
-    h2 = lat.spacing**2
-    for i, (mu, nu) in enumerate(PLANES):
-        idx = [0, 0, 0, 0]
-        idx[mu] = slice(None)
-        idx[nu] = slice(None)
-        total = h2 * float(np.sum(F[(*idx, i)]))
-        assert total == pytest.approx(2.0 * np.pi * flux[mu, nu], abs=1e-10)
+    result = checks.flux_quantization(random_cfg(lat, flux=flux_matrix(f01=3, f23=-2, f13=1)))
+    assert result.passed, result.line()
 
 
 def test_curvature_at_sites_matches_direct_average():
