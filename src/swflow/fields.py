@@ -9,6 +9,11 @@ flux and shared read-only. Gauge transforms carry a periodic real angle zeta
 plus four winding integers; windings are never baked into zeta, which keeps
 branch cuts out of the fields entirely.
 
+The numbers rule (_finite_field) holds every field argument, saved fields
+included, to finite numbers, real for all but phi: strings, booleans (even one
+in a list of numbers), other objects and complex values in a real field are
+refused by name. Shapes against a lattice are lattice._check_form's rule.
+
 Every JSON file swflow reads goes through read_json. Every file it writes
 goes through write_atomic, which writes all the files of one command before it
 renames any over its target, so a reader or a failed write never sees half a
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PLANES, Lattice, d0, require_int, require_real
+from .lattice import PLANES, Lattice, _check_form, d0, require_int, require_real
 
 FORMAT_VERSION = 1
 
@@ -37,28 +42,30 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _finite_field(u, dtype, shape: tuple, name: str) -> np.ndarray:
-    """u as an array of dtype, refused unless it has the given shape and is finite."""
-    u = np.asarray(u, dtype=dtype)
-    _require(u.shape == shape, f"{name} must have shape {shape}, got {u.shape}")
-    _require(np.all(np.isfinite(u)), f"{name} must be finite")
-    return u
+def _finite_field(u, dtype, name: str, lat: Lattice | None = None, fiber: tuple = ()) -> np.ndarray:
+    """u under the numbers rule as dtype (None keeps its real dtype); given lat, a field of fiber on it."""
+    try:
+        arr = np.asarray(u)
+    except ValueError:  # a ragged nested list
+        raise ValueError(f"{name} must be an array of numbers") from None
+    real = dtype is not complex
+    # a list that mixes booleans with numbers gets a number dtype; an ndarray cannot hide one
+    _require(arr.dtype.kind in ("iuf" if real else "iufc") and (isinstance(u, np.ndarray) or {
+        bool, np.bool_}.isdisjoint(map(type, np.asarray(u, dtype=object).flat))),
+        f"{name} entries must be {'real ' if real else ''}numbers, not strings, booleans or objects")
+    arr = arr if dtype is None else arr.astype(dtype, copy=False)
+    if lat is not None:
+        _check_form(lat, arr, fiber, name)
+    _require(np.all(np.isfinite(arr)), f"{name} must be finite")
+    return arr
 
 
 def check_flux_matrix(flux) -> np.ndarray:
     """Validate and return the 4x4 antisymmetric integer flux matrix."""
-    f = np.asarray(flux)
+    f = _finite_field(flux, None, "flux")
     _require(f.shape == (4, 4), f"flux must be 4x4, got {f.shape}")
-    _require(f.dtype.kind in "iufc", f"flux entries must be numbers, got dtype {f.dtype}")
-    # a list that mixes booleans with numbers gets a number dtype; an array cannot hide one
-    _require(isinstance(flux, np.ndarray) or not any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(flux, dtype=object).flat),
-        "flux entries must be numbers, not booleans")
-    _require(np.all(np.isfinite(f)), "flux entries must be finite")
-    _require(
-        not np.iscomplexobj(f) and np.all(f == np.round(f)) and np.all(np.abs(f) < 2.0**63),
-        "flux entries must be integers within int64",
-    )
+    _require(np.all(f == np.round(f)) and np.all(np.abs(f) < 2.0**63),
+             "flux entries must be integers within int64")
     f = f.astype(int)
     _require(np.array_equal(f, -f.T), "flux matrix must be antisymmetric")
     return f
@@ -66,33 +73,27 @@ def check_flux_matrix(flux) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeField:
-    """Fluctuation 1-form a plus the integer flux sector."""
+    """Fluctuation 1-form a plus the integer flux sector; Configuration checks a's shape."""
 
     a: np.ndarray
     flux: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        _require(a.ndim == 5 and a.shape[-1] == 4, f"a must be sites x 4, got {a.shape}")
-        _require(np.all(np.isfinite(a)), "gauge field must be finite")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _finite_field(self.a, float, "gauge field"))
         object.__setattr__(self, "flux", check_flux_matrix(self.flux))
 
 
 @dataclass(frozen=True)
 class GaugeTransform:
-    """g(x) = exp(i (zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu))."""
+    """g(x) = exp(i (zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu)); apply_gauge checks zeta's shape."""
 
     zeta: np.ndarray
     winding: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     def __post_init__(self):
-        z = np.asarray(self.zeta, dtype=float)
-        _require(z.ndim == 4, f"zeta must be a site scalar field, got shape {z.shape}")
-        _require(np.all(np.isfinite(z)), "zeta must be finite")
+        object.__setattr__(self, "zeta", _finite_field(self.zeta, float, "zeta"))
         k = tuple(require_int(v, "winding") for v in self.winding)
         _require(len(k) == 4, "winding needs four integers")
-        object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "winding", k)
 
 
@@ -113,10 +114,9 @@ class Configuration:
 
     def __post_init__(self):
         lat = self.lattice
-        _require(self.gauge.a.shape == lat.dims + (4,),
-                 f"gauge field shape {self.gauge.a.shape} does not match lattice {lat.dims}")
-        phi = _finite_field(self.phi, complex, lat.dims + (2,), "spinor field")
-        s = _finite_field(self.scalar_curvature, float, lat.dims, "scalar curvature")
+        _check_form(lat, self.gauge.a, (4,), "gauge field")
+        phi = _finite_field(self.phi, complex, "spinor field", lat, (2,))
+        s = _finite_field(self.scalar_curvature, float, "scalar curvature", lat)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "scalar_curvature", s)
         if self.seed is not None:  # a NumPy integer is stored as the int JSON can write
@@ -124,11 +124,10 @@ class Configuration:
 
     def replace(self, a=None, phi=None) -> "Configuration":
         """Copy with new field data, each given field checked for shape and
-        finiteness; the validated flux, s, and seed are carried over as they are."""
-        dims = self.lattice.dims
+        numbers (the numbers rule); the validated flux, s, and seed are carried over as they are."""
         return self._trial(
-            self.gauge.a if a is None else _finite_field(a, float, dims + (4,), "gauge field"),
-            self.phi if phi is None else _finite_field(phi, complex, dims + (2,), "spinor field"),
+            self.gauge.a if a is None else _finite_field(a, float, "gauge field", self.lattice, (4,)),
+            self.phi if phi is None else _finite_field(phi, complex, "spinor field", self.lattice, (2,)),
         )
 
     def _trial(self, a: np.ndarray, phi: np.ndarray) -> "Configuration":
@@ -160,10 +159,7 @@ def apply_gauge(g: GaugeTransform, cfg: Configuration) -> Configuration:
     direction mu, which is added directly so a stays smooth and periodic.
     """
     lat = cfg.lattice
-    if g.zeta.shape != lat.dims:
-        raise ValueError(
-            f"transform on lattice {g.zeta.shape}, configuration on {lat.dims}"
-        )
+    _check_form(lat, g.zeta, (), "zeta")
     a_new = cfg.gauge.a + d0(lat, g.zeta)
     for mu in range(4):
         if g.winding[mu]:
@@ -296,12 +292,12 @@ def _flatten_site_major(u: np.ndarray) -> list:
     return u.reshape(u.shape[:4] + (-1,)).transpose(3, 2, 1, 0, 4).ravel().tolist()
 
 
-def _unflatten_site_major(vals, shape) -> np.ndarray:
-    """Inverse of _flatten_site_major for a field of the given shape."""
-    arr = np.asarray(vals, dtype=float)
+def _unflatten_site_major(vals, shape, key: str) -> np.ndarray:
+    """Inverse of _flatten_site_major for the field under key, of the given shape."""
+    arr = _finite_field(vals, float, key)
     expect = int(np.prod(shape))
     if arr.shape != (expect,):
-        raise ValueError(f"field length mismatch: expected {expect} values, got {arr.shape}")
+        raise ValueError(f"{key} length mismatch: expected {expect} values, got {arr.shape}")
     n1, n2, n3, n4 = shape[:4]
     return arr.reshape(n4, n3, n2, n1, -1).transpose(3, 2, 1, 0, 4).reshape(shape).copy()
 
@@ -340,11 +336,11 @@ def load_configuration(path) -> Configuration:
         if not isinstance(dims, list):
             raise ValueError(f"dims must be a list, got {dims!r}")
         lat = Lattice(tuple(dims), doc["spacing"])
-        a = _unflatten_site_major(doc["a"], lat.dims + (4,))
+        a = _unflatten_site_major(doc["a"], lat.dims + (4,), "a")
         # set the parts directly: re + 1j * im would turn an imaginary -0.0 into +0.0
-        phi = _unflatten_site_major(doc["phi_re"], lat.dims + (2,)).astype(complex)
-        phi.imag = _unflatten_site_major(doc["phi_im"], lat.dims + (2,))
-        s = _unflatten_site_major(doc["s"], lat.dims)
+        phi = _unflatten_site_major(doc["phi_re"], lat.dims + (2,), "phi_re").astype(complex)
+        phi.imag = _unflatten_site_major(doc["phi_im"], lat.dims + (2,), "phi_im")
+        s = _unflatten_site_major(doc["s"], lat.dims, "s")
         return Configuration(lat, GaugeField(a, doc["flux"]), phi, s, seed=doc.get("seed"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -73,6 +73,7 @@ class Lattice:
 
 
 def _check_form(lat: Lattice, u: np.ndarray, fiber: tuple, kind: str):
+    """The shape rule of every field argument: u must be a field of fiber shape fiber on lat."""
     if u.shape != lat.dims + fiber:
         raise ValueError(f"{kind} must have shape {lat.dims + fiber}, got {u.shape}")
 
@@ -167,9 +168,8 @@ def selfdual_project(F: np.ndarray) -> np.ndarray:
 
 def l2_inner(lat: Lattice, u: np.ndarray, v: np.ndarray):
     """h^4-weighted inner product, conjugate on the second argument."""
-    _check_form(lat, u, u.shape[4:], "field")
-    if u.shape != v.shape:
-        raise ValueError(f"mismatched field shapes {u.shape} vs {v.shape}")
+    _check_form(lat, u, u.shape[4:], "u")
+    _check_form(lat, v, u.shape[4:], "v")
     val = np.sum(u * (np.conj(v) if np.iscomplexobj(v) else v)) * lat.spacing**4
     if np.iscomplexobj(u) or np.iscomplexobj(v):
         return complex(val)

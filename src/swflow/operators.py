@@ -26,7 +26,7 @@ import numpy as np
 
 from .clifford import SIGMA
 from .fields import Configuration, _flux_background
-from .lattice import PLANES, d1, shift
+from .lattice import PLANES, _check_form, d1, shift
 
 
 def link_phases(cfg: Configuration) -> np.ndarray:
@@ -62,8 +62,7 @@ def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndar
     U, when held, must be link_phases(cfg).
     """
     lat = cfg.lattice
-    if G.shape != lat.dims + (4, 2):
-        raise ValueError(f"expected shape {lat.dims + (4, 2)}, got {G.shape}")
+    _check_form(lat, G, (4, 2), "G")
     U = link_phases(cfg) if U is None else U
     out = np.zeros(lat.dims + (2,), dtype=complex)
     for mu in range(4):
@@ -83,8 +82,7 @@ def dirac_adjoint(cfg: Configuration, psi: np.ndarray) -> np.ndarray:
     """Exact adjoint of dirac: D* psi = grad* (sigma_mu^dag psi per direction),
     the directions in one product: (sigma_mu^dag psi)_a = sum_b conj(sigma_mu[b, a]) psi_b."""
     lat = cfg.lattice
-    if psi.shape != lat.dims + (2,):
-        raise ValueError(f"expected shape {lat.dims + (2,)}, got {psi.shape}")
+    _check_form(lat, psi, (2,), "psi")
     G = psi.reshape(-1, 2) @ np.conj(SIGMA).transpose(1, 0, 2).reshape(2, 8)
     return covariant_diff_adjoint(cfg, G.reshape(lat.dims + (4, 2)))
 

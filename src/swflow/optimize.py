@@ -188,7 +188,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     energy, grad_norm = held.energy, g.norm()
     _require_finite(it, energy, grad_norm)
     direction: Gradient | None = None
-    prev_g: Gradient | None = None
+    prev_g = candidate = None  # the last gradient and a conjugate direction, Gradients or None
 
     while True:
         fplus, done = held.fplus, grad_norm <= params.grad_tol or it >= params.max_iters
@@ -209,12 +209,8 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             candidate = Gradient(
                 g.lattice, -g.da + beta * direction.da, -g.dphi + beta * direction.dphi
             )
-            if descent_pairing(g, candidate) < 0.0:
-                direction = candidate
-            else:
-                direction = g.scaled(-1.0)
-        else:
-            direction = g.scaled(-1.0)
+        descends = candidate is not None and descent_pairing(g, candidate) < 0.0
+        direction = candidate if descends else g.scaled(-1.0)
         candidate = prev_g = None  # both dead until the next gradient: not into the search
 
         floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials

@@ -44,9 +44,9 @@ def test_component_built_fields_have_contiguous_components(dims):
 
 
 @pytest.mark.parametrize("refused, message", [
-    (lambda cfg: covariant_diff_adjoint(cfg, np.zeros(cfg.lattice.dims + (4, 1))), "expected shape"),
-    (lambda cfg: dirac_adjoint(cfg, np.zeros(cfg.lattice.dims + (4,))), "expected shape"),
-    (lambda cfg: l2_inner(cfg.lattice, cfg.phi, cfg.phi[..., :1]), "mismatched field shapes"),
+    (lambda cfg: covariant_diff_adjoint(cfg, np.zeros(cfg.lattice.dims + (4, 1))), "G must have shape"),
+    (lambda cfg: dirac_adjoint(cfg, np.zeros(cfg.lattice.dims + (4,))), "psi must have shape"),
+    (lambda cfg: l2_inner(cfg.lattice, cfg.phi, cfg.phi[..., :1]), "v must have shape"),
     (lambda cfg: quadratic_form(cfg.gauge.a), "spinor fiber must have 2 components"),
     (lambda cfg: checks.run_checks("slow"), "level must be fast or full"),
 ], ids=["covariant_diff_adjoint", "dirac_adjoint", "l2_inner", "quadratic_form", "run_checks"])
@@ -72,12 +72,14 @@ def test_registry_fails_on_broken_operators(monkeypatch):
         "quadratic_form": (scaled(quadratic_form), lambda: checks.quadratic_form_norm_identity((), 1, 3)),
         "energy_weitzenbock": (lambda c: functional.energy_weitzenbock(c) + 1e-6 * np.sum(c.gauge.a**2),
                                lambda: checks.energy_gauge_invariance(cfg, 1, 3)),
-        # random fields sit ~2e3 above the true floor here, so the broken floor is the energy + 1
-        "energy_lower_bound": (lambda c: functional.energy_weitzenbock(c) + 1.0,
+        "energy_lower_bound": (lambda c: functional.energy_lower_bound(c) + 1.0,
                                lambda: checks.energy_lower_bound_margin(lat, 1, 3, 2)),
         "curvature": (lambda c: curvature(c) + 1e-3, lambda: checks.flux_quantization(cfg)),
     }
-    for name, (stand_in, measure) in broken.items():
+    # a floor (negative here) raised by a billionth of itself must fail too
+    raised = (lambda c: functional.energy_lower_bound(c) * (1.0 - 1e-9),
+              lambda: checks.energy_lower_bound_margin(lat, 1, 3, 2))
+    for name, (stand_in, measure) in [*broken.items(), ("energy_lower_bound", raised)]:
         assert measure().passed, name
         with monkeypatch.context() as patch:
             patch.setattr(checks, name, stand_in)

@@ -93,6 +93,84 @@ def test_replace_refuses_a_wrongly_shaped_or_non_finite_field_by_name():
                 cfg.replace(**{key: bad})
 
 
+# each field constructor -> (the name it refuses by, the field's fiber, the built field)
+FIELD_CONSTRUCTORS = {
+    "GaugeField.a": ("gauge field", (4,), lambda cfg, u: GaugeField(u, cfg.gauge.flux).a),
+    "GaugeTransform.zeta": ("zeta", (), lambda cfg, u: GaugeTransform(u).zeta),
+    "Configuration.phi": ("spinor field", (2,),
+                          lambda cfg, u: Configuration(cfg.lattice, cfg.gauge, u, cfg.scalar_curvature).phi),
+    "Configuration.s": ("scalar curvature", (),
+                        lambda cfg, u: Configuration(cfg.lattice, cfg.gauge, cfg.phi, u).scalar_curvature),
+    "replace.a": ("gauge field", (4,), lambda cfg, u: cfg.replace(a=u).gauge.a),
+    "replace.phi": ("spinor field", (2,), lambda cfg, u: cfg.replace(phi=u).phi),
+}
+
+
+def one_true_among_floats(shape):
+    """A nested list of 0.5 with one True, which numpy alone would cast to 1.0."""
+    u = np.full(shape, 0.5, dtype=object)
+    u.flat[3] = True
+    return u.tolist()
+
+
+# entries that break the numbers rule, each as a field of the given shape
+NOT_NUMBERS = {
+    "strings": lambda shape: np.full(shape, "0.5"),
+    "booleans": lambda shape: np.ones(shape, dtype=bool),
+    "objects": lambda shape: np.full(shape, 0.5, dtype=object),
+    "one-true-in-a-list": one_true_among_floats,
+    "complex": lambda shape: np.full(shape, 0.5 + 0.5j),
+}
+
+
+@pytest.mark.parametrize("where, entries", [
+    (where, entries) for where in FIELD_CONSTRUCTORS for entries in NOT_NUMBERS
+    if not (entries == "complex" and where.endswith("phi"))  # the one complex field
+])
+def test_field_constructors_refuse_entries_that_are_not_numbers_by_name(where, entries):
+    name, fiber, build = FIELD_CONSTRUCTORS[where]
+    cfg = random_cfg(Lattice((2, 3, 2, 2), 1.0), flux=flux_matrix(f01=1))
+    with pytest.raises(ValueError, match=f"{name} entries must be"):
+        build(cfg, NOT_NUMBERS[entries](cfg.lattice.dims + fiber))
+
+
+@pytest.mark.parametrize("where", FIELD_CONSTRUCTORS)
+def test_field_constructors_take_integers_as_floats(where):
+    name, fiber, build = FIELD_CONSTRUCTORS[where]
+    cfg = random_cfg(Lattice((2, 3, 2, 2), 1.0), flux=flux_matrix(f01=1))
+    ints = np.arange(np.prod(cfg.lattice.dims + fiber)).reshape(cfg.lattice.dims + fiber) % 5 - 2
+    for u in (ints, ints.astype(np.int32), ints.tolist()):
+        field = build(cfg, u)
+        assert field.dtype == (complex if name == "spinor field" else float)
+        assert np.array_equal(field, ints)
+
+
+@pytest.mark.parametrize("key", ["a", "phi_re", "phi_im", "s"])
+def test_load_refuses_field_entries_that_are_not_numbers_by_key(tmp_path, key):
+    save_configuration(random_cfg(Lattice((2, 3, 2, 2), 1.0)), tmp_path / "good.json")
+    doc = json.loads((tmp_path / "good.json").read_text())
+    bad = tmp_path / "bad.json"
+    # JSON holds no complex numbers and no object arrays: the other three kinds
+    for entries in ("strings", "booleans", "one-true-in-a-list"):
+        value = NOT_NUMBERS[entries]((len(doc[key]),))
+        bad.write_text(json.dumps(dict(doc, **{key: value if isinstance(value, list) else value.tolist()})))
+        with pytest.raises(ValueError, match=f": {key} entries must be real numbers"):
+            load_configuration(bad)
+
+
+def test_load_reads_integer_entries_as_the_floats_they_equal(tmp_path):
+    save_configuration(random_cfg(Lattice((2, 3, 2, 2), 1.0)), tmp_path / "good.json")
+    doc = json.loads((tmp_path / "good.json").read_text())
+    keys = ("a", "phi_re", "phi_im", "s")
+    for name, entry in (("ints", round), ("floats", lambda v: float(round(v)))):
+        rounded = {k: list(map(entry, doc[k])) for k in keys}
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(doc, **rounded)))
+    ints, floats = load_configuration(tmp_path / "ints.json"), load_configuration(tmp_path / "floats.json")
+    for got, want in ((ints.gauge.a, floats.gauge.a), (ints.phi, floats.phi),
+                      (ints.scalar_curvature, floats.scalar_curvature)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_replace_carries_the_validated_flux_s_and_seed_over_without_revalidating(monkeypatch):
     cfg = random_cfg(Lattice((2, 3, 2, 2), 1.0), seed=11, flux=flux_matrix(f01=1, f23=-2))
     calls = []

@@ -12,7 +12,7 @@ form and the two-step fix swflow first shipped; `swflow run` exits 0, or 2 with 
 configs (always 2 for a string or bool spacing or amplitude), never with a
 traceback; and `swflow gaugefix` exits 0, 1, or 2 with "cannot read
 configuration", on saved configurations with one key replaced by a wrong
-value, never with a traceback."""
+value (always 2 for a string or bool among a field's entries), never with a traceback."""
 
 import contextlib
 import io
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
@@ -379,21 +379,31 @@ def test_run_config_fuzz_exits_cleanly(tmp_path_factory, config):
 WRONG_ENTRY = (st.none() | st.booleans() | st.text(max_size=3)
                | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
                | st.lists(st.floats(-1.0, 1.0), max_size=2) | st.sampled_from([2**64, 10**400]))
-WRONG_SAVED = WRONG_ENTRY | st.tuples(st.lists(WRONG_ENTRY, min_size=1, max_size=3), st.booleans())
+# a wrong entry alone, or a list of them: short, repeated to the key's full length, or
+# spliced in place of the first saved entries
+WRONG_SAVED = WRONG_ENTRY | st.tuples(st.lists(WRONG_ENTRY, min_size=1, max_size=3),
+                                      st.sampled_from(["short", "full", "spliced"]))
+FIELD_KEYS = ("a", "phi_re", "phi_im", "s")
 
 
 @settings(max_examples=150, deadline=None)
 @given(key=st.sampled_from(["version", "dims", "spacing", "flux", "a", "phi_re", "phi_im", "s", "seed"]),
        wrong=WRONG_SAVED)
+# numeric strings, all false, and one true among the saved floats: each once loaded as numbers
+@example(key="a", wrong=(["0.5"], "full"))
+@example(key="s", wrong=(["-1"], "full"))
+@example(key="phi_re", wrong=([False], "full"))
+@example(key="a", wrong=([True], "spliced"))
 def test_gaugefix_on_malformed_saved_configuration_exits_cleanly(tmp_path_factory, key, wrong):
     workdir = tmp_path_factory.mktemp("fuzz")
     save_configuration(random_configuration(Lattice((2, 2, 2, 2), 1.0), 4, (0.4, 0.8)),
                        workdir / "valid.json")
     doc = json.loads((workdir / "valid.json").read_text())
     if isinstance(wrong, tuple):
-        entries, full_length = wrong
-        n = len(doc[key]) if full_length and isinstance(doc[key], list) else len(entries)
-        wrong = (entries * n)[:n]
+        entries, length = wrong
+        saved = doc[key] if isinstance(doc[key], list) else []
+        n = len(saved) if length == "full" and saved else len(entries)
+        wrong = entries + saved[len(entries):] if length == "spliced" else (entries * n)[:n]
     doc[key] = wrong
     (workdir / "in.json").write_text(json.dumps(doc))
     err = io.StringIO()
@@ -401,5 +411,9 @@ def test_gaugefix_on_malformed_saved_configuration_exits_cleanly(tmp_path_factor
             np.errstate(all="ignore"):
         code = main(["gaugefix", str(workdir / "in.json"), str(workdir / "out.json")])
     assert code in (0, 1, 2), err.getvalue()
+    # a field entry that is a string or a bool is never a number, wherever it sits
+    entries = wrong if isinstance(wrong, list) else [wrong]
+    if key in FIELD_KEYS and any(isinstance(v, (str, bool)) for v in entries):
+        assert code == 2, err.getvalue()
     if code == 2:
         assert "cannot read configuration" in err.getvalue()
