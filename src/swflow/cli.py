@@ -5,17 +5,18 @@ Subcommands:
   swflow check [--level fast|full] [--json]  run the invariant suite
   swflow gaugefix <in> <out>       normalize a saved configuration
 
-The run config is a JSON object with keys: dims (four ints), spacing,
-flux (4x4 antisymmetric integer matrix, optional), scalar_curvature
-(number, "constant:<v>", or "bump:<v>,<radius>"), seed, amplitudes
-({"a": .., "phi": ..}), minimize (MinimizeParams fields, all optional),
-output_dir. Outputs: history.csv, final.json, summary.json.
+The run config is a JSON object: dims (four ints) and spacing, both required;
+flux (4x4 antisymmetric integer matrix), scalar_curvature (a number or
+"bump:<v>,<radius>"), seed, amplitudes ({"a": .., "phi": ..}, both required),
+minimize (MinimizeParams fields, all optional), output_dir. _require_keys
+refuses each section by key. Outputs: history.csv, final.json, summary.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -30,10 +31,11 @@ from .fields import (
 )
 from .functional import energy_weitzenbock
 from .gaugefix import full_gauge_fix
-from .lattice import Lattice
+from .lattice import Lattice, require_real
 from .optimize import MinimizeParams, Trajectory, minimize
 
 RUN_KEYS = ("dims", "spacing", "flux", "scalar_curvature", "seed", "amplitudes", "minimize", "output_dir")
+MINIMIZE_KEYS = tuple(f.name for f in dataclasses.fields(MinimizeParams))
 
 HISTORY_COLUMNS = (
     "iter",
@@ -49,17 +51,15 @@ HISTORY_COLUMNS = (
 def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
     """Expand a curvature spec into a site field.
 
-    Accepts a bare number (constant field), "constant:<v>", or
-    "bump:<v>,<radius>": a Gaussian bump of height v and width radius
+    Accepts a bare number (constant field) or "bump:<v>,<radius>": a
+    Gaussian bump of height v and width radius
     (physical units) centered in the box, s(x) = v exp(-d(x, center)^2 / radius^2)
     with periodic distance.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value) * np.ones(lat.dims)
+        return require_real(value, "scalar_curvature") * np.ones(lat.dims)
     if not isinstance(value, str):
         raise ValueError(f"scalar_curvature must be a number or profile string, got {value!r}")
-    if value.startswith("constant:"):
-        return float(value[len("constant:"):]) * np.ones(lat.dims)
     if value.startswith("bump:"):
         try:
             height_s, radius_s = value[len("bump:"):].split(",")
@@ -77,31 +77,31 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
             shape[mu] = n
             dist2 = dist2 + (delta**2).reshape(shape)
         return height * np.exp(-dist2 / radius**2)
-    raise ValueError(f"unknown scalar_curvature profile {value!r}")
+    raise ValueError(f"unknown scalar_curvature profile {value!r}; expected a number or 'bump:<v>,<radius>'")
 
 
-def _require_keys(obj, known: tuple, where: str):
-    """Refuse a non-object or a key outside known, so a misspelt key is not silently ignored."""
+def _require_keys(obj, known: tuple, where: str, required: tuple = ()):
+    """obj if an object with no key outside known and every key of required; each refusal names its key."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}; expected some of {', '.join(known)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{where} key {missing[0]!r} is required")
+    return obj
 
 
 def _build_run(config: dict):
-    _require_keys(config, RUN_KEYS, "config")
-    lat = Lattice(tuple(config["dims"]), config["spacing"])
+    _require_keys(config, RUN_KEYS, "config", ("dims", "spacing"))
+    lat = Lattice(config["dims"], config["spacing"])
     amplitudes = config.get("amplitudes", {"a": 0.0, "phi": 0.0})
-    _require_keys(amplitudes, ("a", "phi"), "amplitudes")
-    cfg = random_configuration(
-        lat,
-        config.get("seed", 0),
-        (amplitudes["a"], amplitudes["phi"]),
-        flux=config.get("flux"),
-        scalar_curvature=parse_scalar_curvature(config.get("scalar_curvature", 0.0), lat),
-    )
-    params = MinimizeParams(**config.get("minimize", {}))
+    _require_keys(amplitudes, ("a", "phi"), "amplitudes", ("a", "phi"))
+    s = parse_scalar_curvature(config.get("scalar_curvature", 0.0), lat)
+    cfg = random_configuration(lat, config.get("seed", 0), (amplitudes["a"], amplitudes["phi"]),
+                               flux=config.get("flux"), scalar_curvature=s)
+    params = MinimizeParams(**_require_keys(config.get("minimize", {}), MINIMIZE_KEYS, "minimize"))
     out_dir = config.get("output_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:  # "" would fail only after the solve
         raise ValueError(f"output_dir must be a nonempty string, got {out_dir!r}")

@@ -85,7 +85,7 @@ class GaugeField:
 
 @dataclass(frozen=True)
 class GaugeTransform:
-    """g(x) = exp(i (zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu)); apply_gauge checks zeta's shape."""
+    """g(x) = exp(i (zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu)); transform_angle checks zeta's shape."""
 
     zeta: np.ndarray
     winding: tuple[int, int, int, int] = (0, 0, 0, 0)
@@ -141,7 +141,8 @@ class Configuration:
 
 
 def transform_angle(lat: Lattice, g: GaugeTransform) -> np.ndarray:
-    """Unwrapped angle theta(x) = zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu."""
+    """Unwrapped angle theta(x) = zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu, zeta a site field on lat."""
+    _check_form(lat, g.zeta, (), "zeta")
     theta = g.zeta.copy()
     if any(g.winding):  # no coordinate grid for the Coulomb step's pure phase
         x = np.indices(lat.dims)
@@ -159,12 +160,12 @@ def apply_gauge(g: GaugeTransform, cfg: Configuration) -> Configuration:
     direction mu, which is added directly so a stays smooth and periodic.
     """
     lat = cfg.lattice
-    _check_form(lat, g.zeta, (), "zeta")
+    theta = transform_angle(lat, g)  # checks zeta's shape before d0 reads it
     a_new = cfg.gauge.a + d0(lat, g.zeta)
     for mu in range(4):
         if g.winding[mu]:
             a_new[..., mu] += 2.0 * np.pi * g.winding[mu] / (lat.dims[mu] * lat.spacing)
-    phase = np.exp(-1j * transform_angle(lat, g))
+    phase = np.exp(-1j * theta)
     phi_new = phase[..., None] * cfg.phi
     return cfg.replace(a=a_new, phi=phi_new)
 
@@ -331,11 +332,8 @@ def load_configuration(path) -> Configuration:
     missing = {"dims", "spacing", "flux", "a", "phi_re", "phi_im", "s"} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    dims = doc["dims"]
     try:
-        if not isinstance(dims, list):
-            raise ValueError(f"dims must be a list, got {dims!r}")
-        lat = Lattice(tuple(dims), doc["spacing"])
+        lat = Lattice(doc["dims"], doc["spacing"])
         a = _unflatten_site_major(doc["a"], lat.dims + (4,), "a")
         # set the parts directly: re + 1j * im would turn an imaginary -0.0 into +0.0
         phi = _unflatten_site_major(doc["phi_re"], lat.dims + (2,), "phi_re").astype(complex)

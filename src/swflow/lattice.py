@@ -48,6 +48,8 @@ class Lattice:
     spacing: float
 
     def __post_init__(self):
+        if not isinstance(self.dims, (tuple, list)):
+            raise ValueError(f"dims must be a sequence of four integers, got {self.dims!r}")
         dims = tuple(require_int(n, "dims entry") for n in self.dims)
         if len(dims) != 4 or any(n < 2 for n in dims):
             raise ValueError(f"dims must be four integers >= 2, got {self.dims}")

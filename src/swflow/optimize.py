@@ -28,6 +28,7 @@ backtracks, but -inf passes it, so _require_finite judges each accepted iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,30 +50,29 @@ class LineSearchFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeParams:
+    """The settable run parameters. The line search's constants armijo_c, backtrack and
+    initial_step are class attributes no run sets (c1 = 1e-4, halving from t = 1)."""
+
+    armijo_c: ClassVar[float] = 1e-4
+    backtrack: ClassVar[float] = 0.5
+    initial_step: ClassVar[float] = 1.0
     max_iters: int = 200
     grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
     method: str = "descent"
     gaugefix_every: int = 10
     record_every: int = 1
 
     def __post_init__(self):
         # gaugefix_every 0 disables the periodic refix
-        floors = {"max_iters": 0, "gaugefix_every": 0, "record_every": 1}
-        for name, low in floors.items():
+        for name, low in {"max_iters": 0, "gaugefix_every": 0, "record_every": 1}.items():
             value = require_int(getattr(self, name), name)
             if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
             object.__setattr__(self, name, value)
-        # real numbers only: a string, or an int no double holds, fails here and not mid-run
-        bounds = {"grad_tol": np.inf, "armijo_c": 1, "backtrack": 1, "initial_step": np.inf}
-        for name, high in bounds.items():
-            value = require_real(getattr(self, name), name)
-            if not 0 < value < high:
-                raise ValueError(f"{name} must be a number in (0, {high})")
-            object.__setattr__(self, name, value)
+        # a real number only: a string, or an int no double holds, fails here and not mid-run
+        object.__setattr__(self, "grad_tol", require_real(self.grad_tol, "grad_tol"))
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be a number in (0, inf)")
         if self.method not in ("descent", "conjugate"):
             raise ValueError(f"method must be descent or conjugate, got {self.method!r}")
 

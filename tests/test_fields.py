@@ -248,6 +248,17 @@ def test_transform_angle_matches_definition():
     assert transform_angle(lat, g) == pytest.approx(want)
 
 
+@pytest.mark.parametrize("zeta_shape", [(2, 2, 2, 2), (5,)], ids=["other-lattice", "flat"])
+def test_transform_angle_refuses_a_zeta_off_the_lattice(zeta_shape):
+    # both used to return an angle of zeta's own shape, silently
+    lat = Lattice((3, 3, 3, 3), 1.0)
+    g = GaugeTransform(np.zeros(zeta_shape), (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="zeta"):
+        transform_angle(lat, g)
+    with pytest.raises(ValueError, match="zeta"):
+        apply_gauge(g, random_cfg(lat))
+
+
 def test_lattice_mismatch_rejected():
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = random_cfg(lat)

@@ -58,7 +58,12 @@ def test_lattice_validation():
     for dims in ((2, 2, 2, 2.9), (2, 2, 2, 2.0), ("2", 2, 2, 2), (2, True, 2, 2)):
         with pytest.raises(ValueError, match="integer"):
             Lattice(dims, 1.0)
+    # a dims that is not a sequence is refused by name, not iterated or left to a TypeError
+    for dims in (3, "2222", {2: 2, 3: 3, 4: 4, 5: 5}, None):
+        with pytest.raises(ValueError, match="dims must be a sequence"):
+            Lattice(dims, 1.0)
     assert Lattice(tuple(np.array([2, 3, 2, 2])), 1.0).dims == (2, 3, 2, 2)
+    assert Lattice([2, 3, 2, 2], 1.0).dims == (2, 3, 2, 2)
     lat = Lattice((2, 3, 4, 5), 0.5)
     assert lat.nsites == 120
     assert lat.lengths == (1.0, 1.5, 2.0, 2.5)

@@ -1,6 +1,6 @@
 """Line search, descent loop, and trajectory diagnostics."""
 
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, fields
 
 import numpy as np
 import pytest
@@ -54,10 +54,6 @@ def negative_curvature_run():
     [
         dict(max_iters=-1),
         dict(grad_tol=0.0),
-        dict(armijo_c=0.0),
-        dict(armijo_c=1.0),
-        dict(backtrack=1.0),
-        dict(initial_step=0.0),
         dict(method="newton"),
         dict(gaugefix_every=-2),
         dict(record_every=0),
@@ -68,14 +64,23 @@ def negative_curvature_run():
         dict(record_every=1.5),
         dict(record_every="2"),
         dict(grad_tol="1e-4"),
-        dict(initial_step=True),
-        dict(backtrack=float("nan")),
-        dict(initial_step=10**400),
     ],
 )
 def test_params_validation(bad):
     with pytest.raises(ValueError):
         MinimizeParams(**bad)
+
+
+def test_line_search_constants_are_fixed_class_attributes():
+    assert [f.name for f in fields(MinimizeParams)] == [
+        "max_iters", "grad_tol", "method", "gaugefix_every", "record_every"]
+    params = MinimizeParams()
+    assert (params.armijo_c, params.backtrack, params.initial_step) == (1e-4, 0.5, 1.0)
+    for name in ("armijo_c", "backtrack", "initial_step"):
+        with pytest.raises(TypeError):
+            MinimizeParams(**{name: 1.0})
+        with pytest.raises(FrozenInstanceError):
+            setattr(params, name, 1.0)
 
 
 def test_params_accept_numpy_integers():
@@ -96,9 +101,9 @@ def test_zero_configuration_is_already_converged():
 def test_line_search_accepts_initial_step_in_quadratic_regime():
     lat = Lattice((3, 3, 3, 3), 1.0)
     cfg = constant_s(random_configuration(lat, 13, (1e-3, 1e-3)), 1.0)
-    params = MinimizeParams(initial_step=0.01)
-    step, trial = line_search(cfg, gradient(cfg).scaled(-1.0), params)
-    assert step == params.initial_step
+    # the direction carries the small first step, as a step of 0.01 would
+    step, trial = line_search(cfg, gradient(cfg).scaled(-0.01), MinimizeParams())
+    assert step == MinimizeParams.initial_step
     assert energy_weitzenbock(trial.cfg) < energy_weitzenbock(cfg)
 
 
@@ -139,17 +144,17 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
 
 def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
     cfg = constant_s(random_configuration(Lattice((3, 3, 3, 3), 0.8), 19, (1.5, 2.0)), -1.0)
-    direction = gradient(cfg).scaled(-1.0)
+    direction = gradient(cfg).scaled(-64.0)  # 2^6: the trials of a first step of 64, bit for bit
     evaluated, curved = [], []
     evaluate, curvature = swflow.functional._evaluate, swflow.functional.curvature
     counted = lambda c: evaluated.append(c) or evaluate(c)  # noqa: E731
     for module in (swflow.functional, swflow.optimize):
         monkeypatch.setattr(module, "_evaluate", counted)
     monkeypatch.setattr(swflow.functional, "curvature", lambda c: curved.append(c) or curvature(c))
-    t, trial = line_search(cfg, direction, MinimizeParams(initial_step=64.0))
+    t, trial = line_search(cfg, direction, MinimizeParams())
     assert sum(c is cfg for c in evaluated) == 1
     assert sum(c is cfg for c in curved) == 1  # the floor reads F+ from that evaluation
-    assert t < 64.0 and trial.cfg is evaluated[-1]  # the counted calls include the trials
+    assert t < 1.0 and trial.cfg is evaluated[-1]  # the counted calls include the trials
 
 
 def mixed_flux_cfg(dims=(3, 4, 2, 5)):
@@ -168,12 +173,12 @@ def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
 
 def test_line_search_does_not_revalidate_the_flux(monkeypatch):
     cfg = mixed_flux_cfg()
-    direction = gradient(cfg).scaled(-1.0)
+    direction = gradient(cfg).scaled(-64.0)  # 2^6: the trials of a first step of 64, bit for bit
     calls = []
     validate = swflow.fields.check_flux_matrix
     monkeypatch.setattr(swflow.fields, "check_flux_matrix", lambda f: calls.append(1) or validate(f))
-    step = line_search(cfg, direction, MinimizeParams(initial_step=64.0))
-    assert step[0] < 64.0  # several trials were rejected before this one
+    step = line_search(cfg, direction, MinimizeParams())
+    assert step[0] < 1.0  # several trials were rejected before this one
     assert calls == []
 
 
@@ -237,8 +242,8 @@ def test_minimize_is_byte_identical_with_shift_as_np_roll(monkeypatch):
 def test_minimize_with_a_never_skipping_floor_is_identical(monkeypatch):
     lat = Lattice((2, 3, 2, 5), 1.1)
     cfg = constant_s(random_configuration(lat, 41, (0.8, 2.0), flux=flux_matrix(f02=2)), -2.0)
-    params = MinimizeParams(max_iters=80, grad_tol=1e-12, initial_step=16.0, method="conjugate",
-                            gaugefix_every=5, record_every=2)
+    monkeypatch.setattr(MinimizeParams, "initial_step", 16.0)  # long first steps: many trials skipped
+    params = MinimizeParams(max_iters=80, grad_tol=1e-12, method="conjugate", gaugefix_every=5, record_every=2)
     skipping = minimize(cfg, params)
     _never_skipping(monkeypatch)
     _assert_same_run(skipping, minimize(cfg, params))
@@ -318,10 +323,11 @@ def test_line_search_failure_after_exhausted_backtracks():
     assert 0.5**MAX_BACKTRACKS * 1e300 > 1e200
 
 
-def test_minimize_records_line_search_failure_without_crashing():
+def test_minimize_records_line_search_failure_without_crashing(monkeypatch):
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = random_configuration(lat, 29, (0.5, 0.5))
-    traj = minimize(cfg, MinimizeParams(initial_step=1e300))
+    monkeypatch.setattr(MinimizeParams, "initial_step", 1e300)  # every trial overflows
+    traj = minimize(cfg, MinimizeParams())
     assert traj.reason == "line_search_failure"
     assert len(traj.records) == 1
     assert np.array_equal(traj.final.gauge.a, cfg.gauge.a)
