@@ -67,7 +67,6 @@ from .optimize import (
     PSDiagnostics,
     Trajectory,
     TrajectoryRecord,
-    descent_pairing,
     line_search,
     minimize,
     ps_diagnostics,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .clifford import SIGMA, quadratic_form
 from .fields import Configuration, GaugeField, GaugeTransform, apply_gauge, random_configuration
-from .functional import energy_first_order, energy_lower_bound, energy_weitzenbock, gradient
+from .functional import Gradient, energy_first_order, energy_lower_bound, energy_weitzenbock, gradient
 from .gaugefix import full_gauge_fix, hodge_constants
 from .lattice import (
     PLANES, Lattice, codiff1, codiff2, d0, d1, l2_inner, l2_norm, sobolev12_norm,
@@ -170,29 +170,25 @@ def gradient_matches_finite_differences(cfg: Configuration, seed: int, draws: in
 
     Each draw perturbs one coordinate (an a entry, or the real or imaginary
     part of a spinor entry) by +-step and compares the difference quotient of
-    energy_weitzenbock with the pairing value of gradient; a draw where both
+    energy_weitzenbock with gradient(cfg).dot(unit), unit the draw's one-hot
+    tangent: the pairing the line search's Armijo test reads. A draw where both
     are below 1e-10 (1 + |E|) counts as error 0 rather than 0/0.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     lat, rng = cfg.lattice, np.random.default_rng(seed)
-    base, grad, h4 = energy_weitzenbock(cfg), gradient(cfg), lat.spacing**4
+    base, grad = energy_weitzenbock(cfg), gradient(cfg)
 
     def error(_):
         kind = int(rng.integers(0, 3))
         site = tuple(int(rng.integers(0, n)) for n in lat.dims)
         idx = site + (int(rng.integers(0, 4 if kind == 0 else 2)),)
-        unit = (1.0, 1.0, 1j)[kind]
-        if kind == 0:
-            pair = h4 * float(grad.da[idx])
-        else:
-            val = grad.dphi[idx]
-            pair = 2.0 * h4 * float(val.real if kind == 1 else val.imag)
+        unit = Gradient(lat, np.zeros_like(cfg.gauge.a), np.zeros_like(cfg.phi))
+        (unit.da if kind == 0 else unit.dphi)[idx] = (1.0, 1.0, 1j)[kind]
+        pair = grad.dot(unit)
 
         def bump(eps):
-            a2, p2 = cfg.gauge.a.copy(), cfg.phi.copy()
-            (a2 if kind == 0 else p2)[idx] += eps * unit
-            return cfg.replace(a=a2, phi=p2)
+            return cfg.replace(a=cfg.gauge.a + eps * unit.da, phi=cfg.phi + eps * unit.dphi)
 
         fd = (energy_weitzenbock(bump(step)) - energy_weitzenbock(bump(-step))) / (2.0 * step)
         scale = max(abs(fd), abs(pair))

@@ -9,7 +9,8 @@ continuum identity); the deliberate redundancy cross-validates both.
 
 The gradient is exact for energy_weitzenbock under the real pairing
 <<(da, dphi), (delta_a, delta_phi)>> = <da, delta_a> + 2 Re <dphi, delta_phi>,
-verified against central differences by the registry measure
+whose one copy Gradient.dot owns (Gradient is the tangent type of every
+solver), verified against central differences by the registry measure
 checks.gradient_matches_finite_differences.
 
 energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
@@ -67,6 +68,7 @@ from .lattice import (
     codiff2,
     d1,
     fiber_norm,
+    l2_inner,
     selfdual_project,
     sobolev12_norm,
 )
@@ -82,22 +84,28 @@ from .operators import (
 
 @dataclass(frozen=True)
 class Gradient:
-    """Cotangent pair (da, dphi) under the fixed real pairing."""
+    """Tangent pair (da, dphi) under the fixed real pairing, which dot owns."""
 
     lattice: Lattice
     da: np.ndarray
     dphi: np.ndarray
 
-    def norm(self) -> float:
-        """sqrt(|da|^2 + 2 |dphi|^2), the norm dual to the pairing."""
-        h4 = self.lattice.spacing**4
-        return float(
-            np.sqrt(
-                h4 * (np.sum(self.da**2) + 2.0 * np.sum(np.abs(self.dphi) ** 2))
-            )
-        )
+    def dot(self, other: "Gradient") -> float:
+        """<da, other.da> + 2 Re <dphi, other.dphi>: at a gradient, the directional derivative."""
+        lat = self.lattice
+        return float(np.real(l2_inner(lat, self.da, other.da))
+                     + 2.0 * np.real(l2_inner(lat, self.dphi, other.dphi)))
 
-    def scaled(self, factor: float) -> "Gradient":
+    def norm(self) -> float:
+        """sqrt(|da|^2 + 2 |dphi|^2), the norm dual to the pairing. Its own sum, as
+        |z|^2 and z conj(z) round apart: sqrt(self.dot(self)) agrees to rounding only."""
+        h4 = self.lattice.spacing**4
+        return float(np.sqrt(h4 * (np.sum(self.da**2) + 2.0 * np.sum(np.abs(self.dphi) ** 2))))
+
+    def __sub__(self, other: "Gradient") -> "Gradient":
+        return Gradient(self.lattice, self.da - other.da, self.dphi - other.dphi)
+
+    def __rmul__(self, factor: float) -> "Gradient":
         return Gradient(self.lattice, factor * self.da, factor * self.dphi)
 
 
@@ -136,7 +144,7 @@ class _Evaluation:
 
 def _evaluate(cfg: Configuration) -> _Evaluation:
     h4 = cfg.lattice.spacing**4
-    phi2 = np.sum(np.abs(cfg.phi) ** 2, axis=-1)
+    phi2 = np.add(*np.moveaxis(np.abs(cfg.phi) ** 2, -1, 0))  # as pair below: numpy's sum of two
     sterm, quart = 0.25 * cfg.scalar_curvature * phi2, 0.125 * phi2**2
     fplus = selfdual_project(curvature(cfg))
     f2 = sum((fplus[..., i] ** 2 for i in range(1, 6)), fplus[..., 0] ** 2)  # numpy's order of 6

@@ -15,6 +15,7 @@ translate (shift) is one gather through a cached read-only index.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class Lattice:
         dims = tuple(require_int(n, "dims entry") for n in self.dims)
         if len(dims) != 4 or any(n < 2 for n in dims):
             raise ValueError(f"dims must be four integers >= 2, got {self.dims}")
+        if 128 * math.prod(dims) > np.iinfo(np.intp).max:  # grad phi's 4 x 2 complex a site
+            raise ValueError(f"dims {dims} hold more sites than an array can address")
         h = require_real(self.spacing, "spacing")
         with np.errstate(all="ignore"):  # h^4 weighs every sum: it and 1/h^4 must be finite, nonzero
             if not all(0 < p < np.inf for p in h ** np.array([1.0, 4.0, -4.0])):

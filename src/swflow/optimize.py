@@ -1,24 +1,25 @@
 """Energy minimization: Armijo backtracking descent with optional conjugate
 directions, periodic gauge re-fixing, and trajectory diagnostics.
 
-Directions live in the same (da, dphi) cotangent shape as the gradient, and
-descent is measured by the pairing <g, d> = <g.da, d.da> + 2 Re<g.dphi, d.dphi>
-under which the gradient is exact. The recorded trajectory carries the
+Directions are Gradients, the (da, dphi) tangent type, and descent is
+measured by its pairing g.dot(d) = <g.da, d.da> + 2 Re<g.dphi, d.dphi> under
+which the gradient is exact. The recorded trajectory carries the
 per-iterate quantities the convergence theory is about: energy, gradient
 norm, sup|phi|, the excess diagnostics of the maximum principle, and the
 gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
 
-Each line search starts from (g, e0, floor) of its iterate, which the loop
-holds (a direct call builds all three from one evaluation). The floor sums the
-step polynomial of the energy without |grad phi|^2 from the F+ of that
-evaluation, which is then dropped, and the search skips, unbuilt, each trial
-whose polynomial less a rounding margin exceeds e0 + c t <g, d>: its computed
-energy would too, so trajectories are bit-identical to full evaluation (derived
-in functional). The search returns (t, evaluation) of the accepted trial; the
-next gradient and each record read grad phi from that evaluation instead of
-rebuilding it (only the record after a line-search failure rebuilds), and
-the loop keeps the last recorded iterate's normal form for the next record.
+Each line search starts from (e0, slope, floor) of its iterate, which the loop
+holds, slope = g.dot(d) being its one pairing with the direction (a direct call
+builds all three from one evaluation). The floor sums the step polynomial of
+the energy without |grad phi|^2 from the F+ of that evaluation, which is then
+dropped, and the search skips, unbuilt, each trial whose polynomial less a
+rounding margin exceeds e0 + c t slope: its computed energy would too, so
+trajectories are bit-identical to full evaluation (derived in functional).
+The search returns (t, evaluation) of the accepted trial; the next gradient
+and each record read grad phi from that evaluation instead of rebuilding it
+(only the record after a line-search failure rebuilds), and the loop keeps
+the last recorded iterate's normal form for the next record.
 
 minimize and line_search each run under one numpy error policy, overflow and
 invalid ignored: an overflowing trial's NaN or +inf fails the Armijo test and
@@ -35,7 +36,7 @@ import numpy as np
 from .fields import Configuration
 from .functional import Gradient, _evaluate, _line_floor, excess_report, gradient
 from .gaugefix import _normal_form_distance, full_gauge_fix
-from .lattice import l2_inner, linf_norm, require_int, require_real
+from .lattice import linf_norm, require_int, require_real
 
 MAX_BACKTRACKS = 60
 
@@ -103,38 +104,29 @@ class Trajectory:
     reason: str
 
 
-def descent_pairing(g: Gradient, direction: Gradient) -> float:
-    """Directional derivative of the energy along direction, at gradient g."""
-    lat = g.lattice
-    pair_a = l2_inner(lat, g.da, direction.da)
-    pair_phi = l2_inner(lat, g.dphi, direction.dphi)
-    return float(np.real(pair_a) + 2.0 * np.real(pair_phi))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams, start=None):
     """Backtrack from initial_step until the Armijo inequality holds, under the
     search's one error policy (module docstring).
 
-    Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t <g, d>
+    Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t slope
     and returns (t, evaluation): evaluation.cfg is the trial, evaluation.energy
     its energy, and evaluation.gradient() its gradient. start, when the caller
-    holds it, is (gradient(cfg), energy_weitzenbock(cfg), _line_floor(cfg,
-    direction, F+ of cfg's evaluation)); otherwise one evaluation of cfg gives all three.
-    Raises NonDescentDirectionError if <g, d> >= 0 (zero direction included)
-    and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
+    holds it, is (energy_weitzenbock(cfg), slope = gradient(cfg).dot(direction),
+    _line_floor(cfg, direction, F+ of cfg's evaluation)); otherwise one evaluation
+    of cfg gives all three. Raises NonDescentDirectionError if slope >= 0 (zero
+    direction included) and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
     """
     if start is None:
         ev = _evaluate(cfg)
-        start = ev.gradient(), ev.energy, _line_floor(cfg, direction, ev.fplus)
+        start = ev.energy, ev.gradient().dot(direction), _line_floor(cfg, direction, ev.fplus)
         del ev  # cfg's pieces must not outlive into the trials
-    g, e0, floor = start
-    pair = descent_pairing(g, direction)
-    if not pair < 0.0:
-        raise NonDescentDirectionError(f"direction pairing {pair:.3e} is not negative")
+    e0, slope, floor = start
+    if not slope < 0.0:
+        raise NonDescentDirectionError(f"direction pairing {slope:.3e} is not negative")
     t = params.initial_step
     for _ in range(MAX_BACKTRACKS + 1):
-        thr = e0 + params.armijo_c * t * pair
+        thr = e0 + params.armijo_c * t * slope
         if not floor(t) > thr:
             ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
             if ev.energy <= thr:
@@ -187,8 +179,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     held = _evaluate(cfg)  # its pieces feed record 0 and the first line search
     energy, grad_norm = held.energy, g.norm()
     _require_finite(it, energy, grad_norm)
-    direction: Gradient | None = None
-    prev_g = candidate = None  # the last gradient and a conjugate direction, Gradients or None
+    direction = prev_g = None  # the last direction and gradient, Gradients or None
 
     while True:
         fplus, done = held.fplus, grad_norm <= params.grad_tol or it >= params.max_iters
@@ -203,19 +194,19 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
             reason = "converged" if grad_norm <= params.grad_tol else "max_iters"
             break
 
+        slope = 0.0
         if params.method == "conjugate" and direction is not None:
-            beta = max(0.0, descent_pairing(g, Gradient(
-                g.lattice, g.da - prev_g.da, g.dphi - prev_g.dphi)) / prev_norm**2)
-            candidate = Gradient(
-                g.lattice, -g.da + beta * direction.da, -g.dphi + beta * direction.dphi
-            )
-        descends = candidate is not None and descent_pairing(g, candidate) < 0.0
-        direction = candidate if descends else g.scaled(-1.0)
-        candidate = prev_g = None  # both dead until the next gradient: not into the search
+            beta = max(0.0, g.dot(g - prev_g) / prev_norm**2)
+            direction = beta * direction - g
+            slope = g.dot(direction)
+        if not slope < 0.0:  # the update lost descent (or there was none)
+            direction = -1.0 * g
+            slope = g.dot(direction)
+        prev_g = None  # dead until the next gradient: not into the search
 
         floor, fplus = _line_floor(cfg, direction, fplus), None  # else F+ outlives into the trials
         try:
-            held = line_search(cfg, direction, params, (g, energy, floor))[1]
+            held = line_search(cfg, direction, params, (energy, slope, floor))[1]
         except LineSearchFailure:
             reason = "line_search_failure"
             if it % params.record_every:  # the final iterate's evaluation is gone: rebuild

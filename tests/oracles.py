@@ -1,6 +1,7 @@
 """Reference formulas the tests hold swflow to, written from their definitions,
-the two-step gauge fix swflow first shipped, the tracemalloc measure the
-memory tests read, and the builders every test takes its inputs from.
+the two-step gauge fix and the descent pairing swflow first shipped, the
+tracemalloc measure the memory tests read, and the builders every test takes
+its inputs from.
 
 Each random draw comes from a seed the calling test names, never from a
 generator shared across tests, so a test runs on the same inputs alone,
@@ -106,6 +107,15 @@ def sobolev12_norm(lat, u):
         g[mu] = (np.roll(u, -1, axis=mu) - u) / lat.spacing
     n2 = np.sum(np.abs(u) ** 2) + np.sum(np.abs(g) ** 2)
     return float(np.sqrt(n2 * lat.spacing**4))
+
+
+def pairing(g, d):
+    """<g.da, d.da> + 2 Re <g.dphi, d.dphi>, h^4-weighted: the descent pairing
+    swflow first shipped in optimize, spelled out in numpy."""
+    h4 = g.lattice.spacing**4
+    pair_a = float(np.sum(g.da * d.da) * h4)
+    pair_phi = complex(np.sum(g.dphi * np.conj(d.dphi)) * h4)
+    return float(np.real(pair_a) + 2.0 * np.real(pair_phi))
 
 
 def traced_peak(fn, *args):

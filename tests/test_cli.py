@@ -148,6 +148,9 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     pytest.param(dict(dims=DROP), "config key 'dims' is required", id="no-dims"),
     pytest.param(dict(spacing=DROP), "config key 'spacing' is required", id="no-spacing"),
     pytest.param(dict(dims=3), "dims must be a sequence", id="dims-not-a-sequence"),
+    # numpy's "Maximum allowed dimension exceeded", or an overflowing site count
+    pytest.param(dict(dims=[10**23, 2, 2, 2]), "dims (100000000000000000000000, 2, 2, 2)", id="dims-10e23"),
+    pytest.param(dict(dims=[2**31, 2**31, 2, 2]), "dims (2147483648, 2147483648, 2, 2)", id="dims-2e31-squared"),
     pytest.param(dict(amplitudes={"a": 0.3}), "amplitudes key 'phi' is required", id="amplitudes-no-phi"),
     pytest.param(dict(amplitudes={"phi": 1.0}), "amplitudes key 'a' is required", id="amplitudes-no-a"),
     pytest.param(dict(minimize={"max_iter": 3}), "unknown minimize key 'max_iter'", id="minimize-misspelt"),

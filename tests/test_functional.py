@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    SEED, background_curvature, flux_matrix, l4_norm, random_cfg, smooth_fields, zero_cfg,
+    SEED, background_curvature, flux_matrix, gaussian, l4_norm, pairing, random_cfg, smooth_fields,
+    zero_cfg,
 )
 from swflow import checks, functional
 from swflow.fields import GaugeTransform, apply_gauge, transform_angle
@@ -215,17 +216,39 @@ def test_gradient_is_bit_identical_to_separate_operator_traversals():
         g = gradient(cfg)
         assert np.array_equal(g.da, da)
         assert np.array_equal(g.dphi, dphi)
+        assert np.array_equal(functional._evaluate(cfg).phi2, phi2)
         fplus2 = np.sum(selfdual_project(curvature(cfg)) ** 2, axis=-1)
         dens = (np.sum(np.abs(grad) ** 2, axis=(-2, -1)) + fplus2
                 + 0.25 * cfg.scalar_curvature * phi2 + 0.125 * phi2**2)
         assert energy_weitzenbock(cfg) == float(lat.spacing**4 * np.sum(dens))
 
 
+def test_tangent_algebra_is_bit_equal_to_the_array_expressions_it_replaced():
+    # mixed flux and h != 1: dot is the pairing swflow first shipped, and each
+    # operator the descent loop's array expression, bit for bit
+    lat = Lattice((3, 4, 2, 5), 0.7)
+    g, h = (gradient(random_cfg(lat, seed=seed, flux=flux_matrix(p01=1, p13=2, p23=-1))) for seed in (41, 42))
+    d = functional.Gradient(lat, gaussian(lat.dims + (4,), 43), gaussian(lat.dims + (2,), 44, complex_=True))
+
+    def same(x, y):
+        return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+    for u, v in ((g, d), (d, g), (g, h), (g, g - h)):
+        assert same(u.dot(v), pairing(u, v))
+    for beta in (0.0, max(0.0, g.dot(g - h) / h.norm() ** 2), 2.5):
+        cg = beta * d - g
+        assert same(cg.da, -g.da + beta * d.da) and same(cg.dphi, -g.dphi + beta * d.dphi)
+    steepest, diff = -1.0 * g, g - h
+    assert same(steepest.da, -1.0 * g.da) and same(steepest.dphi, -1.0 * g.dphi)
+    assert same(diff.da, g.da - h.da) and same(diff.dphi, g.dphi - h.dphi)
+    assert steepest.lattice is diff.lattice is lat
+
+
 def test_line_floor_decides_without_building_the_trial(monkeypatch):
     lat = Lattice((3, 4, 2, 5), 0.7)
     cfg = random_cfg(lat, seed=31, flux=flux_matrix(p01=1, p13=2, p23=-1))
     base = functional._evaluate(cfg)
-    direction = base.gradient().scaled(-1.0)
+    direction = -1.0 * base.gradient()
     floor = functional._line_floor(cfg, direction, base.fplus)
     steps = [2.0**-k for k in range(-6, 12)]
     trials = [functional._evaluate(cfg._trial(cfg.gauge.a + t * direction.da,

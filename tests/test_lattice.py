@@ -62,6 +62,11 @@ def test_lattice_validation():
     for dims in (3, "2222", {2: 2, 3: 3, 4: 4, 5: 5}, None):
         with pytest.raises(ValueError, match="dims must be a sequence"):
             Lattice(dims, 1.0)
+    # a site count no array of grad phi (128 bytes a site) can address is refused by name
+    for dims in ((10**23, 2, 2, 2), (2**31, 2**31, 2, 2), (2**53, 2, 2, 2)):
+        with pytest.raises(ValueError, match="dims .* more sites than an array can address"):
+            Lattice(dims, 1.0)
+    assert Lattice((2**53 - 1, 2, 2, 2), 1.0).nsites * 128 == np.iinfo(np.intp).max - 1023
     assert Lattice(tuple(np.array([2, 3, 2, 2])), 1.0).dims == (2, 3, 2, 2)
     assert Lattice([2, 3, 2, 2], 1.0).dims == (2, 3, 2, 2)
     lat = Lattice((2, 3, 4, 5), 0.5)

@@ -29,7 +29,6 @@ from swflow.optimize import (
     NonDescentDirectionError,
     Trajectory,
     TrajectoryRecord,
-    descent_pairing,
     line_search,
     minimize,
     ps_diagnostics,
@@ -102,7 +101,7 @@ def test_line_search_accepts_initial_step_in_quadratic_regime():
     lat = Lattice((3, 3, 3, 3), 1.0)
     cfg = constant_s(random_configuration(lat, 13, (1e-3, 1e-3)), 1.0)
     # the direction carries the small first step, as a step of 0.01 would
-    step, trial = line_search(cfg, gradient(cfg).scaled(-0.01), MinimizeParams())
+    step, trial = line_search(cfg, -0.01 * gradient(cfg), MinimizeParams())
     assert step == MinimizeParams.initial_step
     assert energy_weitzenbock(trial.cfg) < energy_weitzenbock(cfg)
 
@@ -112,7 +111,7 @@ def test_line_search_rejects_zero_and_ascent_directions():
     cfg = random_configuration(lat, 17, (0.5, 0.8))
     g = gradient(cfg)
     with pytest.raises(NonDescentDirectionError):
-        line_search(cfg, g.scaled(0.0), MinimizeParams())
+        line_search(cfg, 0.0 * g, MinimizeParams())
     with pytest.raises(NonDescentDirectionError):
         line_search(cfg, g, MinimizeParams())
 
@@ -121,10 +120,10 @@ def test_line_search_satisfies_armijo_inequality_as_stated():
     lat = Lattice((3, 3, 3, 3), 0.8)
     cfg = constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
     params = MinimizeParams()
-    direction = gradient(cfg).scaled(-1.0)
-    pair = descent_pairing(gradient(cfg), direction)
+    direction = -1.0 * gradient(cfg)
+    slope = gradient(cfg).dot(direction)
     step, trial = line_search(cfg, direction, params)
-    assert energy_weitzenbock(trial.cfg) <= energy_weitzenbock(cfg) + params.armijo_c * step * pair
+    assert energy_weitzenbock(trial.cfg) <= energy_weitzenbock(cfg) + params.armijo_c * step * slope
     assert step <= params.initial_step
 
 
@@ -132,10 +131,10 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
     lat = Lattice((3, 3, 3, 3), 0.8)
     cfg = constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
     g = gradient(cfg)
-    direction = g.scaled(-1.0)
+    direction = -1.0 * g
     fresh = line_search(cfg, direction, MinimizeParams())
     floor = swflow.functional._line_floor(cfg, direction, swflow.functional._evaluate(cfg).fplus)
-    held = line_search(cfg, direction, MinimizeParams(), (g, energy_weitzenbock(cfg), floor))
+    held = line_search(cfg, direction, MinimizeParams(), (energy_weitzenbock(cfg), g.dot(direction), floor))
     assert held[0] == fresh[0]
     assert np.array_equal(held[1].cfg.gauge.a, fresh[1].cfg.gauge.a)
     assert np.array_equal(held[1].cfg.phi, fresh[1].cfg.phi)
@@ -144,7 +143,7 @@ def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
 
 def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
     cfg = constant_s(random_configuration(Lattice((3, 3, 3, 3), 0.8), 19, (1.5, 2.0)), -1.0)
-    direction = gradient(cfg).scaled(-64.0)  # 2^6: the trials of a first step of 64, bit for bit
+    direction = -64.0 * gradient(cfg)  # 2^6: the trials of a first step of 64, bit for bit
     evaluated, curved = [], []
     evaluate, curvature = swflow.functional._evaluate, swflow.functional.curvature
     counted = lambda c: evaluated.append(c) or evaluate(c)  # noqa: E731
@@ -164,7 +163,7 @@ def mixed_flux_cfg(dims=(3, 4, 2, 5)):
 
 def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
     cfg = mixed_flux_cfg()
-    _, trial = line_search(cfg, gradient(cfg).scaled(-1.0), MinimizeParams())
+    _, trial = line_search(cfg, -1.0 * gradient(cfg), MinimizeParams())
     assert trial.energy == energy_weitzenbock(trial.cfg)
     held, fresh = trial.gradient(), gradient(trial.cfg)
     assert np.array_equal(held.da, fresh.da)
@@ -173,13 +172,40 @@ def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
 
 def test_line_search_does_not_revalidate_the_flux(monkeypatch):
     cfg = mixed_flux_cfg()
-    direction = gradient(cfg).scaled(-64.0)  # 2^6: the trials of a first step of 64, bit for bit
+    direction = -64.0 * gradient(cfg)  # 2^6: the trials of a first step of 64, bit for bit
     calls = []
     validate = swflow.fields.check_flux_matrix
     monkeypatch.setattr(swflow.fields, "check_flux_matrix", lambda f: calls.append(1) or validate(f))
     step = line_search(cfg, direction, MinimizeParams())
     assert step[0] < 1.0  # several trials were rejected before this one
     assert calls == []
+
+
+@pytest.mark.parametrize("method", ["conjugate", "descent"])
+def test_each_iteration_pairs_once_per_direction_it_tries(monkeypatch, method):
+    # conjugate: beta's numerator and the update's slope, and the steepest slope
+    # too when the update lost descent; descent: the steepest slope alone. The
+    # search reads the loop's slope and pairs nothing itself.
+    events = []
+    dot, search = swflow.functional.Gradient.dot, swflow.optimize.line_search
+    monkeypatch.setattr(swflow.functional.Gradient, "dot", lambda g, d: events.append(dot(g, d)) or events[-1])
+    monkeypatch.setattr(swflow.optimize, "line_search", lambda *args: events.append(None) or search(*args))
+    traj = minimize(mixed_flux_cfg(), MinimizeParams(max_iters=40, grad_tol=1e-12, method=method, gaugefix_every=0))
+    assert traj.reason == "max_iters" and events[-1] is None
+    iterations, pairs = [], []
+    for event in events:
+        if event is None:
+            iterations.append(pairs)
+            pairs = []
+        else:
+            pairs.append(event)
+    assert len(iterations) == 40 and len(iterations[0]) == 1
+    if method == "descent":
+        assert all(len(p) == 1 for p in iterations)
+        return
+    for p in iterations[1:]:
+        assert len(p) == (2 if p[1] < 0.0 else 3)
+    assert {len(p) for p in iterations[1:]} == {2, 3}  # descent was kept, and lost
 
 
 def _never_skipping(monkeypatch):
@@ -317,7 +343,7 @@ def test_line_search_failure_after_exhausted_backtracks():
     cfg = random_configuration(lat, 23, (0.5, 0.5))
     # descent direction so absurdly scaled that 60 halvings cannot tame it:
     # every trial overflows the quartic term and fails the Armijo test
-    direction = gradient(cfg).scaled(-1e300)
+    direction = -1e300 * gradient(cfg)
     with pytest.raises(LineSearchFailure):
         line_search(cfg, direction, MinimizeParams())
     assert 0.5**MAX_BACKTRACKS * 1e300 > 1e200

@@ -42,7 +42,6 @@ from swflow.fields import (  # noqa: E402
 from swflow.gaugefix import full_gauge_fix  # noqa: E402
 from swflow.lattice import PLANES, Lattice, _roll_index, shift  # noqa: E402
 from swflow.operators import curvature, link_phases  # noqa: E402
-from swflow.optimize import descent_pairing  # noqa: E402
 
 # doubles a lossy writer or reader would change: see tests/test_fields.py
 EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
@@ -140,6 +139,25 @@ def test_flux_background_copies_are_independent_of_the_cache(dims, spacing, flux
         assert np.array_equal(build(zero), want)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dims=DIMS, spacing=st.floats(0.2, 3.0), flux=flux_matrices(), seed=st.integers(0, 2**32 - 1))
+@example(dims=(2, 2, 2, 2), spacing=1.0, flux=np.zeros((4, 4), dtype=int), seed=0)
+@example(dims=(3, 5, 3, 3), spacing=0.7, flux=oracles.flux_matrix(f01=1, f23=-1), seed=1)
+@example(dims=(2, 3, 4, 5), spacing=1.3, flux=oracles.flux_matrix(f02=2, f13=-1), seed=2)
+def test_the_pairing_is_symmetric_and_dual_to_the_norm(dims, spacing, flux, seed):
+    # N = 2, odd and anisotropic lattices: dot is one symmetric pairing, and a
+    # tangent's pairing with itself is its squared norm to rounding
+    lat = Lattice(dims, spacing)
+    rng = np.random.default_rng(seed)
+    g = _evaluate(random_configuration(lat, seed, (0.6, 0.9), flux=flux,
+                                       scalar_curvature=rng.standard_normal(dims))).gradient()
+    d = Gradient(lat, rng.standard_normal(dims + (4,)),
+                 rng.standard_normal(dims + (2,)) + 1j * rng.standard_normal(dims + (2,)))
+    assert g.dot(d) == d.dot(g)
+    for u in (g, d):
+        assert u.dot(u) == pytest.approx(u.norm() ** 2, rel=1e-12)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     dims=DIMS,
@@ -205,7 +223,7 @@ def test_line_floor_skips_only_trials_the_energy_rejects(
     base = _evaluate(cfg)
     g = base.gradient()
     if along_gradient:
-        direction = g.scaled(-1.0)
+        direction = -1.0 * g
     else:
         dphi = rng.standard_normal(g.dphi.shape) + 1j * rng.standard_normal(g.dphi.shape)
         direction = Gradient(lat, rng.standard_normal(g.da.shape), dphi)
@@ -218,7 +236,7 @@ def test_line_floor_skips_only_trials_the_energy_rejects(
                                           + 0.25 * full.cfg.scalar_curvature * full.phi2
                                           + 0.125 * full.phi2**2)
         thr = {
-            "armijo": base.energy + armijo_c * t * descent_pairing(g, direction),
+            "armijo": base.energy + armijo_c * t * g.dot(direction),
             "energy": full.energy,
             "below": np.nextafter(full.energy, -np.inf),
             "above": np.nextafter(full.energy, np.inf),
