@@ -119,15 +119,7 @@ def _write_outputs(out_dir: str, config: dict, traj: Trajectory, wall_time: floa
         "reason": traj.reason,
         "iterations": last.iter,
         "wall_time_seconds": wall_time,
-        "final": {
-            "energy": last.energy,
-            "grad_norm": last.grad_norm,
-            "phi_linf": last.phi_linf,
-            "threshold": last.threshold,
-            "excess_measure": last.excess_measure,
-            "radial_excess": last.radial_excess,
-            "eta_norm": last.eta_norm,
-        },
+        "final": {k: v for k, v in vars(last).items() if k not in ("iter", "gauge_step_distance")},
         "config": config,
     }
     # all three texts exist before any file is touched; final.json is renamed last
@@ -169,10 +161,9 @@ def cmd_check(args) -> int:
     failed = sum(not r.passed for r in results)
     if args.json:
         # a non-finite measurement (always a failure) prints as null
-        print(json.dumps([dict(
-            name=r.name, measured=float(r.measured) if np.isfinite(r.measured) else None,
-            tolerance=float(r.tolerance), op=r.op, passed=bool(r.passed),
-        ) for r in results], allow_nan=False))
+        print(json.dumps([dict(name=r.name, measured=float(r.measured) if np.isfinite(r.measured) else None,
+                               tolerance=float(r.tolerance), passed=bool(r.passed)) for r in results],
+                         allow_nan=False))
     else:
         for result in results:
             print(result.line())

@@ -327,7 +327,7 @@ def load_configuration(path) -> Configuration:
     """Read a configuration written by save_configuration; strict validation."""
     doc = read_json(path)
     version = doc.get("version")
-    if isinstance(version, bool) or version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
     missing = {"dims", "spacing", "flux", "a", "phi_re", "phi_im", "s"} - set(doc)
     if missing:

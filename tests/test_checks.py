@@ -1,6 +1,8 @@
 """The invariant registry and the field layout over lattice shapes: N = 2,
 anisotropic and odd sides."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,10 +98,33 @@ def test_a_nan_draw_fails_its_measure_and_zero_draws_report_the_start(monkeypatc
         return d1(lat, a) * (np.nan if len(calls) == 2 else 1.0)
 
     assert checks.exterior_derivative_squares_to_zero(lat, 1, 0).measured == 0.0
-    assert checks.energy_lower_bound_margin(lat, 1, 0, 2).measured == -np.inf
+    assert checks.energy_lower_bound_margin(lat, 1, 0, 2).measured == 0.0
     monkeypatch.setattr(checks, "d1", d1_nan_on_second_call)
     result = checks.exterior_derivative_squares_to_zero(lat, 1, 3)
     assert len(calls) == 3 and np.isnan(result.measured) and not result.passed
+
+
+def test_every_check_passes_when_measured_is_at_most_its_tolerance():
+    for result in checks.run_checks("full"):
+        assert [f.name for f in dataclasses.fields(result)] == ["name", "measured", "tolerance"]
+        assert result.passed == (result.measured <= result.tolerance), result.line()
+        assert "(required <= " in result.line()
+
+
+@pytest.mark.parametrize("coarse, fine, passes", [
+    (1e-3, 0.0, True),  # a vanishing fine gap is the best refinement there can be
+    (0.0, 0.0, True),
+    (1e-3, 1e-3, False),  # equal gaps did not contract
+    (1e-3, 0.7e-3, False),  # contracted, but by less than 1.5
+    (0.0, 1e-3, False),  # only the coarse gap vanishes: the ratio is inf
+], ids=["fine-zero", "both-zero", "equal", "too-little", "coarse-zero"])
+def test_refinement_study_reports_the_fine_gap_over_the_coarse_one(monkeypatch, coarse, fine, passes):
+    gaps = {4: coarse, 8: fine}
+    monkeypatch.setattr(checks, "energy_weitzenbock", lambda cfg: 1.0)
+    monkeypatch.setattr(checks, "energy_first_order", lambda cfg: 1.0 + gaps[cfg.lattice.dims[0]])
+    result = checks.weitzenbock_gap_contraction()
+    assert result.passed == passes, result.line()
+    assert result.tolerance == 1 / 1.5
 
 
 def test_hodge_sobolev_bound_holds_at_12():

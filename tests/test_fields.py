@@ -446,7 +446,7 @@ def test_load_rejects_bad_documents(tmp_path):
     with pytest.raises(ValueError, match="JSON"):
         load_configuration(bad)
 
-    for version in (99, True):
+    for version in (99, True, 1.0):
         bad.write_text(json.dumps(dict(doc, version=version)))
         with pytest.raises(ValueError, match="version"):
             load_configuration(bad)
