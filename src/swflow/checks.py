@@ -26,7 +26,7 @@ import numpy as np
 
 from .clifford import SIGMA, quadratic_form
 from .fields import Configuration, GaugeField, GaugeTransform, apply_gauge, random_configuration
-from .functional import Gradient, energy_first_order, energy_lower_bound, energy_weitzenbock, gradient
+from .functional import Gradient, _evaluate, energy_first_order, energy_lower_bound, energy_weitzenbock, gradient
 from .gaugefix import full_gauge_fix, hodge_constants
 from .lattice import (
     PLANES, Lattice, codiff1, codiff2, d0, d1, l2_inner, l2_norm, sobolev12_norm,
@@ -173,8 +173,8 @@ def gradient_matches_finite_differences(cfg: Configuration, seed: int, draws: in
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    lat, rng = cfg.lattice, np.random.default_rng(seed)
-    base, grad = energy_weitzenbock(cfg), gradient(cfg)
+    lat, rng, held = cfg.lattice, np.random.default_rng(seed), _evaluate(cfg)
+    base, grad = held.energy, gradient(cfg, held)
 
     def error(_):
         kind = int(rng.integers(0, 3))

@@ -105,6 +105,8 @@ def _build_run(config: dict):
     out_dir = config.get("output_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:  # "" would fail only after the solve
         raise ValueError(f"output_dir must be a nonempty string, got {out_dir!r}")
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):  # and so would a file
+        raise ValueError(f"output_dir {out_dir!r} exists and is not a directory")
     return cfg, params, out_dir
 
 

@@ -13,9 +13,9 @@ whose one copy Gradient.dot owns (Gradient is the tangent type of every
 solver), verified against central differences by the registry measure
 checks.gradient_matches_finite_differences.
 
-energy_weitzenbock and gradient wrap one evaluation, _evaluate, which builds
-the link phases, grad phi and F+ once; the descent loop takes an accepted
-trial's gradient, and a record's grad phi, from its evaluation. It holds
+One evaluation, _evaluate, builds the link phases, grad phi and F+ once:
+energy_weitzenbock reads its energy, gradient (the one builder of gradients)
+its pieces, and the descent loop evaluates each iterate once. It holds
 them direction- and plane-major (the layout rule in lattice) and writes the
 per-site sums in numpy's order over site-major data: |F+|^2 adds the six
 planes in sequence, |grad phi|^2 is the tree ((s00 + s01) + (s10 + s11)) +
@@ -121,9 +121,9 @@ class ExcessReport:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """energy(cfg) with the pieces gradient(cfg) reuses: the link phases U, the
-    covariant difference grad and the self-dual curvature fplus, direction-
-    and plane-major in memory, and |phi|^2."""
+    """energy(cfg) with the pieces gradient(cfg, held) reads: the link phases
+    U, the covariant difference grad and the self-dual curvature fplus,
+    direction- and plane-major in memory, and |phi|^2."""
 
     cfg: Configuration
     energy: float
@@ -131,15 +131,6 @@ class _Evaluation:
     grad: np.ndarray
     fplus: np.ndarray
     phi2: np.ndarray
-
-    def gradient(self) -> Gradient:
-        cfg, lat = self.cfg, self.cfg.lattice
-        da = 4.0 * codiff2(lat, self.fplus)  # first: the einsum's temporaries go before dphi
-        da += 2.0 * np.einsum("...mc,...c->...m", self.grad, np.conj(cfg.phi)).imag
-        # -Delta_A phi = grad* grad phi, from the covariant difference held
-        dphi = covariant_diff_adjoint(cfg, self.grad, self.U) + 0.25 * (
-            cfg.scalar_curvature + self.phi2)[..., None] * cfg.phi
-        return Gradient(lat, da, dphi)
 
 
 def _evaluate(cfg: Configuration) -> _Evaluation:
@@ -227,15 +218,21 @@ def energy_lower_bound(cfg: Configuration) -> float:
     return float(-(cfg.lattice.spacing**4) * np.sum(neg**2) / 8.0)
 
 
-def gradient(cfg: Configuration) -> Gradient:
-    """Exact analytic gradient of energy_weitzenbock.
+def gradient(cfg: Configuration, held=None) -> Gradient:
+    """Exact analytic gradient of energy_weitzenbock; held, if given, must be _evaluate(cfg).
 
     dphi = -Delta_A phi + (s/4) phi + (1/4)|phi|^2 phi;
     da = 4 codiff2(F+) + 2 Im <grad_mu phi, phi> per link. The constant
     background drops out of codiff2, and a critical pair (constant
-    |phi|^2 = -s, flux-free a) gives exactly zero.
+    |phi|^2 = -s, flux-free a) gives exactly zero. held changes no bit.
     """
-    return _evaluate(cfg).gradient()
+    held = _evaluate(cfg) if held is None else held
+    da = 4.0 * codiff2(cfg.lattice, held.fplus)  # first: the einsum's temporaries go before dphi
+    da += 2.0 * np.einsum("...mc,...c->...m", held.grad, np.conj(cfg.phi)).imag
+    # -Delta_A phi = grad* grad phi, from the covariant difference held
+    dphi = covariant_diff_adjoint(cfg, held.grad, held.U) + 0.25 * (
+        cfg.scalar_curvature + held.phi2)[..., None] * cfg.phi
+    return Gradient(cfg.lattice, da, dphi)
 
 
 def excess_report(cfg: Configuration, grad=None) -> ExcessReport:

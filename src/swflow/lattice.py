@@ -239,7 +239,7 @@ def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     _check_form(lat, rho, (), "scalar field")
     nrm = l2_norm(lat, rho)
     if nrm == 0.0:
-        return np.zeros(lat.dims)
+        return np.zeros(lat.dims, dtype=np.result_type(rho, float))
     mean = abs(complex(np.mean(rho)))
     if mean > 1e-10 * nrm:
         raise ValueError(f"source must have zero mean, got mean {mean:.3e}")

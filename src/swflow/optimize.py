@@ -16,10 +16,10 @@ the energy without |grad phi|^2 from the F+ of that evaluation, which is then
 dropped, and the search skips, unbuilt, each trial whose polynomial less a
 rounding margin exceeds e0 + c t slope: its computed energy would too, so
 trajectories are bit-identical to full evaluation (derived in functional).
-The search returns (t, evaluation) of the accepted trial; the next gradient
-and each record read grad phi from that evaluation instead of rebuilding it
-(only the record after a line-search failure rebuilds), and the loop keeps
-the last recorded iterate's normal form for the next record.
+The search returns (t, evaluation) of the accepted trial, so each iterate is
+evaluated once (iterate 0 on entry, a refixed one by its refix): one pass of
+the loop reads its gradient, gradient(cfg, evaluation), and its record's grad
+phi from that evaluation (only the record after a line-search failure rebuilds).
 
 minimize and line_search each run under one numpy error policy, overflow and
 invalid ignored: an overflowing trial's NaN or +inf fails the Armijo test and
@@ -110,16 +110,16 @@ def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams,
     search's one error policy (module docstring).
 
     Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t slope
-    and returns (t, evaluation): evaluation.cfg is the trial, evaluation.energy
-    its energy, and evaluation.gradient() its gradient. start, when the caller
-    holds it, is (energy_weitzenbock(cfg), slope = gradient(cfg).dot(direction),
+    and returns (t, evaluation): evaluation.cfg is the trial, evaluation.energy its
+    energy, and gradient(evaluation.cfg, evaluation) its gradient. start, when the
+    caller holds it, is (energy_weitzenbock(cfg), slope = gradient(cfg).dot(direction),
     _line_floor(cfg, direction, F+ of cfg's evaluation)); otherwise one evaluation
     of cfg gives all three. Raises NonDescentDirectionError if slope >= 0 (zero
     direction included) and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
     """
     if start is None:
         ev = _evaluate(cfg)
-        start = ev.energy, ev.gradient().dot(direction), _line_floor(cfg, direction, ev.fplus)
+        start = ev.energy, gradient(cfg, ev).dot(direction), _line_floor(cfg, direction, ev.fplus)
         del ev  # cfg's pieces must not outlive into the trials
     e0, slope, floor = start
     if not slope < 0.0:
@@ -174,14 +174,17 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
     inside the normal-form slice without touching the energy. Deterministic.
     Iterate 0 and the final iterate are always recorded.
     """
-    cfg, records, prev_fixed, it = cfg0, [], None, 0
-    g = gradient(cfg)
-    held = _evaluate(cfg)  # its pieces feed record 0 and the first line search
-    energy, grad_norm = held.energy, g.norm()
-    _require_finite(it, energy, grad_norm)
-    direction = prev_g = None  # the last direction and gradient, Gradients or None
+    records, prev_fixed, it = [], None, 0
+    held = _evaluate(cfg0)  # each iterate's pieces feed its gradient, record and line search
+    direction = g = grad_norm = None  # the last direction and gradient, Gradients or None
 
     while True:
+        cfg, energy = held.cfg, held.energy
+        prev_g = g if direction is not None else None  # stale off the old slice after a refix
+        g, prev_norm = gradient(cfg, held), grad_norm
+        grad_norm = g.norm()
+        _require_finite(it, energy, grad_norm)
+
         fplus, done = held.fplus, grad_norm <= params.grad_tol or it >= params.max_iters
         if done or it % params.record_every == 0:
             grad, held = held.grad, None  # U must not outlive into the record
@@ -219,13 +222,7 @@ def minimize(cfg0: Configuration, params: MinimizeParams) -> Trajectory:
         if params.gaugefix_every > 0 and it % params.gaugefix_every == 0:
             held = None  # else the pre-refix iterate and its pieces outlive the refix
             held = _refix_gauge(cfg, energy)
-            cfg, energy = held.cfg, held.energy
             direction = None  # conjugate memory is stale off the old slice
-
-        prev_g = g if direction is not None else None  # stale off the old slice too
-        g, prev_norm = held.gradient(), grad_norm
-        grad_norm = g.norm()
-        _require_finite(it, energy, grad_norm)
 
     return Trajectory(tuple(records), cfg, reason)
 

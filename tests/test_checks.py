@@ -165,8 +165,8 @@ def test_gradient_measure_sees_each_perturbation_kind(monkeypatch, part):
     cfg = random_cfg(lat, flux=flux_matrix(f03=1))
     exact = functional.gradient
 
-    def skewed(c):
-        g = exact(c)
+    def skewed(c, held=None):
+        g = exact(c, held)
         if part == "da":
             return functional.Gradient(g.lattice, 1.01 * g.da, g.dphi)
         if part == "re_dphi":

@@ -90,7 +90,9 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
 
 
 # each used to fail only in or after the solve; the refusal names its key
-KEYED_BAD_CONFIGS = [dict(spacing=1e300), dict(spacing=1e-300), dict(seed=-5), dict(output_dir="")]
+# os.devnull exists and is no directory: the run could not write there
+KEYED_BAD_CONFIGS = [dict(spacing=1e300), dict(spacing=1e-300), dict(seed=-5), dict(output_dir=""),
+                     dict(output_dir=os.devnull)]
 
 
 @pytest.mark.parametrize(

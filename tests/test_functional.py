@@ -248,7 +248,7 @@ def test_line_floor_decides_without_building_the_trial(monkeypatch):
     lat = Lattice((3, 4, 2, 5), 0.7)
     cfg = random_cfg(lat, seed=31, flux=flux_matrix(p01=1, p13=2, p23=-1))
     base = functional._evaluate(cfg)
-    direction = -1.0 * base.gradient()
+    direction = -1.0 * gradient(cfg, base)
     floor = functional._line_floor(cfg, direction, base.fplus)
     steps = [2.0**-k for k in range(-6, 12)]
     trials = [functional._evaluate(cfg._trial(cfg.gauge.a + t * direction.da,

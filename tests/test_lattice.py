@@ -293,6 +293,9 @@ def test_poisson_solve_complex_source():
     rho -= np.mean(rho)
     f = poisson_solve(lat, rho)
     assert l2_norm(lat, laplacian0(lat, f) - rho) <= 1e-10 * l2_norm(lat, rho)
+    # a zero source returns zeros of its own type, as every nonzero one does
+    for dtype in (float, complex):
+        assert poisson_solve(lat, np.zeros(lat.dims, dtype)).dtype == dtype
 
 
 def test_laplacian_symbol_is_cached_read_only_with_its_zero_mode_set():

@@ -165,7 +165,7 @@ def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
     cfg = mixed_flux_cfg()
     _, trial = line_search(cfg, -1.0 * gradient(cfg), MinimizeParams())
     assert trial.energy == energy_weitzenbock(trial.cfg)
-    held, fresh = trial.gradient(), gradient(trial.cfg)
+    held, fresh = gradient(trial.cfg, trial), gradient(trial.cfg)  # held selects no behaviour
     assert np.array_equal(held.da, fresh.da)
     assert np.array_equal(held.dphi, fresh.dphi)
 
@@ -309,6 +309,31 @@ def test_minimize_builds_grad_phi_only_inside_evaluations(monkeypatch):
     assert [r.iter for r in traj.records] == [0, 2, 4, 6, 8, 9]  # the final record too
     # records read the held grad phi instead of rebuilding it
     assert counts["grad_phi"] == counts["evaluate"] > 0
+
+
+def test_minimize_evaluates_its_start_once(monkeypatch):
+    evaluated = []
+    evaluate = swflow.functional._evaluate
+    for module in (swflow.functional, swflow.optimize):
+        monkeypatch.setattr(module, "_evaluate", lambda c: evaluated.append(c) or evaluate(c))
+    cfg = mixed_flux_cfg()
+    traj = minimize(cfg, MinimizeParams(max_iters=0))
+    assert traj.reason == "max_iters" and [r.iter for r in traj.records] == [0]
+    assert len(evaluated) == 1 and evaluated[0] is cfg
+
+
+def test_minimize_builds_one_gradient_per_iterate_from_its_evaluation(monkeypatch):
+    built = []
+    grad = swflow.optimize.gradient
+    monkeypatch.setattr(swflow.optimize, "gradient", lambda c, held=None: built.append((c, held)) or grad(c, held))
+    params = MinimizeParams(max_iters=20, grad_tol=1e-12, method="conjugate", gaugefix_every=3,
+                            record_every=4)
+    traj = minimize(mixed_flux_cfg(), params)
+    assert traj.reason in ("converged", "max_iters") and traj.records[-1].iter == 20
+    # refixed iterates included: their gradient reads the refix's evaluation
+    assert len(built) == traj.records[-1].iter + 1
+    assert all(held is not None and held.cfg is c for c, held in built)
+    assert built[-1][0] is traj.final
 
 
 def test_conjugate_minimize_peak_memory_on_a_mixed_flux_8_4():

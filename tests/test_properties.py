@@ -28,7 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from swflow import checks  # noqa: E402
 from swflow.cli import main  # noqa: E402
-from swflow.functional import Gradient, _evaluate, _line_floor, excess_report  # noqa: E402
+from swflow.functional import Gradient, _evaluate, _line_floor, excess_report, gradient  # noqa: E402
 from swflow.fields import (  # noqa: E402
     Configuration,
     GaugeField,
@@ -149,8 +149,8 @@ def test_the_pairing_is_symmetric_and_dual_to_the_norm(dims, spacing, flux, seed
     # tangent's pairing with itself is its squared norm to rounding
     lat = Lattice(dims, spacing)
     rng = np.random.default_rng(seed)
-    g = _evaluate(random_configuration(lat, seed, (0.6, 0.9), flux=flux,
-                                       scalar_curvature=rng.standard_normal(dims))).gradient()
+    g = gradient(random_configuration(lat, seed, (0.6, 0.9), flux=flux,
+                                      scalar_curvature=rng.standard_normal(dims)))
     d = Gradient(lat, rng.standard_normal(dims + (4,)),
                  rng.standard_normal(dims + (2,)) + 1j * rng.standard_normal(dims + (2,)))
     assert g.dot(d) == d.dot(g)
@@ -221,7 +221,7 @@ def test_line_floor_skips_only_trials_the_energy_rejects(
         # stay put while a, and the rounding of a + t da seen through d1, grow
         cfg = apply_gauge(GaugeTransform(1e6 * rng.standard_normal(dims)), cfg)
     base = _evaluate(cfg)
-    g = base.gradient()
+    g = gradient(cfg, base)
     if along_gradient:
         direction = -1.0 * g
     else:
