@@ -251,19 +251,10 @@ def smooth_configuration(n: int) -> Configuration:
     discretization defect that contracts as the mesh is refined.
     """
     lat = Lattice((n, n, n, n), 1.0 / n)
-    axes = [np.arange(m) / m for m in lat.dims]
-    x0, x1, x2, x3 = np.meshgrid(*axes, indexing="ij")
-    tp = 2.0 * np.pi
-    a = np.zeros(lat.dims + (4,))
-    a[..., 0] = 0.3 * np.sin(tp * x1)
-    a[..., 1] = 0.2 * np.cos(tp * x2)
-    a[..., 2] = 0.25 * np.sin(tp * x3)
-    a[..., 3] = 0.15 * np.cos(tp * x0)
-    phi = np.zeros(lat.dims + (2,), dtype=complex)
-    phi[..., 0] = 0.8 + 0.3 * np.exp(1j * tp * x0)
-    phi[..., 1] = 0.2 + 0.4 * np.exp(-1j * tp * x2)
-    s = -0.5 * np.ones(lat.dims)
-    return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, s)
+    x0, x1, x2, x3 = 2.0 * np.pi * (np.indices(lat.dims) / n)
+    a = np.stack([0.3 * np.sin(x1), 0.2 * np.cos(x2), 0.25 * np.sin(x3), 0.15 * np.cos(x0)], axis=-1)
+    phi = np.stack([0.8 + 0.3 * np.exp(1j * x0), 0.2 + 0.4 * np.exp(-1j * x2)], axis=-1)
+    return Configuration(lat, GaugeField(a, np.zeros((4, 4), int)), phi, np.full(lat.dims, -0.5))
 
 
 def weitzenbock_gap_contraction() -> CheckResult:

@@ -54,7 +54,7 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
     Accepts a bare number (constant field) or "bump:<v>,<radius>": a
     Gaussian bump of height v and width radius
     (physical units) centered in the box, s(x) = v exp(-d(x, center)^2 / radius^2)
-    with periodic distance.
+    with periodic distance, which from the centre never wraps: no site is farther than L/2.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return require_real(value, "scalar_curvature") * np.ones(lat.dims)
@@ -68,14 +68,8 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
             raise ValueError(f"bump profile needs 'bump:<v>,<radius>', got {value!r}")
         if not (radius > 0 and radius**2 > 0):  # a square that underflows would divide by 0
             raise ValueError(f"bump radius must be positive with a nonzero square, got {radius_s!r}")
-        dist2 = np.zeros(lat.dims)
-        for mu, (n, length) in enumerate(zip(lat.dims, lat.lengths)):
-            x = np.arange(n) * lat.spacing
-            delta = np.abs(x - length / 2.0)
-            delta = np.minimum(delta, length - delta)
-            shape = [1, 1, 1, 1]
-            shape[mu] = n
-            dist2 = dist2 + (delta**2).reshape(shape)
+        dist2 = sum((x * lat.spacing - length / 2.0) ** 2
+                    for x, length in zip(np.indices(lat.dims, sparse=True), lat.lengths))
         return height * np.exp(-dist2 / radius**2)
     raise ValueError(f"unknown scalar_curvature profile {value!r}; expected a number or 'bump:<v>,<radius>'")
 
@@ -105,8 +99,11 @@ def _build_run(config: dict):
     out_dir = config.get("output_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:  # "" would fail only after the solve
         raise ValueError(f"output_dir must be a nonempty string, got {out_dir!r}")
-    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):  # and so would a file
-        raise ValueError(f"output_dir {out_dir!r} exists and is not a directory")
+    nearest = out_dir  # and so would a file at or above it: makedirs runs only after the solve
+    while not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest) or "."
+    if not os.path.isdir(nearest):
+        raise ValueError(f"output_dir {out_dir!r}: {nearest!r} exists and is not a directory")
     return cfg, params, out_dir
 
 

@@ -144,11 +144,9 @@ def transform_angle(lat: Lattice, g: GaugeTransform) -> np.ndarray:
     """Unwrapped angle theta(x) = zeta(x) + 2 pi sum_mu k_mu x_mu / N_mu, zeta a site field on lat."""
     _check_form(lat, g.zeta, (), "zeta")
     theta = g.zeta.copy()
-    if any(g.winding):  # no coordinate grid for the Coulomb step's pure phase
-        x = np.indices(lat.dims)
-        for mu in range(4):
-            if g.winding[mu]:
-                theta += 2.0 * np.pi * g.winding[mu] * x[mu] / lat.dims[mu]
+    for k, x, n in zip(g.winding, np.indices(lat.dims, sparse=True), lat.dims):
+        if k:  # adding 0.0 would turn a -0.0 of zeta into +0.0
+            theta += 2.0 * np.pi * k * x / n
     return theta
 
 
@@ -180,11 +178,9 @@ def _flux_background(lat: Lattice, flux: np.ndarray) -> tuple[np.ndarray, np.nda
 def _cached_background(lat: Lattice, key: tuple) -> tuple[np.ndarray, np.ndarray]:
     flux = np.reshape(key, (4, 4))
     theta, F = np.zeros((4,) + lat.dims), np.zeros(6)
-    x = np.indices(lat.dims)
-    for i, (mu, nu) in enumerate(PLANES):
+    x = np.indices(lat.dims, sparse=True)
+    for i, (mu, nu) in enumerate(PLANES):  # a zero n adds +0.0 to angles that are never -0.0
         n = flux[mu, nu]
-        if n == 0:
-            continue
         nmu, nnu = lat.dims[mu], lat.dims[nu]
         theta[nu] += (2.0 * np.pi * n / (nmu * nnu)) * x[mu]
         # repair the wrap column so interior plaquettes stay uniform

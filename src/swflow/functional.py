@@ -252,8 +252,6 @@ def excess_report(cfg: Configuration, grad=None) -> ExcessReport:
     omega = absphi > tau
     h4 = lat.spacing**4
     measure = h4 * float(np.count_nonzero(omega))
-    if not np.any(omega):
-        return ExcessReport(tau, 0.0, 0.0, 0.0)
     safe = np.where(omega, absphi, 1.0)
     nu = np.where(omega[..., None], cfg.phi / safe[..., None], 0.0)
     grad = covariant_diff(cfg) if grad is None else grad

@@ -9,7 +9,8 @@ component at a time (d1 here; link_phases, covariant_diff and curvature in
 operators) is its public shape viewing a component-major buffer, (6,) + dims,
 (4,) + dims or (4,) + dims + (2,), so F[..., i] and grad[..., mu, :] are
 contiguous; a caller that needs site-major order makes it. Every periodic
-translate (shift) is one gather through a cached read-only index.
+translate (shift) is one gather through a cached read-only index. Coordinate
+rule: every position-dependent field comes from np.indices(dims), sparse=True where it broadcasts.
 """
 
 from __future__ import annotations
@@ -216,13 +217,8 @@ def laplacian0(lat: Lattice, f: np.ndarray) -> np.ndarray:
 def _laplacian0_symbol(lat: Lattice) -> np.ndarray:
     """Fourier symbol of laplacian0 with its zero mode set to 1: cached per
     lattice, read-only."""
-    h = lat.spacing
-    lam = np.zeros(lat.dims)
-    for mu, n in enumerate(lat.dims):
-        k = 2.0 * np.pi * np.arange(n) / n
-        sh = [1, 1, 1, 1]
-        sh[mu] = n
-        lam = lam + ((2.0 - 2.0 * np.cos(k)) / h**2).reshape(sh)
+    lam = sum((2.0 - 2.0 * np.cos(2.0 * np.pi * x / n)) / lat.spacing**2
+              for x, n in zip(np.indices(lat.dims, sparse=True), lat.dims))
     lam[0, 0, 0, 0] = 1.0
     lam.flags.writeable = False
     return lam
@@ -234,7 +230,8 @@ def poisson_solve(lat: Lattice, rho: np.ndarray) -> np.ndarray:
     Spectral solve over the periodic lattice. Raises ValueError when rho has
     a nonzero mean (no solution exists) and RuntimeError when the verified
     residual is not at most 1e-10 * ||rho|| < inf, which a NaN or inf in rho
-    makes, as do entries whose squares overflow ||rho||.
+    makes, as do entries whose squares overflow ||rho||. A zero ||rho|| returns
+    zeros before the mean test, which would refuse a rho whose squares underflow but whose mean does not.
     """
     _check_form(lat, rho, (), "scalar field")
     nrm = l2_norm(lat, rho)

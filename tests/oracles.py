@@ -25,6 +25,11 @@ from swflow.lattice import PLANES, Lattice, codiff1, fiber_norm, l2_norm, poisso
 
 SEED = 20260405  # the root of every draw below
 
+# doubles that a writer printing too few digits, or dropping the sign of
+# zero, cannot bring back: thirds, a non-dyadic decimal, the smallest
+# subnormal, the largest finite double, negative zero
+EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
+
 
 def gaussian(shape, seed, complex_=False):
     """Standard normal draws of shape from default_rng([SEED, seed]); complex_
@@ -138,6 +143,59 @@ def background_curvature(lat, flux):
     F = [2.0 * np.pi * flux[mu, nu] / (lat.dims[mu] * lat.dims[nu] * lat.spacing**2)
          for mu, nu in PLANES]
     return np.broadcast_to(F, lat.dims + (6,))
+
+
+# The fields swflow builds from site coordinates, written site by site from
+# their definitions, each sum over directions taken left to right from 0. A
+# cosine or exponential sees one whole array, as in swflow, because a vector
+# loop and the scalar libm may round the same argument differently.
+
+def laplacian0_symbol(lat):
+    """sum_mu (2 - 2 cos(2 pi x_mu / N_mu)) / h^2 at each site x, with 1 at the zero mode."""
+    terms = [(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / lat.spacing**2 for n in lat.dims]
+    lam = np.empty(lat.dims)
+    for x in np.ndindex(lat.dims):
+        lam[x] = sum(term[xm] for term, xm in zip(terms, x))
+    lam[0, 0, 0, 0] = 1.0
+    return lam
+
+
+def bump(lat, height, radius):
+    """height exp(-d(x)^2 / radius^2), d the periodic distance from the site x h
+    to the box centre L / 2: min(delta, L - delta) per direction, delta = |x_mu h - L_mu / 2|."""
+    dist2 = np.zeros(lat.dims)
+    for x in np.ndindex(lat.dims):
+        for xm, length in zip(x, lat.lengths):
+            delta = abs(xm * lat.spacing - length / 2.0)
+            nearest = min(delta, length - delta)
+            dist2[x] += nearest * nearest
+    return height * np.exp(-dist2 / radius**2)
+
+
+def transform_angle(lat, zeta, winding):
+    """zeta(x) + sum_mu 2 pi k_mu x_mu / N_mu at each site x; a direction with
+    k_mu = 0 adds nothing, not even +0.0 to a -0.0 of zeta."""
+    theta = np.empty(lat.dims)
+    for x in np.ndindex(lat.dims):
+        theta[x] = zeta[x]
+        for k, xm, n in zip(winding, x, lat.dims):
+            if k:
+                theta[x] += 2.0 * np.pi * k * xm / n
+    return theta
+
+
+def flux_background(lat, flux):
+    """Link angles (4,) + dims and plane curvatures of the flux sector, site by
+    site: on each plane (mu, nu) in PLANES order, with n = flux[mu, nu], theta_nu
+    gains 2 pi n x_mu / (N_mu N_nu), and theta_mu loses 2 pi n x_nu / N_nu on the
+    wrap column x_mu = N_mu - 1, so every plaquette holds 2 pi n / (N_mu N_nu)."""
+    theta = np.zeros((4,) + lat.dims)
+    for x in np.ndindex(lat.dims):
+        for mu, nu in PLANES:
+            n, nmu, nnu = flux[mu, nu], lat.dims[mu], lat.dims[nu]
+            theta[(nu,) + x] += 2.0 * np.pi * n / (nmu * nnu) * x[mu]
+            theta[(mu,) + x] -= 2.0 * np.pi * n / nnu * x[nu] if x[mu] == nmu - 1 else 0.0
+    return theta, np.array(background_curvature(lat, flux)[0, 0, 0, 0])
 
 
 def inverse(g):

@@ -90,9 +90,9 @@ def test_run_missing_config_exits_2_without_outputs(tmp_path, capsys):
 
 
 # each used to fail only in or after the solve; the refusal names its key
-# os.devnull exists and is no directory: the run could not write there
+# os.devnull exists and is no directory: the run could write neither there nor below it
 KEYED_BAD_CONFIGS = [dict(spacing=1e300), dict(spacing=1e-300), dict(seed=-5), dict(output_dir=""),
-                     dict(output_dir=os.devnull)]
+                     dict(output_dir=os.devnull), dict(output_dir=os.path.join(os.devnull, "sub"))]
 
 
 @pytest.mark.parametrize(

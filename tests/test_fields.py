@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import compose, flux_matrix, gaussian, inverse, random_cfg, zero_cfg
+from oracles import EDGE_VALUES, compose, flux_matrix, gaussian, inverse, random_cfg, zero_cfg
 import swflow.fields
 from swflow.fields import (
     Configuration,
@@ -346,12 +346,6 @@ def test_save_load_round_trip_exact(tmp_path):
     assert np.array_equal(back.phi, cfg.phi)
     assert np.array_equal(back.scalar_curvature, cfg.scalar_curvature)
     assert back.seed == cfg.seed
-
-
-# doubles that a writer printing too few digits, or dropping the sign of
-# zero, cannot bring back: thirds, a non-dyadic decimal, the smallest
-# subnormal, the largest finite double, negative zero
-EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
 
 
 def salted_cfg(lat, flux=None):

@@ -151,11 +151,14 @@ def test_first_order_agrees_with_weitzenbock_under_refinement():
 def test_excess_report_below_threshold():
     lat = Lattice((3, 2, 2, 3), 0.8)
     cfg = constant_phi_cfg(lat, [0.3, 0.0], s_value=-1.0)  # |phi| < 1
-    rep = excess_report(cfg)
-    assert rep.threshold == 1.0
-    assert rep.excess_measure == 0.0
-    assert rep.radial_excess == 0.0
-    assert rep.eta_norm == 0.0
+    cfg = cfg.replace(a=gaussian(lat.dims + (4,), 3))  # so the held covariant difference is not 0
+    for grad in (None, covariant_diff(cfg)):
+        rep = excess_report(cfg, grad)
+        assert rep.threshold == 1.0
+        assert rep.excess_measure == 0.0
+        assert rep.radial_excess == 0.0
+        assert rep.eta_norm == 0.0
+        assert not np.signbit([rep.excess_measure, rep.radial_excess, rep.eta_norm]).any()
 
 
 def test_excess_report_constant_double_unit():

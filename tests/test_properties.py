@@ -2,7 +2,9 @@
 
 save/load is bit-identical; shift is np.roll's permutation on C-ordered,
 strided and Fortran-ordered inputs, and its cached index is read-only; the
-cached flux background is never handed out for mutation; the invariant registry's
+cached flux background is never handed out for mutation; the fields built from
+site coordinates (the Laplacian's symbol, the bump profile, the gauge angle and
+the flux background) equal their site-by-site definitions bit for bit; the invariant registry's
 adjointness, gauge-invariance and flux-quantization measures hold at their
 own tolerances over drawn shapes, spacings, flux sectors and windings; and the
 line search's polynomial floor skips a trial only when its computed energy
@@ -27,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from swflow import checks  # noqa: E402
-from swflow.cli import main  # noqa: E402
+from swflow.cli import main, parse_scalar_curvature  # noqa: E402
 from swflow.functional import Gradient, _evaluate, _line_floor, excess_report, gradient  # noqa: E402
 from swflow.fields import (  # noqa: E402
     Configuration,
@@ -38,14 +40,11 @@ from swflow.fields import (  # noqa: E402
     load_configuration,
     random_configuration,
     save_configuration,
+    transform_angle,
 )
 from swflow.gaugefix import full_gauge_fix  # noqa: E402
-from swflow.lattice import PLANES, Lattice, _roll_index, shift  # noqa: E402
+from swflow.lattice import PLANES, Lattice, _laplacian0_symbol, _roll_index, shift  # noqa: E402
 from swflow.operators import curvature, link_phases  # noqa: E402
-
-# doubles a lossy writer or reader would change: see tests/test_fields.py
-EDGE_VALUES = (1.0 / 3.0, 0.1, 5e-324, 1.7976931348623157e308, -0.0)
-
 
 DIMS = st.lists(st.integers(2, 5), min_size=4, max_size=4).map(tuple)
 
@@ -74,7 +73,7 @@ def configurations(draw):
     for field in fields:
         flat = field.reshape(-1)
         where = draw(st.lists(st.integers(0, flat.size - 1), min_size=5, max_size=5, unique=True))
-        flat[where] = EDGE_VALUES
+        flat[where] = oracles.EDGE_VALUES
     a, phi_re, phi_im, s = fields
     phi = phi_re.astype(complex)
     phi.imag = phi_im
@@ -137,6 +136,34 @@ def test_flux_background_copies_are_independent_of_the_cache(dims, spacing, flux
         assert not any(np.shares_memory(first, c) for c in cached)
         first += 1.0
         assert np.array_equal(build(zero), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=DIMS,
+    spacing=st.floats(1e-3, 1e3),
+    flux=flux_matrices(),
+    winding=st.tuples(*[st.integers(-3, 3)] * 4),
+    height=st.floats(-10.0, 10.0),
+    radius=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(dims=(2, 2, 2, 2), spacing=1.0, flux=np.zeros((4, 4), dtype=int), winding=(0, 0, 0, 0),
+         height=-4.0, radius=1.5, seed=0)
+@example(dims=(5, 3, 2, 4), spacing=0.8, flux=oracles.flux_matrix(f01=1, f23=-1), winding=(1, 0, -2, 3),
+         height=2.5, radius=0.7, seed=1)
+def test_coordinate_built_fields_equal_their_site_by_site_definitions(
+        dims, spacing, flux, winding, height, radius, seed):
+    lat = Lattice(dims, spacing)
+    assert _laplacian0_symbol(lat).tobytes() == oracles.laplacian0_symbol(lat).tobytes()
+    bump = parse_scalar_curvature(f"bump:{height!r},{radius!r}", lat)
+    assert bump.tobytes() == oracles.bump(lat, height, radius).tobytes()
+    zeta = oracles.gaussian(dims, seed)
+    zeta.reshape(-1)[:len(oracles.EDGE_VALUES)] = oracles.EDGE_VALUES  # -0.0 stays where k_mu = 0
+    got = transform_angle(lat, GaugeTransform(zeta, winding))
+    assert got.tobytes() == oracles.transform_angle(lat, zeta, winding).tobytes()
+    for got, want in zip(_flux_background(lat, flux), oracles.flux_background(lat, flux)):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
