@@ -66,8 +66,8 @@ def parse_scalar_curvature(value, lat: Lattice) -> np.ndarray:
             height, radius = float(height_s), float(radius_s)
         except ValueError:
             raise ValueError(f"bump profile needs 'bump:<v>,<radius>', got {value!r}")
-        if not (radius > 0 and radius**2 > 0):  # a square that underflows would divide by 0
-            raise ValueError(f"bump radius must be positive with a nonzero square, got {radius_s!r}")
+        if not (radius > 0 and 0 < radius * radius < np.inf):  # 0 would divide by 0, inf gives s = v
+            raise ValueError(f"bump radius must be positive with a nonzero finite square, got {radius_s!r}")
         dist2 = sum((x * lat.spacing - length / 2.0) ** 2
                     for x, length in zip(np.indices(lat.dims, sparse=True), lat.lengths))
         return height * np.exp(-dist2 / radius**2)

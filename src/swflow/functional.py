@@ -27,17 +27,25 @@ Every term but |grad phi|^2 is a polynomial in the fields. Along a search line
 (a + t da, phi + t dphi) the flux background is constant, F+ = F+_0 + t G with
 G = selfdual_project(2 d1 da), and with p = |phi|^2, q = Re<phi, dphi>, r =
 |dphi|^2 per site those terms sum to the quartic P(t) = h^4 sum |F+|^2 +
-(s/4) p(t) + p(t)^2/8, p(t) = p + 2tq + t^2 r. _line_floor sums its
-coefficients once per search and returns t -> P(t) - m(t), a lower bound of
-the energy _evaluate would compute at the trial: the line search skips a
-trial whose bound exceeds the Armijo threshold without building it. m is an
-a priori rounding bound (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 3-4). Let u = 2^-53, gamma_k = ku/(1 - ku), K = bit length
-of n + 17 (the most roundings a term meets in numpy's pairwise sum over n
-sites), D = 8 (max|a| + t max|da|)/h + max|background F|, R = ||F+_0|| +
-t ||G|| + sqrt(6n) gamma_20 D (an L^2 bound of both curvatures below) and
-M = R^2 + (sqrt(sum|s|p) + t sqrt(sum|s|r))^2/4 + ((sum p^2)^(1/4) +
-t (sum r^2)^(1/4))^4/8, by Minkowski a bound of every rounded term. Then:
+(s/4) p(t) + p(t)^2/8, p(t) = p + 2tq + t^2 r. F+_0 and G are self-dual, so
+each plane pairing is twice its sum over the planes (12), (13), (14), where G
+is D_i + sign_i D_(5-i) of the buffer D = d1 da (bit for bit
+selfdual_project(2 D), as 2x, x/2 and the star are exact). _line_floor sums
+the coefficients once per search as row sums of one (9,) + dims buffer, each
+row numpy's pairwise sum: first the three plane pairings over 3n entries,
+then the nine per-site products r^2, qr, r(s+p), q^2, q(s+p), sp, p^2, |s|p,
+|s|r over n sites. It returns t -> P(t) - m(t) in Python floats, with
+products in place of powers (Python's float ** raises OverflowError where
+numpy's gives inf), a lower bound of the energy _evaluate would compute at
+the trial: the line search skips a trial whose bound exceeds the Armijo
+threshold without building it. m is an a priori rounding bound (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3-4). Let u = 2^-53,
+gamma_k = ku/(1 - ku), K = bit length of 3n + 17 (the most roundings a term
+meets in numpy's pairwise sum over 3n entries), D = 8 (max|a| + t max|da|)/h
++ max|background F|, R = ||F+_0|| + t ||G|| + sqrt(6n) gamma_20 D (an L^2
+bound of both curvatures below) and M = R^2 + (sqrt(sum|s|p) +
+t sqrt(sum|s|r))^2/4 + ((sum p^2)^(1/4) + t (sum r^2)^(1/4))^4/8, by
+Minkowski a bound of every rounded term. Then:
 - grad2 >= 0 is added first and rounding is monotone, so the computed energy
   is at least its partial sum, within gamma_(K+16) M of that sum taken
   exactly over the trial's computed F+ and phi;
@@ -57,6 +65,7 @@ the bound NaN, and the trial is evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +76,7 @@ from .lattice import (
     Lattice,
     codiff2,
     d1,
+    divide_by_real,
     fiber_norm,
     l2_inner,
     selfdual_project,
@@ -149,32 +159,46 @@ def _evaluate(cfg: Configuration) -> _Evaluation:
     return _Evaluation(cfg, float(h4 * np.sum(dens)), U, grad, fplus, phi2)
 
 
+def _row_sums(products, rows) -> list:
+    """The np.sum of each product v * w, each written into its row of rows, in one row-wise sum."""
+    for row, (v, w) in zip(rows, products):
+        np.multiply(v, w, out=row)
+    return np.sum(rows.reshape(len(rows), -1), axis=1).tolist()
+
+
 def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     """t -> a lower bound (or NaN) of _evaluate's energy at cfg + t direction,
     from the line polynomial; fplus is cfg's F+ from _evaluate."""
     lat, s = cfg.lattice, cfg.scalar_curvature
     n, h, h4 = lat.nsites, lat.spacing, lat.spacing**4
-    G = selfdual_project(2.0 * d1(lat, direction.da))  # plane-major, as fplus
+    G, F = d1(lat, direction.da).transpose(4, 0, 1, 2, 3), fplus.transpose(4, 0, 1, 2, 3)[:3]
+    for i, combine in enumerate((np.add, np.subtract, np.add)):  # the star's first three signs
+        combine(G[i], G[5 - i], out=G[i])  # D_i + sign_i D_(5-i): selfdual_project(2 D)[..., :3]
+    rows = np.empty((9,) + lat.dims)  # the plane products over 3n entries, then nine site ones
+    f, fg, gg = (2.0 * k for k in _row_sums(  # all six planes: F+ and G are self-dual
+        ((F, F), (F, G[:3]), (G[:3], G[:3])), rows.reshape((3,) + F.shape)))
+    G = None
     x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (cfg.phi, direction.dphi))
-    p, q, r, f, fg, gg = (np.einsum("...i,...i->...", v, w) for v, w in (
-        (x, x), (x, y), (y, y), (fplus, fplus), (fplus, G), (G, G)))
-    c4, c3, c2, c1, c0 = (np.sum(k) for k in (0.125 * r * r, 0.5 * q * r,
-                          gg + 0.25 * r * (s + p) + 0.5 * q * q, 2.0 * fg + 0.5 * q * (s + p),
-                          f + 0.25 * s * p + 0.125 * p * p))
-    norm_f, norm_g, sp, sr = (np.sqrt(np.sum(k)) for k in (f, gg, np.abs(s) * p, np.abs(s) * r))
-    p4, r4 = (np.sum(k * k) ** 0.25 for k in (p, r))
-    alpha, beta = np.max(np.abs(cfg.gauge.a)), np.max(np.abs(direction.da))
-    flux = np.max(np.abs(_flux_background(lat, cfg.gauge.flux)[1]))
-    root, underflow = np.sqrt(6.0 * n), 2.0**-1000 * n * h4 * (1.0 + np.max(np.abs(s)))
-    g20, g24, gk = (j * 2.0**-53 / (1.0 - j * 2.0**-53) for j in (20, 24, 2 * n.bit_length() + 98))
+    p, q, r = (np.einsum("...i,...i->...", v, w) for v, w in ((x, x), (x, y), (y, y)))
+    s_p, abs_s = s + p, np.abs(s)
+    r2, qr, rsp, q2, qsp, ps, p2, abs_sp, abs_sr = _row_sums((
+        (r, r), (q, r), (r, s_p), (q, q), (q, s_p), (s, p), (p, p), (abs_s, p), (abs_s, r)), rows)
+    c4, c3, c2, c1, c0 = (0.125 * r2, 0.5 * qr, gg + 0.25 * rsp + 0.5 * q2, 2.0 * fg + 0.5 * qsp,
+                          f + 0.25 * ps + 0.125 * p2)
+    norm_f, norm_g, sp, sr, p4, r4 = map(math.sqrt, (f, gg, abs_sp, abs_sr, math.sqrt(p2), math.sqrt(r2)))
+    alpha, beta = float(np.max(np.abs(cfg.gauge.a))), float(np.max(np.abs(direction.da)))
+    flux = float(np.max(np.abs(_flux_background(lat, cfg.gauge.flux)[1])))
+    root, underflow = math.sqrt(6.0 * n), 2.0**-1000 * n * h4 * (1.0 + float(np.max(abs_s)))
+    g20, g24, gk = (j * 2.0**-53 / (1.0 - j * 2.0**-53) for j in (20, 24, 2 * (3 * n).bit_length() + 98))
 
     def floor(t):
         P = h4 * ((((c4 * t + c3) * t + c2) * t + c1) * t + c0)
         D = 8.0 * (alpha + t * beta) / h + flux
         R = norm_f + t * norm_g + root * g20 * D
-        M = R * R + 0.25 * (sp + t * sr) ** 2 + 0.125 * (p4 + t * r4) ** 4
-        m = h4 * (gk * M + 2.0 * root * g24 * D * R) + underflow * np.maximum(1.0, t) ** 4
-        return P - m if np.isfinite(P) and np.isfinite(m) else np.nan
+        u, v, w = sp + t * sr, p4 + t * r4, max(1.0, t)
+        M = R * R + 0.25 * u * u + 0.125 * (v * v) * (v * v)
+        m = h4 * (gk * M + 2.0 * root * g24 * D * R) + underflow * (w * w) * (w * w)
+        return P - m if math.isfinite(P) and math.isfinite(m) else math.nan
 
     return floor
 
@@ -253,7 +277,7 @@ def excess_report(cfg: Configuration, grad=None) -> ExcessReport:
     h4 = lat.spacing**4
     measure = h4 * float(np.count_nonzero(omega))
     safe = np.where(omega, absphi, 1.0)
-    nu = np.where(omega[..., None], cfg.phi / safe[..., None], 0.0)
+    nu = np.where(omega[..., None], divide_by_real(cfg.phi, safe[..., None]), 0.0)
     grad = covariant_diff(cfg) if grad is None else grad
     # site-major whatever grad's layout, so that the sum below reads it in one order
     radial = np.einsum("...mc,...c->...m", grad, np.conj(nu), order="C").real

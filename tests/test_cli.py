@@ -126,6 +126,8 @@ KEYED_BAD_CONFIGS = [dict(spacing=1e300), dict(spacing=1e-300), dict(seed=-5), d
         dict(amplitudes={"a": 0.3, "phi": "1"}),
         dict(amplitudes={"a": False, "phi": 1.0}),
         dict(scalar_curvature="bump:1,1e-200"),
+        dict(scalar_curvature="bump:1,1e155"),
+        dict(scalar_curvature="bump:1,inf"),
         # a JSON boolean among the numbers is not a flux integer either
         dict(flux=[[0, True, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
         # a misspelt key is refused rather than silently left at its default
@@ -323,20 +325,25 @@ def test_parse_scalar_curvature_forms():
             parse_scalar_curvature(bad, lat)
 
 
-def test_bump_radius_whose_square_underflows_is_a_bad_radius(tmp_path, capsys):
+@pytest.mark.parametrize("radius", ["1e-200", "1e155", "inf"])
+def test_bump_radius_whose_square_underflows_is_a_bad_radius(tmp_path, capsys, radius):
+    # a square that underflows divides by zero, one that overflows raised OverflowError
+    # under no name, and an infinite radius gave a constant s = v
     lat = Lattice((2, 2, 2, 2), 1.0)  # a site sits at the box centre
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no divide-by-zero warning, no NaN
-        with pytest.raises(ValueError, match="bump radius .*1e-200"):
-            parse_scalar_curvature("bump:1,1e-200", lat)
+        with pytest.raises(ValueError, match=f"bump radius .*{radius}"):
+            parse_scalar_curvature(f"bump:1,{radius}", lat)
         cfg_path = tmp_path / "exp.json"
-        write_config(cfg_path, dims=[2, 2, 2, 2], scalar_curvature="bump:1,1e-200")
+        write_config(cfg_path, dims=[2, 2, 2, 2], scalar_curvature=f"bump:1,{radius}")
         assert main(["run", str(cfg_path)]) == 2
-        # the smallest radii still accepted keep their profile: v at the centre, 0 elsewhere
+        # the extreme radii still accepted keep their profile: v at the centre, 0 elsewhere
         tiny = parse_scalar_curvature("bump:1,1e-150", lat)
+        wide = parse_scalar_curvature("bump:1,1e150", lat)
     err = capsys.readouterr().err
-    assert "bad config" in err and "1e-200" in err
+    assert "bad config" in err and "bump radius" in err and radius in err
     assert tiny[1, 1, 1, 1] == 1.0 and np.count_nonzero(tiny) == 1
+    assert np.all(wide == 1.0)
 
 
 def test_check_fast_passes_and_prints_one_line_per_check(capsys):
