@@ -27,25 +27,23 @@ Every term but |grad phi|^2 is a polynomial in the fields. Along a search line
 (a + t da, phi + t dphi) the flux background is constant, F+ = F+_0 + t G with
 G = selfdual_project(2 d1 da), and with p = |phi|^2, q = Re<phi, dphi>, r =
 |dphi|^2 per site those terms sum to the quartic P(t) = h^4 sum |F+|^2 +
-(s/4) p(t) + p(t)^2/8, p(t) = p + 2tq + t^2 r. F+_0 and G are self-dual, so
-each plane pairing is twice its sum over the planes (12), (13), (14), where G
-is D_i + sign_i D_(5-i) of the buffer D = d1 da (bit for bit
-selfdual_project(2 D), as 2x, x/2 and the star are exact). _line_floor sums
-the coefficients once per search as row sums of one (9,) + dims buffer, each
-row numpy's pairwise sum: first the three plane pairings over 3n entries,
-then the nine per-site products r^2, qr, r(s+p), q^2, q(s+p), sp, p^2, |s|p,
-|s|r over n sites. It returns t -> P(t) - m(t) in Python floats, with
-products in place of powers (Python's float ** raises OverflowError where
-numpy's gives inf), a lower bound of the energy _evaluate would compute at
-the trial: the line search skips a trial whose bound exceeds the Armijo
-threshold without building it. m is an a priori rounding bound (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 3-4). Let u = 2^-53,
-gamma_k = ku/(1 - ku), K = bit length of 3n + 17 (the most roundings a term
-meets in numpy's pairwise sum over 3n entries), D = 8 (max|a| + t max|da|)/h
-+ max|background F|, R = ||F+_0|| + t ||G|| + sqrt(6n) gamma_20 D (an L^2
-bound of both curvatures below) and M = R^2 + (sqrt(sum|s|p) +
-t sqrt(sum|s|r))^2/4 + ((sum p^2)^(1/4) + t (sum r^2)^(1/4))^4/8, by
-Minkowski a bound of every rounded term. Then:
+(s/4) p(t) + p(t)^2/8, p(t) = p + 2tq + t^2 r. F+_0 and G are self-dual, so a
+plane pairing is twice its sum over the planes (12), (13), (14), where G is
+D_i + sign_i D_(5-i) of D = d1 da (selfdual_project(2 D) bit for bit: 2x, x/2
+and the star are exact). _line_floor takes each coefficient sum once per
+search as one np.sum of a fresh product (the plane pairings over 3n entries;
+r^2, qr, r(s+p), q^2, q(s+p), sp, p^2, |s|p, |s|r over n sites) and returns
+t -> P(t) - m(t) in Python floats, with products for powers (float ** raises
+OverflowError where numpy gives inf): a lower bound of the energy _evaluate
+would compute at the trial, so the line search skips a trial whose bound
+exceeds the Armijo threshold without building it. m is an a priori rounding
+bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4). Let
+u = 2^-53, gamma_k = ku/(1 - ku), K = bit length of 3n + 17 (the most
+roundings a term meets in numpy's pairwise sum over 3n entries),
+D = 8 (max|a| + t max|da|)/h + max|background F|, R = ||F+_0|| + t ||G|| +
+sqrt(6n) gamma_20 D (an L^2 bound of both curvatures below) and M = R^2 +
+(sqrt(sum|s|p) + t sqrt(sum|s|r))^2/4 + ((sum p^2)^(1/4) + t (sum r^2)^(1/4))^4/8,
+by Minkowski a bound of every rounded term. Then:
 - grad2 >= 0 is added first and rounding is monotone, so the computed energy
   is at least its partial sum, within gamma_(K+16) M of that sum taken
   exactly over the trial's computed F+ and phi;
@@ -76,7 +74,6 @@ from .lattice import (
     Lattice,
     codiff2,
     d1,
-    divide_by_real,
     fiber_norm,
     l2_inner,
     selfdual_project,
@@ -159,13 +156,6 @@ def _evaluate(cfg: Configuration) -> _Evaluation:
     return _Evaluation(cfg, float(h4 * np.sum(dens)), U, grad, fplus, phi2)
 
 
-def _row_sums(products, rows) -> list:
-    """The np.sum of each product v * w, each written into its row of rows, in one row-wise sum."""
-    for row, (v, w) in zip(rows, products):
-        np.multiply(v, w, out=row)
-    return np.sum(rows.reshape(len(rows), -1), axis=1).tolist()
-
-
 def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     """t -> a lower bound (or NaN) of _evaluate's energy at cfg + t direction,
     from the line polynomial; fplus is cfg's F+ from _evaluate."""
@@ -174,15 +164,14 @@ def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     G, F = d1(lat, direction.da).transpose(4, 0, 1, 2, 3), fplus.transpose(4, 0, 1, 2, 3)[:3]
     for i, combine in enumerate((np.add, np.subtract, np.add)):  # the star's first three signs
         combine(G[i], G[5 - i], out=G[i])  # D_i + sign_i D_(5-i): selfdual_project(2 D)[..., :3]
-    rows = np.empty((9,) + lat.dims)  # the plane products over 3n entries, then nine site ones
-    f, fg, gg = (2.0 * k for k in _row_sums(  # all six planes: F+ and G are self-dual
-        ((F, F), (F, G[:3]), (G[:3], G[:3])), rows.reshape((3,) + F.shape)))
+    f, fg, gg = (2.0 * float(np.sum(v * w))  # all six planes: F+ and G are self-dual
+                 for v, w in ((F, F), (F, G[:3]), (G[:3], G[:3])))
     G = None
     x, y = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (cfg.phi, direction.dphi))
     p, q, r = (np.einsum("...i,...i->...", v, w) for v, w in ((x, x), (x, y), (y, y)))
     s_p, abs_s = s + p, np.abs(s)
-    r2, qr, rsp, q2, qsp, ps, p2, abs_sp, abs_sr = _row_sums((
-        (r, r), (q, r), (r, s_p), (q, q), (q, s_p), (s, p), (p, p), (abs_s, p), (abs_s, r)), rows)
+    r2, qr, rsp, q2, qsp, ps, p2, abs_sp, abs_sr = (float(np.sum(v * w)) for v, w in (
+        (r, r), (q, r), (r, s_p), (q, q), (q, s_p), (s, p), (p, p), (abs_s, p), (abs_s, r)))
     c4, c3, c2, c1, c0 = (0.125 * r2, 0.5 * qr, gg + 0.25 * rsp + 0.5 * q2, 2.0 * fg + 0.5 * qsp,
                           f + 0.25 * ps + 0.125 * p2)
     norm_f, norm_g, sp, sr, p4, r4 = map(math.sqrt, (f, gg, abs_sp, abs_sr, math.sqrt(p2), math.sqrt(r2)))
@@ -277,7 +266,7 @@ def excess_report(cfg: Configuration, grad=None) -> ExcessReport:
     h4 = lat.spacing**4
     measure = h4 * float(np.count_nonzero(omega))
     safe = np.where(omega, absphi, 1.0)
-    nu = np.where(omega[..., None], divide_by_real(cfg.phi, safe[..., None]), 0.0)
+    nu = np.where(omega[..., None], cfg.phi / safe[..., None], 0.0)
     grad = covariant_diff(cfg) if grad is None else grad
     # site-major whatever grad's layout, so that the sum below reads it in one order
     radial = np.einsum("...mc,...c->...m", grad, np.conj(nu), order="C").real

@@ -11,9 +11,8 @@ operators) is its public shape viewing a component-major buffer, (6,) + dims,
 contiguous; a caller that needs site-major order makes it. Every periodic
 translate (shift) is one gather through a cached read-only index. Coordinate
 rule: every position-dependent field comes from np.indices(dims), sparse=True where it broadcasts.
-Division rule: a complex field on a per-site path is divided by h through divide_by_real
-(numpy's bits but for the sign of a zero part), a real one by h itself, as x / h and
-x * (1/h) round apart.
+Division rule: operators' covariant difference and its adjoint divide by h through
+divide_by_real (numpy's bits but a zero's sign); every other division is numpy's.
 """
 
 from __future__ import annotations
@@ -102,17 +101,11 @@ def shift(u: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
     return u.take(_roll_index(u.shape[mu], steps), axis=mu)
 
 
-def divide_by_real(z: np.ndarray, h, out=None) -> np.ndarray:
-    """z / h for complex z and real h (a float, or an array broadcasting to z's shape), as
-    numpy divides by h + 0j, (re + im*0) (1/h) and (im - re*0) (1/h), but as z's float pairs
-    times 1/h: numpy's bits except that a -0.0 part may stay -0.0 where numpy's is +0.0 and
-    an inf or NaN part leaves the other one finite. out (C-contiguous, z's shape) may be z."""
-    z = np.ascontiguousarray(z)
-    out = np.empty(z.shape, dtype=complex) if out is None else out
-    x, y = z.view(float), out.view(float)
-    if not isinstance(h, float):  # an array h: each entry divides both floats of its z entry
-        x, y, h = x.reshape(z.shape + (2,)), y.reshape(z.shape + (2,)), np.asarray(h)[..., None]
-    np.multiply(x, 1.0 / h, out=y)
+def divide_by_real(z: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """z / h into out (C-contiguous, as z; it may be z) for complex z and a float h. numpy divides
+    by h + 0j as (re + im*0) (1/h) and (im - re*0) (1/h), so z's float pairs times 1/h give its
+    bits but that a -0.0 part may stay -0.0 and an inf or NaN part leaves the other one finite."""
+    np.multiply(z.view(float), 1.0 / h, out=out.view(float))
     return out
 
 
@@ -220,10 +213,7 @@ def sobolev12_norm(lat: Lattice, u: np.ndarray) -> float:
     _check_form(lat, u, u.shape[4:], "field")
     g = np.empty((4,) + u.shape)  # |forward difference| per direction, squared in place
     for mu in range(4):
-        diff = shift(u, mu) - u
-        np.abs(divide_by_real(diff, lat.spacing, out=diff) if np.iscomplexobj(u)
-               else diff / lat.spacing, out=g[mu])
-        del diff  # not into the next direction's shift
+        np.abs((shift(u, mu) - u) / lat.spacing, out=g[mu])
     n2 = np.sum(np.abs(u) ** 2) + np.sum(np.square(g, out=g))
     return float(np.sqrt(n2 * lat.spacing**4))
 

@@ -18,7 +18,7 @@ model whose identities all still hold. The background angles and curvature
 come from the per-(lattice, flux) cache in fields, and covariant_diff and
 its adjoint accept link phases U the caller already holds. link_phases,
 covariant_diff and curvature follow the layout rule in lattice, and
-covariant_diff and its adjoint its division rule (numpy's z / h bits).
+covariant_diff and its adjoint follow its division rule.
 """
 
 from __future__ import annotations

@@ -106,8 +106,7 @@ def l4_norm(lat, u):
 
 def sobolev12_norm(lat, u):
     """(||u||^2 + ||grad u||^2)^(1/2) with the forward differences held in one
-    (4,) + u.shape buffer of u's dtype, the formula swflow first shipped, a
-    complex u divided by h as numpy divides."""
+    (4,) + u.shape buffer of u's dtype, the formula swflow first shipped."""
     g = np.empty((4,) + u.shape, dtype=u.dtype)
     for mu in range(4):
         g[mu] = (np.roll(u, -1, axis=mu) - u) / lat.spacing
@@ -115,9 +114,9 @@ def sobolev12_norm(lat, u):
     return float(np.sqrt(n2 * lat.spacing**4))
 
 
-# The per-site complex divisions by h as numpy computes z / h, the forms
-# swflow shipped before lattice.divide_by_real: it must give their bits, or
-# the same values where a part of a quotient is zero.
+# The covariant difference and its adjoint dividing by h as numpy computes
+# z / h, the forms swflow shipped before lattice.divide_by_real: it must give
+# their bits, or the same values where a part of a quotient is zero.
 
 def covariant_diff(cfg, U):
     """(U_mu(x) phi(x + e_mu) - phi(x)) / h, site-major, shape dims + (4, 2)."""
@@ -133,13 +132,6 @@ def covariant_diff_adjoint(cfg, G, U):
         trans = np.conj(U[..., mu, None]) * G[..., mu, :]
         out += (np.roll(trans, 1, axis=mu) - G[..., mu, :]) / cfg.lattice.spacing
     return out
-
-
-def radial_unit(phi, tau):
-    """nu = phi / |phi| where |phi| > tau, 0 elsewhere: excess_report's unit spinor."""
-    absphi = fiber_norm(phi)
-    omega = absphi > tau
-    return np.where(omega[..., None], phi / np.where(omega, absphi, 1.0)[..., None], 0.0)
 
 
 def pairing(g, d):

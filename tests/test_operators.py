@@ -9,12 +9,10 @@ from oracles import (
     smooth_fields, two_form_action, zero_cfg,
 )
 import swflow.operators
-from swflow import checks, functional
+from swflow import checks
 from swflow.clifford import SIGMA
 from swflow.fields import GaugeTransform, apply_gauge, transform_angle
-from swflow.lattice import (
-    PLANES, Lattice, divide_by_real, fiber_norm, l2_inner, l2_norm, selfdual_project, sobolev12_norm,
-)
+from swflow.lattice import PLANES, Lattice, divide_by_real, l2_inner, l2_norm, selfdual_project
 from swflow.operators import (
     covariant_diff,
     covariant_diff_adjoint,
@@ -262,33 +260,23 @@ def test_numpys_complex_division_by_a_real_is_its_reciprocal_product():
     # nonzero finite parts, the float pairs of z times 1/h. Should a numpy
     # release change its complex division, this fails before trajectories move.
     z = gaussian((3, 5, 2), 41, complex_=True) * 10.0 ** gaussian((3, 5, 2), 42).round()
-    h = 10.0 ** gaussian((3, 5, 1), 43)
-    for den in (0.7, 1e-300, 3e300, h):
-        product = (z.view(float).reshape(z.shape + (2,)) * (1.0 / np.asarray(den))[..., None])
+    for h in (0.7, 1.3, 1e-300, 3e300):
         with np.errstate(over="ignore"):
-            assert (z / den).tobytes() == product.view(complex)[..., 0].tobytes()
-            assert (z / den).tobytes() == divide_by_real(z, den).tobytes()
+            assert (z / h).tobytes() == (z.view(float) * (1.0 / h)).tobytes()
+            assert (z / h).tobytes() == divide_by_real(z, h, np.empty_like(z)).tobytes()
 
 
 @pytest.mark.parametrize("dims, spacing", [((2, 2, 2, 2), 0.9), ((3, 3, 5, 3), 0.6), ((2, 3, 4, 5), 1.3)])
 @pytest.mark.parametrize("zero_phi", [False, True])
-def test_complex_divisions_by_h_give_numpys_bits(monkeypatch, dims, spacing, zero_phi):
+def test_covariant_differences_give_numpys_bits(dims, spacing, zero_phi):
     lat = Lattice(dims, spacing)
     cfg = random_cfg(lat, seed=17, flux=flux_matrix(f01=1, f13=2, f23=-1))
     if zero_phi:
         cfg = cfg.replace(phi=np.zeros(dims + (2,), dtype=complex))
     U, G = link_phases(cfg), gaussian(dims + (4, 2), 18, complex_=True)
-    quotients = []
-    monkeypatch.setattr(functional, "divide_by_real",
-                        lambda z, h: quotients.append(divide_by_real(z, h)) or quotients[-1])
-    tau = 0.5 * float(np.median(fiber_norm(cfg.phi)))
-    functional.excess_report(oracles.constant_s(cfg, -tau))  # its nu: phi / |phi| on Omega
-    nu = np.where((fiber_norm(cfg.phi) > tau)[..., None], quotients[0], 0.0)
     pairs = [
         (covariant_diff(cfg, U), oracles.covariant_diff(cfg, U)),
         (covariant_diff_adjoint(cfg, G, U), oracles.covariant_diff_adjoint(cfg, G, U)),
-        (np.float64(sobolev12_norm(lat, cfg.phi)), np.float64(oracles.sobolev12_norm(lat, cfg.phi))),
-        (nu, oracles.radial_unit(cfg.phi, tau)),
     ]
     for ours, numpys in pairs:
         # at phi = 0 a zero quotient may keep the sign numpy's division drops
