@@ -227,12 +227,15 @@ def random_configuration(
 def write_atomic(texts: dict):
     """Replace each file path -> text in texts, never leaving one half written.
 
-    Each text goes to a new file beside its target (so it gets the usual umask
-    permissions) and is synced; only when all are written are they renamed
-    over their targets, in the order of texts. On any error before the first
-    rename every temp file is removed and every target keeps its old bytes; a
-    failed rename after an earlier one leaves the earlier targets replaced.
+    A directory target (not a link to one) is refused before anything is written. Each text
+    goes to a new file beside its target (so it gets the usual umask permissions) and is
+    synced; only when all are written are they renamed over their targets, in the order of
+    texts. On any error before the first rename every temp file is removed and every target
+    keeps its old bytes; a failed rename after an earlier one leaves the earlier targets replaced.
     """
+    for path in texts:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(f"{path} is a directory")
     tmps = {}
     try:
         for path, text in texts.items():

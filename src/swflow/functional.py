@@ -71,6 +71,7 @@ import numpy as np
 from .clifford import quadratic_form
 from .fields import Configuration, _flux_background
 from .lattice import (
+    _STAR_SIGN,
     Lattice,
     codiff2,
     d1,
@@ -162,8 +163,8 @@ def _line_floor(cfg: Configuration, direction: Gradient, fplus: np.ndarray):
     lat, s = cfg.lattice, cfg.scalar_curvature
     n, h, h4 = lat.nsites, lat.spacing, lat.spacing**4
     G, F = d1(lat, direction.da).transpose(4, 0, 1, 2, 3), fplus.transpose(4, 0, 1, 2, 3)[:3]
-    for i, combine in enumerate((np.add, np.subtract, np.add)):  # the star's first three signs
-        combine(G[i], G[5 - i], out=G[i])  # D_i + sign_i D_(5-i): selfdual_project(2 D)[..., :3]
+    for i, sign in enumerate(_STAR_SIGN[:3]):  # D_i + sign_i D_(5-i): selfdual_project(2 D)[..., :3]
+        G[i] += np.multiply(G[5 - i], sign, out=G[5 - i])
     f, fg, gg = (2.0 * float(np.sum(v * w))  # all six planes: F+ and G are self-dual
                  for v, w in ((F, F), (F, G[:3]), (G[:3], G[:3])))
     G = None

@@ -11,8 +11,8 @@ operators) is its public shape viewing a component-major buffer, (6,) + dims,
 contiguous; a caller that needs site-major order makes it. Every periodic
 translate (shift) is one gather through a cached read-only index. Coordinate
 rule: every position-dependent field comes from np.indices(dims), sparse=True where it broadcasts.
-Division rule: operators' covariant difference and its adjoint divide by h through
-divide_by_real (numpy's bits but a zero's sign); every other division is numpy's.
+Division rule: the covariant differences in operators multiply by 1/h, numpy's bits for z / h but
+a zero's sign; every other division stays / h, as a real one must (x * (1/h) is not x / h).
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ def shift(u: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
     the permutation np.roll(u, -steps, axis=mu) makes, as one gather through a
     cached read-only index. The result is a new C-ordered array."""
     return u.take(_roll_index(u.shape[mu], steps), axis=mu)
-
-
-def divide_by_real(z: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """z / h into out (C-contiguous, as z; it may be z) for complex z and a float h. numpy divides
-    by h + 0j as (re + im*0) (1/h) and (im - re*0) (1/h), so z's float pairs times 1/h give its
-    bits but that a -0.0 part may stay -0.0 and an inf or NaN part leaves the other one finite."""
-    np.multiply(z.view(float), 1.0 / h, out=out.view(float))
-    return out
 
 
 def d0(lat: Lattice, f: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ model whose identities all still hold. The background angles and curvature
 come from the per-(lattice, flux) cache in fields, and covariant_diff and
 its adjoint accept link phases U the caller already holds. link_phases,
 covariant_diff and curvature follow the layout rule in lattice, and
-covariant_diff and its adjoint follow its division rule.
+covariant_diff and its adjoint multiply by 1/h (its division rule).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .clifford import SIGMA
 from .fields import Configuration, _flux_background
-from .lattice import PLANES, _check_form, d1, divide_by_real, shift
+from .lattice import PLANES, _check_form, d1, shift
 
 
 def link_phases(cfg: Configuration) -> np.ndarray:
@@ -52,7 +52,7 @@ def covariant_diff(cfg: Configuration, U=None) -> np.ndarray:
     phi, U = cfg.phi, link_phases(cfg) if U is None else U
     out = np.empty((4,) + phi.shape, dtype=complex)
     for mu in range(4):
-        divide_by_real(U[..., mu, None] * shift(phi, mu) - phi, cfg.lattice.spacing, out=out[mu])
+        np.multiply(U[..., mu, None] * shift(phi, mu) - phi, 1.0 / cfg.lattice.spacing, out=out[mu])
     return out.transpose(1, 2, 3, 4, 0, 5)
 
 
@@ -68,7 +68,7 @@ def covariant_diff_adjoint(cfg: Configuration, G: np.ndarray, U=None) -> np.ndar
     out = np.zeros(lat.dims + (2,), dtype=complex)
     for mu in range(4):
         diff = shift(np.conj(U[..., mu, None]) * G[..., mu, :], mu, -1) - G[..., mu, :]
-        out += divide_by_real(diff, lat.spacing, out=diff)
+        out += np.multiply(diff, 1.0 / lat.spacing, out=diff)
         del diff  # not into the next direction's product
     return out
 

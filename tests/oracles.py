@@ -115,8 +115,8 @@ def sobolev12_norm(lat, u):
 
 
 # The covariant difference and its adjoint dividing by h as numpy computes
-# z / h, the forms swflow shipped before lattice.divide_by_real: it must give
-# their bits, or the same values where a part of a quotient is zero.
+# z / h: swflow's product with 1/h must give their bits, or the same values
+# where a part of a quotient is zero.
 
 def covariant_diff(cfg, U):
     """(U_mu(x) phi(x + e_mu) - phi(x)) / h, site-major, shape dims + (4, 2)."""

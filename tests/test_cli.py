@@ -264,6 +264,23 @@ def test_run_whose_last_write_fails_keeps_every_previous_output(tmp_path, monkey
     assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before  # no *.tmp either
 
 
+def test_run_with_a_directory_at_the_last_output_replaces_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    write_config(cfg_path)
+    assert main(["run", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    (out / "final.json").unlink()
+    (out / "final.json").mkdir()  # the last rename's target, refused before any write
+    before = {n: (out / n).read_bytes() for n in ("history.csv", "summary.json")}
+    write_config(cfg_path, seed=6)  # a different run, so every output would change
+    capsys.readouterr()
+    assert main(["run", str(cfg_path)]) == 1
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["final.json", "history.csv", "summary.json"]
+    assert {n: (out / n).read_bytes() for n in before} == before
+    assert list((out / "final.json").iterdir()) == []
+
+
 def test_run_is_deterministic(tmp_path):
     for name in ("one", "two"):
         cfg_path = tmp_path / f"{name}.json"
@@ -500,14 +517,15 @@ def test_gaugefix_whose_second_write_fails_changes_neither_target(tmp_path, monk
     assert (dst.read_text(), rep.read_text()) == ("old\n", "old report\n")
 
 
-def test_gaugefix_with_a_directory_at_the_report_path_writes_nothing(tmp_path, capsys):
-    src, rep = tmp_path / "in.json", tmp_path / "o.json.report.json"
+@pytest.mark.parametrize("name", ["o.json.report.json", "o.json"])
+def test_gaugefix_with_a_directory_at_the_report_path_writes_nothing(tmp_path, capsys, name):
+    src, target = tmp_path / "in.json", tmp_path / name  # the first or the last rename's target
     save_configuration(fixture_configuration(), src)
-    rep.mkdir()
+    target.mkdir()
     assert main(["gaugefix", str(src), str(tmp_path / "o.json")]) == 1
     assert "cannot fix or write" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["in.json", "o.json.report.json"]
-    assert list(rep.iterdir()) == []
+    assert sorted(os.listdir(tmp_path)) == ["in.json", name]
+    assert list(target.iterdir()) == []
 
 
 def test_console_script_entry_point():
