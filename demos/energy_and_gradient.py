@@ -42,6 +42,6 @@ print(f"  spinor part  |dE/dphi| = {l2_norm(lat, g.dphi):.6f}")
 
 ### 20 random coordinate directions, central differences with step 1e-5: the
 ### measure `swflow check` runs, here at the demo's own size and seed.
-check = gradient_matches_finite_differences(cfg, seed=3, draws=20, step=1e-5)
+check = gradient_matches_finite_differences(cfg, seed=3, draws=20)
 print(f"\nworst relative FD error over 20 directions: {check.measured:.3e}")
 assert check.passed, check.line()

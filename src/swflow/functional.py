@@ -119,8 +119,9 @@ class Gradient:
 
 @dataclass(frozen=True)
 class ExcessReport:
-    """Truncation diagnostics above the threshold max(-min s, 0)."""
+    """sup|phi| and the truncation diagnostics above the threshold max(-min s, 0)."""
 
+    phi_linf: float
     threshold: float
     excess_measure: float
     radial_excess: float
@@ -250,10 +251,10 @@ def gradient(cfg: Configuration, held=None) -> Gradient:
 
 
 def excess_report(cfg: Configuration, grad=None) -> ExcessReport:
-    """Threshold diagnostics for the truncation argument.
+    """sup|phi| and the threshold diagnostics for the truncation argument.
 
-    threshold = max(-min s, 0); Omega is the region |phi| > threshold;
-    radial_excess integrates the squared radial derivative
+    phi_linf = max |phi|; threshold = max(-min s, 0); Omega is the region
+    |phi| > threshold; radial_excess integrates the squared radial derivative
     (Re <grad_mu phi, nu>)^2 over Omega with nu = phi/|phi|; eta is the
     radial excess section (|phi| - threshold) nu on Omega, measured in the
     plain-difference L^{1,2} norm. grad, when held, must be
@@ -273,4 +274,4 @@ def excess_report(cfg: Configuration, grad=None) -> ExcessReport:
     radial = np.einsum("...mc,...c->...m", grad, np.conj(nu), order="C").real
     radial_excess = h4 * float(np.sum(np.where(omega[..., None], radial, 0.0) ** 2))
     eta = np.where(omega, absphi - tau, 0.0)[..., None] * nu
-    return ExcessReport(tau, measure, radial_excess, float(sobolev12_norm(lat, eta)))
+    return ExcessReport(float(np.max(absphi)), tau, measure, radial_excess, float(sobolev12_norm(lat, eta)))

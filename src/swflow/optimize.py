@@ -10,16 +10,16 @@ gauge distance between successive recorded iterates (whose decay is the
 Cauchy signature of a convergent minimizing sequence).
 
 Each line search starts from (e0, slope, floor) of its iterate, which the loop
-holds, slope = g.dot(d) being its one pairing with the direction (a direct call
-builds all three from one evaluation). The floor sums the step polynomial of
-the energy without |grad phi|^2 from the F+ of that evaluation, which is then
-dropped, and the search skips, unbuilt, each trial whose polynomial less a
-rounding margin exceeds e0 + c t slope: its computed energy would too, so
-trajectories are bit-identical to full evaluation (derived in functional).
-The search returns (t, evaluation) of the accepted trial, so each iterate is
-evaluated once (iterate 0 on entry, a refixed one by its refix): one pass of
-the loop reads its gradient, gradient(cfg, evaluation), and its record's grad
-phi from that evaluation (only the record after a line-search failure rebuilds).
+holds, slope = g.dot(d) being its one pairing with the direction. The floor
+sums the step polynomial of the energy without |grad phi|^2 from the iterate's
+F+, which is then dropped, and the search skips, unbuilt, each trial whose
+polynomial less a rounding margin exceeds e0 + c t slope: its computed energy
+would too, so trajectories are bit-identical to full evaluation (derived in
+functional). The search returns (t, evaluation) of the accepted trial, so each
+iterate is evaluated once (iterate 0 on entry, a refixed one by its refix): one
+pass of the loop reads its gradient, gradient(cfg, evaluation), and its
+record's grad phi from that evaluation (only the record after a line-search
+failure rebuilds).
 
 minimize and line_search each run under one numpy error policy, overflow and
 invalid ignored: an overflowing trial's NaN or +inf fails the Armijo test and
@@ -36,9 +36,7 @@ import numpy as np
 from .fields import Configuration
 from .functional import Gradient, _evaluate, _line_floor, excess_report, gradient
 from .gaugefix import _normal_form_distance, full_gauge_fix
-from .lattice import linf_norm, require_int, require_real
-
-MAX_BACKTRACKS = 60
+from .lattice import require_int, require_real
 
 
 class NonDescentDirectionError(ValueError):
@@ -51,12 +49,13 @@ class LineSearchFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeParams:
-    """The settable run parameters. The line search's constants armijo_c, backtrack and
-    initial_step are class attributes no run sets (c1 = 1e-4, halving from t = 1)."""
+    """The settable run parameters. The line search's constants are class attributes
+    no run sets: c1 = 1e-4, halving from t = 1 at most 60 times."""
 
     armijo_c: ClassVar[float] = 1e-4
     backtrack: ClassVar[float] = 0.5
     initial_step: ClassVar[float] = 1.0
+    max_backtracks: ClassVar[int] = 60
     max_iters: int = 200
     grad_tol: float = 1e-6
     method: str = "descent"
@@ -105,27 +104,24 @@ class Trajectory:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams, start=None):
+def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams, start):
     """Backtrack from initial_step until the Armijo inequality holds, under the
     search's one error policy (module docstring).
 
     Accepts the first t with energy(cfg + t d) <= energy(cfg) + armijo_c t slope
     and returns (t, evaluation): evaluation.cfg is the trial, evaluation.energy its
-    energy, and gradient(evaluation.cfg, evaluation) its gradient. start, when the
-    caller holds it, is (energy_weitzenbock(cfg), slope = gradient(cfg).dot(direction),
-    _line_floor(cfg, direction, F+ of cfg's evaluation)); otherwise one evaluation
-    of cfg gives all three. Raises NonDescentDirectionError if slope >= 0 (zero
-    direction included) and LineSearchFailure after MAX_BACKTRACKS rejected shrinkages.
+    energy, and gradient(evaluation.cfg, evaluation) its gradient. start is (e0 =
+    energy_weitzenbock(cfg), slope = gradient(cfg).dot(direction), floor): floor(t)
+    is any lower bound of the energy _evaluate computes at trial t, or NaN where it
+    cannot tell, and only a trial whose floor exceeds the threshold goes unbuilt (no
+    floor: lambda t: math.nan). Raises NonDescentDirectionError if slope >= 0 (zero
+    direction included) and LineSearchFailure after max_backtracks rejected shrinkages.
     """
-    if start is None:
-        ev = _evaluate(cfg)
-        start = ev.energy, gradient(cfg, ev).dot(direction), _line_floor(cfg, direction, ev.fplus)
-        del ev  # cfg's pieces must not outlive into the trials
     e0, slope, floor = start
     if not slope < 0.0:
         raise NonDescentDirectionError(f"direction pairing {slope:.3e} is not negative")
     t = params.initial_step
-    for _ in range(MAX_BACKTRACKS + 1):
+    for _ in range(params.max_backtracks + 1):
         thr = e0 + params.armijo_c * t * slope
         if not floor(t) > thr:
             ev = _evaluate(cfg._trial(cfg.gauge.a + t * direction.da, cfg.phi + t * direction.dphi))
@@ -133,7 +129,7 @@ def line_search(cfg: Configuration, direction: Gradient, params: MinimizeParams,
                 return t, ev
             del ev  # a rejected trial's pieces must not outlive it into the next one
         t *= params.backtrack
-    raise LineSearchFailure(f"no Armijo step after {MAX_BACKTRACKS} backtracks")
+    raise LineSearchFailure(f"no Armijo step after {params.max_backtracks} backtracks")
 
 
 def _record(it: int, cfg: Configuration, energy: float, grad_norm: float, rep,
@@ -143,9 +139,9 @@ def _record(it: int, cfg: Configuration, energy: float, grad_norm: float, rep,
     record fixes one iterate."""
     fixed, _ = full_gauge_fix(cfg)
     dist = 0.0 if prev_fixed is None else _normal_form_distance(prev_fixed, fixed)
-    # rep carries the threshold, excess_measure, radial_excess and eta_norm fields
+    # rep carries the phi_linf, threshold, excess_measure, radial_excess and eta_norm fields
     return TrajectoryRecord(iter=it, energy=energy, grad_norm=grad_norm, **vars(rep),
-                            phi_linf=linf_norm(cfg.lattice, cfg.phi), gauge_step_distance=dist), fixed
+                            gauge_step_distance=dist), fixed
 
 
 def _refix_gauge(cfg: Configuration, before: float):

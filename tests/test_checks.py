@@ -9,7 +9,7 @@ import pytest
 from oracles import flux_matrix, random_cfg, zero_cfg
 from swflow import checks, functional
 from swflow.clifford import quadratic_form
-from swflow.fields import random_configuration
+from swflow.fields import apply_gauge, random_configuration
 from swflow.lattice import Lattice, codiff1, d1, l2_inner
 from swflow.operators import covariant_diff, covariant_diff_adjoint, curvature, dirac_adjoint, link_phases
 
@@ -65,6 +65,14 @@ def test_registry_fails_on_broken_operators(monkeypatch):
     def scaled(op):
         return lambda *args: 1.001 * op(*args)
 
+    def without_winding_three(g, c):  # a winding of +-3 moves phi but no longer a
+        moved = apply_gauge(g, c)
+        a = moved.gauge.a.copy()
+        for mu, k in enumerate(g.winding):
+            if abs(k) == 3:
+                a[..., mu] -= 2.0 * np.pi * k / (lat.dims[mu] * lat.spacing)
+        return moved.replace(a=a)
+
     # name in checks -> (its broken stand-in, the measure that must then fail)
     broken = {
         "codiff1": (scaled(codiff1), lambda: checks.adjoint_defect("adjoint_d0_codiff1", lat, 1, 3)),
@@ -74,6 +82,7 @@ def test_registry_fails_on_broken_operators(monkeypatch):
         "quadratic_form": (scaled(quadratic_form), lambda: checks.quadratic_form_norm_identity((), 1, 3)),
         "energy_weitzenbock": (lambda c: functional.energy_weitzenbock(c) + 1e-6 * np.sum(c.gauge.a**2),
                                lambda: checks.energy_gauge_invariance(cfg, 1, 3)),
+        "apply_gauge": (without_winding_three, lambda: checks.energy_gauge_invariance(cfg, 1, 3)),
         "energy_lower_bound": (lambda c: functional.energy_lower_bound(c) + 1.0,
                                lambda: checks.energy_lower_bound_margin(lat, 1, 3, 2)),
         "curvature": (lambda c: curvature(c) + 1e-3, lambda: checks.flux_quantization(cfg)),
@@ -136,26 +145,14 @@ def test_hodge_sobolev_bound_holds_at_12():
 def test_gradient_measure_passes_on_a_random_configuration():
     lat = Lattice((3, 3, 3, 3), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f03=1))
-    err = checks.gradient_matches_finite_differences(cfg, 5, 50, step=1e-5).measured
+    err = checks.gradient_matches_finite_differences(cfg, 5, 50).measured
     assert err <= 1e-5
 
 
 def test_gradient_measure_reads_zero_where_both_sides_vanish():
     lat = Lattice((2, 2, 2, 2), 1.0)
     cfg = zero_cfg(lat)
-    assert checks.gradient_matches_finite_differences(cfg, 1, 10, step=1e-3).measured == 0.0
-
-
-def test_gradient_measure_shrinks_with_the_step_and_refuses_step_zero():
-    lat = Lattice((3, 3, 3, 3), 0.9)
-    cfg = random_cfg(lat, seed=21)
-    coarse = checks.gradient_matches_finite_differences(cfg, 7, 30, step=1e-2).measured
-    fine = checks.gradient_matches_finite_differences(cfg, 7, 30, step=1e-5).measured
-    # central differences: truncation drops roughly quadratically until the
-    # roundoff floor; two orders is the conservative check
-    assert coarse >= 100.0 * fine
-    with pytest.raises(ValueError):
-        checks.gradient_matches_finite_differences(cfg, 0, 50, step=0.0)
+    assert checks.gradient_matches_finite_differences(cfg, 1, 10).measured == 0.0
 
 
 @pytest.mark.parametrize("part", ["da", "re_dphi", "im_dphi"])
@@ -174,12 +171,12 @@ def test_gradient_measure_sees_each_perturbation_kind(monkeypatch, part):
         return functional.Gradient(g.lattice, g.da, g.dphi.real + 1.01j * g.dphi.imag)
 
     monkeypatch.setattr(checks, "gradient", skewed)
-    assert checks.gradient_matches_finite_differences(cfg, 5, 50, step=1e-5).measured > checks.GRADIENT_TOL
+    assert checks.gradient_matches_finite_differences(cfg, 5, 50).measured > checks.GRADIENT_TOL
 
 
 def test_gradient_measure_is_deterministic():
     lat = Lattice((3, 2, 3, 2), 0.8)
     cfg = random_cfg(lat, seed=4)
-    a = checks.gradient_matches_finite_differences(cfg, 3, 20, step=1e-5).measured
-    b = checks.gradient_matches_finite_differences(cfg, 3, 20, step=1e-5).measured
+    a = checks.gradient_matches_finite_differences(cfg, 3, 20).measured
+    b = checks.gradient_matches_finite_differences(cfg, 3, 20).measured
     assert a == b

@@ -165,7 +165,7 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     pytest.param(dict(scalar_curvature=10**400), "scalar_curvature must be a real number", id="curvature-no-double"),
     # the line search's constants are fixed: setting one, even to its own value, is an unknown key
     *[pytest.param(dict(minimize={"max_iters": 3, key: value}), f"unknown minimize key {key!r}", id=key)
-      for key, value in (("armijo_c", 1e-4), ("backtrack", 0.5), ("initial_step", 1.0))],
+      for key, value in (("armijo_c", 1e-4), ("backtrack", 0.5), ("initial_step", 1.0), ("max_backtracks", 60))],
 ])
 def test_run_refuses_a_malformed_section_in_one_line_naming_it(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "exp.json"

@@ -69,7 +69,7 @@ def test_first_order_energy_with_zero_phi():
 def test_energies_gauge_invariant():
     lat = Lattice((3, 4, 2, 3), 0.7)
     cfg = random_cfg(lat, flux=flux_matrix(f01=1, f23=-1))
-    result = checks.energy_gauge_invariance(cfg, SEED, 1, windings=[(1, -2, 0, 1)])
+    result = checks.energy_gauge_invariance(cfg, SEED, 3)
     assert result.passed, result.line()
 
 

@@ -23,7 +23,6 @@ from swflow.functional import energy_lower_bound, energy_weitzenbock, excess_rep
 from swflow.gaugefix import full_gauge_fix, gauge_distance
 from swflow.lattice import Lattice, codiff1, l2_norm, linf_norm
 from swflow.optimize import (
-    MAX_BACKTRACKS,
     LineSearchFailure,
     MinimizeParams,
     NonDescentDirectionError,
@@ -74,8 +73,8 @@ def test_line_search_constants_are_fixed_class_attributes():
     assert [f.name for f in fields(MinimizeParams)] == [
         "max_iters", "grad_tol", "method", "gaugefix_every", "record_every"]
     params = MinimizeParams()
-    assert (params.armijo_c, params.backtrack, params.initial_step) == (1e-4, 0.5, 1.0)
-    for name in ("armijo_c", "backtrack", "initial_step"):
+    assert (params.armijo_c, params.backtrack, params.initial_step, params.max_backtracks) == (1e-4, 0.5, 1.0, 60)
+    for name in ("armijo_c", "backtrack", "initial_step", "max_backtracks"):
         with pytest.raises(TypeError):
             MinimizeParams(**{name: 1.0})
         with pytest.raises(FrozenInstanceError):
@@ -97,11 +96,17 @@ def test_zero_configuration_is_already_converged():
     assert traj.records[0].gauge_step_distance == 0.0
 
 
+def unfloored_start(cfg, direction):
+    """The (e0, slope, floor) start of a search at cfg with no floor: every trial is built."""
+    return energy_weitzenbock(cfg), gradient(cfg).dot(direction), lambda t: np.nan
+
+
 def test_line_search_accepts_initial_step_in_quadratic_regime():
     lat = Lattice((3, 3, 3, 3), 1.0)
     cfg = constant_s(random_configuration(lat, 13, (1e-3, 1e-3)), 1.0)
     # the direction carries the small first step, as a step of 0.01 would
-    step, trial = line_search(cfg, -0.01 * gradient(cfg), MinimizeParams())
+    direction = -0.01 * gradient(cfg)
+    step, trial = line_search(cfg, direction, MinimizeParams(), unfloored_start(cfg, direction))
     assert step == MinimizeParams.initial_step
     assert energy_weitzenbock(trial.cfg) < energy_weitzenbock(cfg)
 
@@ -110,10 +115,9 @@ def test_line_search_rejects_zero_and_ascent_directions():
     lat = Lattice((3, 3, 3, 3), 1.0)
     cfg = random_configuration(lat, 17, (0.5, 0.8))
     g = gradient(cfg)
-    with pytest.raises(NonDescentDirectionError):
-        line_search(cfg, 0.0 * g, MinimizeParams())
-    with pytest.raises(NonDescentDirectionError):
-        line_search(cfg, g, MinimizeParams())
+    for direction in (0.0 * g, g):
+        with pytest.raises(NonDescentDirectionError):
+            line_search(cfg, direction, MinimizeParams(), unfloored_start(cfg, direction))
 
 
 def test_line_search_satisfies_armijo_inequality_as_stated():
@@ -122,38 +126,9 @@ def test_line_search_satisfies_armijo_inequality_as_stated():
     params = MinimizeParams()
     direction = -1.0 * gradient(cfg)
     slope = gradient(cfg).dot(direction)
-    step, trial = line_search(cfg, direction, params)
+    step, trial = line_search(cfg, direction, params, unfloored_start(cfg, direction))
     assert energy_weitzenbock(trial.cfg) <= energy_weitzenbock(cfg) + params.armijo_c * step * slope
     assert step <= params.initial_step
-
-
-def test_line_search_with_held_gradient_and_energy_takes_the_same_step():
-    lat = Lattice((3, 3, 3, 3), 0.8)
-    cfg = constant_s(random_configuration(lat, 19, (1.5, 2.0)), -1.0)
-    g = gradient(cfg)
-    direction = -1.0 * g
-    fresh = line_search(cfg, direction, MinimizeParams())
-    floor = swflow.functional._line_floor(cfg, direction, swflow.functional._evaluate(cfg).fplus)
-    held = line_search(cfg, direction, MinimizeParams(), (energy_weitzenbock(cfg), g.dot(direction), floor))
-    assert held[0] == fresh[0]
-    assert np.array_equal(held[1].cfg.gauge.a, fresh[1].cfg.gauge.a)
-    assert np.array_equal(held[1].cfg.phi, fresh[1].cfg.phi)
-    assert held[1].energy == fresh[1].energy == energy_weitzenbock(held[1].cfg)
-
-
-def test_line_search_without_a_start_evaluates_its_start_once(monkeypatch):
-    cfg = constant_s(random_configuration(Lattice((3, 3, 3, 3), 0.8), 19, (1.5, 2.0)), -1.0)
-    direction = -64.0 * gradient(cfg)  # 2^6: the trials of a first step of 64, bit for bit
-    evaluated, curved = [], []
-    evaluate, curvature = swflow.functional._evaluate, swflow.functional.curvature
-    counted = lambda c: evaluated.append(c) or evaluate(c)  # noqa: E731
-    for module in (swflow.functional, swflow.optimize):
-        monkeypatch.setattr(module, "_evaluate", counted)
-    monkeypatch.setattr(swflow.functional, "curvature", lambda c: curved.append(c) or curvature(c))
-    t, trial = line_search(cfg, direction, MinimizeParams())
-    assert sum(c is cfg for c in evaluated) == 1
-    assert sum(c is cfg for c in curved) == 1  # the floor reads F+ from that evaluation
-    assert t < 1.0 and trial.cfg is evaluated[-1]  # the counted calls include the trials
 
 
 def mixed_flux_cfg(dims=(3, 4, 2, 5)):
@@ -163,7 +138,8 @@ def mixed_flux_cfg(dims=(3, 4, 2, 5)):
 
 def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
     cfg = mixed_flux_cfg()
-    _, trial = line_search(cfg, -1.0 * gradient(cfg), MinimizeParams())
+    direction = -1.0 * gradient(cfg)
+    _, trial = line_search(cfg, direction, MinimizeParams(), unfloored_start(cfg, direction))
     assert trial.energy == energy_weitzenbock(trial.cfg)
     held, fresh = gradient(trial.cfg, trial), gradient(trial.cfg)  # held selects no behaviour
     assert np.array_equal(held.da, fresh.da)
@@ -173,10 +149,10 @@ def test_line_step_carries_the_exact_energy_and_gradient_of_its_trial():
 def test_line_search_does_not_revalidate_the_flux(monkeypatch):
     cfg = mixed_flux_cfg()
     direction = -64.0 * gradient(cfg)  # 2^6: the trials of a first step of 64, bit for bit
-    calls = []
+    start, calls = unfloored_start(cfg, direction), []
     validate = swflow.fields.check_flux_matrix
     monkeypatch.setattr(swflow.fields, "check_flux_matrix", lambda f: calls.append(1) or validate(f))
-    step = line_search(cfg, direction, MinimizeParams())
+    step = line_search(cfg, direction, MinimizeParams(), start)
     assert step[0] < 1.0  # several trials were rejected before this one
     assert calls == []
 
@@ -370,8 +346,8 @@ def test_line_search_failure_after_exhausted_backtracks():
     # every trial overflows the quartic term and fails the Armijo test
     direction = -1e300 * gradient(cfg)
     with pytest.raises(LineSearchFailure):
-        line_search(cfg, direction, MinimizeParams())
-    assert 0.5**MAX_BACKTRACKS * 1e300 > 1e200
+        line_search(cfg, direction, MinimizeParams(), unfloored_start(cfg, direction))
+    assert 0.5**MinimizeParams.max_backtracks * 1e300 > 1e200
 
 
 def test_minimize_records_line_search_failure_without_crashing(monkeypatch):
