@@ -157,6 +157,42 @@ def test_line_search_does_not_revalidate_the_flux(monkeypatch):
     assert calls == []
 
 
+def _counted_searches(monkeypatch, cfg, direction, floors):
+    """line_search from cfg along direction once per floor, each with the trials it built."""
+    evaluated, full = [], swflow.functional._evaluate
+    monkeypatch.setattr(swflow.optimize, "_evaluate", lambda c: evaluated.append(c) or full(c))
+    e0, slope = energy_weitzenbock(cfg), gradient(cfg).dot(direction)
+    runs = []
+    for floor in floors:
+        evaluated.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append((line_search(cfg, direction, MinimizeParams(), (e0, slope, floor)), list(evaluated)))
+    return runs
+
+
+def test_line_search_with_a_nan_floor_builds_every_trial(monkeypatch):
+    cfg = mixed_flux_cfg()
+    direction = -64.0 * gradient(cfg)  # 2^6: the trials of a first step of 64, bit for bit
+    [((t, trial), built)] = _counted_searches(monkeypatch, cfg, direction, [lambda t: np.nan])
+    backtracks = round(np.log(t / MinimizeParams.initial_step) / np.log(MinimizeParams.backtrack))
+    assert backtracks > 0 and t == MinimizeParams.initial_step * MinimizeParams.backtrack**backtracks
+    assert len(built) == backtracks + 1  # each trial up to the accepted one, none twice
+    assert trial.cfg is built[-1]
+
+
+def test_line_search_floor_skips_trials_but_takes_the_unfloored_step(monkeypatch):
+    cfg = mixed_flux_cfg()
+    direction = -64.0 * gradient(cfg)
+    floor = swflow.functional._line_floor(cfg, direction, swflow.functional._evaluate(cfg).fplus)
+    (floored, skipped), (unfloored, built) = _counted_searches(
+        monkeypatch, cfg, direction, [floor, lambda t: np.nan])
+    assert len(skipped) < len(built)  # the floor proved some trials rejected unbuilt
+    assert floored[0] == unfloored[0]
+    assert np.array_equal(floored[1].cfg.gauge.a, unfloored[1].cfg.gauge.a)
+    assert np.array_equal(floored[1].cfg.phi, unfloored[1].cfg.phi)
+    assert floored[1].energy == unfloored[1].energy == energy_weitzenbock(floored[1].cfg)
+
+
 @pytest.mark.parametrize("method", ["conjugate", "descent"])
 def test_each_iteration_pairs_once_per_direction_it_tries(monkeypatch, method):
     # conjugate: beta's numerator and the update's slope, and the steepest slope
